@@ -31,8 +31,6 @@ from commlab.instances import (
     instance_from_json,
     instance_to_json,
     make_instance,
-    random_hermitian_banded,
-    random_normal_banded,
     random_unitary,
 )
 from commlab.catalog import (

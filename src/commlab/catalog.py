@@ -6,13 +6,17 @@ margin, normalized so that "satisfied" always means
 questionable step carry status "suspect-step"; sweeps treat their verdicts
 as findings, never as errors. FALSE_TEST is a deliberately false control
 entry that exercises the violation-reporting path.
+
+An entry is one ``CatalogEntry``: its formula is a field, and its hypothesis
+codes name predicates in ``HYPOTHESES``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +34,13 @@ from commlab.core import (
     op_norm,
     self_commutator,
 )
-from commlab.instances import Fingerprint, Instance, Recipe, derive_seed, make_instance
+from commlab.instances import Fingerprint, Instance, Recipe, SpectralBounds, derive_seed, make_instance
 
 __all__ = [
     "CatalogEntry",
     "CATALOG",
     "EXPLORATORY",
+    "HYPOTHESES",
     "get_entry",
     "entry_ids",
     "validate_hypotheses",
@@ -55,12 +60,13 @@ _SJ_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """Metadata for one evaluable inequality."""
+    """One evaluable inequality: metadata, hypothesis codes and formula."""
 
     id: str
     description: str
     status: str  # "proven" | "suspect-step" | "synthetic-false"
     direction: str  # "le" (lhs <= rhs), "ge" (lhs >= rhs), "eq" (lhs == rhs)
+    formula: Callable[[Instance], tuple]  # inst -> (lhs, rhs, JSON-ready detail or None)
     hypotheses: tuple[str, ...] = ()
     requires: frozenset = frozenset()
     default_family: str = "normal"
@@ -69,10 +75,6 @@ class CatalogEntry:
     x_kind: str = "ginibre"
     with_vector: bool = False
     tie_t_to_s: bool = False
-    exploratory: bool = False
-
-    def default_recipe(self, dim: int) -> Recipe:
-        return self.recipe_for(None, dim)
 
     def recipe_for(self, family: str | None, dim: int) -> Recipe:
         return Recipe(
@@ -86,6 +88,105 @@ class CatalogEntry:
         )
 
 
+# ---------------------------------------------------------------------------
+# formula helpers
+
+
+def _comm_norm(inst: Instance) -> float:
+    return op_norm(commutator(inst.S, inst.T))
+
+
+def _s_width(b: SpectralBounds) -> float:
+    """Diagonal of the band rectangle of S: sqrt((a2-a1)^2 + (c2-c1)^2)."""
+    return math.hypot(b.a2 - b.a1, b.c2 - b.c1)
+
+
+def _t_width(b: SpectralBounds) -> float:
+    return math.hypot(b.b2 - b.b1, b.d2 - b.d1)
+
+
+def _shifted(m: np.ndarray, z: complex) -> np.ndarray:
+    return m - z * np.eye(m.shape[0])
+
+
+def _weighted_parts(m: np.ndarray, wa: float, wc: float) -> float:
+    """sqrt(wa |A|^2 + wc |C|^2) for the cartesian parts m = A + iC."""
+    a, c = cartesian_decomposition(m)
+    return math.sqrt(wa * op_norm(a) ** 2 + wc * op_norm(c) ** 2)
+
+
+def _step_cartesian(inst: Instance):
+    b = inst.bounds
+    a, c = cartesian_decomposition(inst.S)
+    lhs = op_norm(_shifted(inst.S, b.z)) ** 2
+    rhs = op_norm(_shifted(a, b.a)) ** 2 + op_norm(_shifted(c, b.c)) ** 2
+    return lhs, rhs, None
+
+
+def _sj_eval(inst: Instance, t: np.ndarray, factor: float):
+    """Per-index bound s_j(SX - Yt) <= factor * s_j(X (+) Y), worst j reported."""
+    lhs_vals = np.linalg.svd(inst.S @ inst.X - inst.Y @ t, compute_uv=False)
+    base = np.linalg.svd(direct_sum(inst.X, inst.Y), compute_uv=False)
+    per_j = []
+    worst = None
+    for j, bj in enumerate(base, start=1):
+        if bj <= _SJ_CUTOFF:
+            continue
+        lhs_j = float(lhs_vals[j - 1]) if j <= lhs_vals.size else 0.0
+        rhs_j = float(factor * bj)
+        margin_j = rhs_j - lhs_j
+        per_j.append({"j": j, "lhs": lhs_j, "rhs": rhs_j, "margin": margin_j})
+        score = margin_j / max(1.0, abs(rhs_j))
+        if worst is None or score < worst[0]:
+            worst = (score, lhs_j, rhs_j)
+    if worst is None:
+        return 0.0, 0.0, {"per_j": per_j}
+    return worst[1], worst[2], {"per_j": per_j}
+
+
+def _sj_general(inst: Instance):
+    b = inst.bounds
+    factor = max(b.b2 - b.a1, b.a2 - b.b1) + max(b.d2 - b.c1, b.c2 - b.d1)
+    return _sj_eval(inst, inst.T, factor)
+
+
+def _hs_product(inst: Instance):
+    lhs, rhs = hs_norm(inst.S @ inst.T), hs_norm(inst.T @ inst.S)
+    return lhs, rhs, {"hs_gap": abs(lhs - rhs)}
+
+
+def _x_inverse(x: np.ndarray) -> np.ndarray:
+    svals = np.linalg.svd(x, compute_uv=False)
+    if svals[-1] <= 0 or svals[0] / svals[-1] > 1e12:
+        raise HypothesisError("X is numerically singular (condition number > 1e12)")
+    return np.linalg.inv(x)
+
+
+def _three_term(inst: Instance, squared: bool):
+    s, t, x = inst.S, inst.T, inst.X
+    xinv = _x_inverse(x)
+    lhs = hs_norm(s - t) ** 2
+    f1 = hs_norm(s @ x - x @ t)
+    f2 = hs_norm(xinv @ s - t @ xinv)
+    rhs = (f1 * f2) ** 2 if squared else f1 * f2
+    return lhs, rhs, {"factor_left": f1, "factor_right": f2}
+
+
+def _schwarz_reverse(inst: Instance):
+    if inst.n <= 0 or inst.n**2 == 0:
+        raise HypothesisError("n must be positive: the bound divides by n^2")
+    g = inst.S @ inst.T
+    gx = g @ inst.x
+    lhs = float(np.linalg.norm(gx) ** 2)
+    inner = complex(inst.x.conj() @ (g @ gx))
+    rhs = (lhs**2 - abs(inner) ** 2) / (inst.n**2)
+    return lhs, rhs, {"inner_abs": abs(inner), "n": inst.n}
+
+
+# ---------------------------------------------------------------------------
+# the catalog
+
+
 def _entries() -> tuple[CatalogEntry, ...]:
     return (
         CatalogEntry(
@@ -96,6 +197,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             ),
             status="proven",
             direction="le",
+            formula=lambda i: (_comm_norm(i), 0.5 * _s_width(i.bounds) * _t_width(i.bounds), None),
             hypotheses=("normal:S", "normal:T", "band:S", "band:T"),
             default_family="positive-normal",
         ),
@@ -104,6 +206,11 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="|ST-TS| <= 2 |S-z| |T-w| with z, w the declared band centers",
             status="proven",
             direction="le",
+            formula=lambda i: (
+                _comm_norm(i),
+                2.0 * op_norm(_shifted(i.S, i.bounds.z)) * op_norm(_shifted(i.T, i.bounds.w)),
+                None,
+            ),
             default_family="positive-normal",
         ),
         CatalogEntry(
@@ -111,6 +218,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="|S-z|^2 <= |A-a|^2 + |C-c|^2 for normal S = A + iC",
             status="proven",
             direction="le",
+            formula=_step_cartesian,
             hypotheses=("normal:S",),
             default_family="positive-normal",
         ),
@@ -119,6 +227,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="|S-z| <= 1/2 sqrt((a2-a1)^2+(c2-c1)^2) for normal banded S",
             status="proven",
             direction="le",
+            formula=lambda i: (op_norm(_shifted(i.S, i.bounds.z)), 0.5 * _s_width(i.bounds), None),
             hypotheses=("normal:S", "band:S"),
             default_family="positive-normal",
         ),
@@ -130,6 +239,9 @@ def _entries() -> tuple[CatalogEntry, ...]:
             ),
             status="proven",
             direction="le",
+            formula=lambda i: (
+                _comm_norm(i), 0.5 * _weighted_parts(i.S, 4, 1) * _weighted_parts(i.T, 4, 1), None
+            ),
             hypotheses=("normal:S", "normal:T", "psd-part:C", "psd-part:D"),
             default_family="normal-psd-imag",
         ),
@@ -138,6 +250,9 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="|ST-TS| <= 1/2 sqrt(|A|^2+4|C|^2) sqrt(|B|^2+4|D|^2) for positive S, T",
             status="proven",
             direction="le",
+            formula=lambda i: (
+                _comm_norm(i), 0.5 * _weighted_parts(i.S, 1, 4) * _weighted_parts(i.T, 1, 4), None
+            ),
             hypotheses=("psd:S", "psd:T"),
             default_family="hermitian-psd",
         ),
@@ -146,6 +261,11 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="|S*S-SS*| <= 1/2 (|A|^2+|C|^2) when both cartesian parts are positive",
             status="proven",
             direction="le",
+            formula=lambda i: (
+                op_norm(self_commutator(i.S)),
+                0.5 * sum(op_norm(p) ** 2 for p in cartesian_decomposition(i.S)),
+                None,
+            ),
             hypotheses=("psd-part:A", "psd-part:C"),
             default_family="cartesian-psd",
         ),
@@ -156,6 +276,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             ),
             status="suspect-step",
             direction="le",
+            formula=_sj_general,
             hypotheses=("normal:S", "normal:T", "band:S", "band:T"),
             requires=frozenset({"X", "Y"}),
             default_family="normal",
@@ -167,6 +288,11 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="s_j(SX-YT) <= max(|A|, |B|) s_j(X (+) Y) for all j",
             status="suspect-step",
             direction="le",
+            formula=lambda i: _sj_eval(
+                i,
+                i.T,
+                max(op_norm(cartesian_decomposition(i.S)[0]), op_norm(cartesian_decomposition(i.T)[0])),
+            ),
             hypotheses=("normal:S", "normal:T"),
             requires=frozenset({"X", "Y"}),
             default_family="normal",
@@ -178,6 +304,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="s_j(SX-YS) <= sqrt((a2-a1)^2+(c2-c1)^2) s_j(X (+) Y) for all j",
             status="proven",
             direction="le",
+            formula=lambda i: _sj_eval(i, i.S, _s_width(i.bounds)),
             hypotheses=("normal:S", "band:S"),
             requires=frozenset({"X", "Y"}),
             default_family="normal",
@@ -190,6 +317,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="|ST|_2 <= |TS|_2 for normal S, T with normal product ST",
             status="proven",
             direction="le",
+            formula=_hs_product,
             hypotheses=("normal:S", "normal:T", "normal:ST"),
             default_family="unitary",
         ),
@@ -198,6 +326,9 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="| |ST|^(1/2) | <= | |TS|^(1/2) | for normal S, T with normal ST",
             status="suspect-step",
             direction="le",
+            formula=lambda i: (
+                op_norm(matrix_abs_sqrt(i.S @ i.T)), op_norm(matrix_abs_sqrt(i.T @ i.S)), None
+            ),
             hypotheses=("normal:S", "normal:T", "normal:ST"),
             default_family="unitary",
         ),
@@ -206,6 +337,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="w(ST) = |TS| for normal S, T (equality claim, checked both ways)",
             status="suspect-step",
             direction="eq",
+            formula=lambda i: (numerical_radius(i.S @ i.T), op_norm(i.T @ i.S), None),
             hypotheses=("normal:S", "normal:T"),
             default_family="normal",
         ),
@@ -217,6 +349,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             ),
             status="proven",
             direction="le",
+            formula=lambda i: _three_term(i, squared=False),
             hypotheses=("hermitian:S", "hermitian:T", "pd:X"),
             requires=frozenset({"X"}),
             default_family="hermitian",
@@ -228,6 +361,11 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="|SX-XT|_2 <= |X|_2 sqrt(|S|_2^2 + |T|_2^2) for positive S, T",
             status="suspect-step",
             direction="le",
+            formula=lambda i: (
+                hs_norm(i.S @ i.X - i.X @ i.T),
+                hs_norm(i.X) * math.sqrt(hs_norm(i.S) ** 2 + hs_norm(i.T) ** 2),
+                None,
+            ),
             hypotheses=("psd:S", "psd:T"),
             requires=frozenset({"X"}),
             default_family="hermitian-psd",
@@ -241,6 +379,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             ),
             status="proven",
             direction="ge",
+            formula=_schwarz_reverse,
             hypotheses=("hermitian:S", "hermitian:T", "unit:x", "n-bound"),
             requires=frozenset({"x", "n"}),
             default_family="hermitian",
@@ -251,6 +390,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description="|ST-TS| <= 0: deliberately false control for the violation path",
             status="synthetic-false",
             direction="le",
+            formula=lambda i: (_comm_norm(i), 0.0, None),
             default_family="normal",
         ),
     )
@@ -269,21 +409,19 @@ EXPLORATORY: dict[str, CatalogEntry] = {
         ),
         status="suspect-step",
         direction="le",
+        formula=lambda i: _three_term(i, squared=True),
         hypotheses=("normal:S", "normal:T", "pd:X"),
         requires=frozenset({"X"}),
         default_family="normal",
         with_x=True,
         x_kind="pd",
-        exploratory=True,
     )
 }
 
 
-def entry_ids(include_exploratory: bool = False) -> tuple[str, ...]:
-    ids = tuple(CATALOG)
-    if include_exploratory:
-        ids += tuple(EXPLORATORY)
-    return ids
+def entry_ids() -> tuple[str, ...]:
+    """Catalog ids, then exploratory ids."""
+    return tuple(CATALOG) + tuple(EXPLORATORY)
 
 
 def get_entry(entry_id: str) -> CatalogEntry:
@@ -291,208 +429,72 @@ def get_entry(entry_id: str) -> CatalogEntry:
         return CATALOG[entry_id]
     if entry_id in EXPLORATORY:
         return EXPLORATORY[entry_id]
-    raise InputError(f"unknown entry {entry_id!r}; known: {', '.join(entry_ids(True))}")
+    raise InputError(f"unknown entry {entry_id!r}; known: {', '.join(entry_ids())}")
 
 
 # ---------------------------------------------------------------------------
 # hypothesis validation
 
 
-def _band_violations(part: np.ndarray, band: tuple[float, float], label: str) -> list[str]:
-    eigs = hermitian_eig(part).eigenvalues
-    lo, hi = band
-    if eigs.size and (eigs.min() < lo - _BAND_SLACK or eigs.max() > hi + _BAND_SLACK):
-        return [f"{label} spectrum outside [{lo:g}, {hi:g}]"]
-    return []
+def _when(broken: bool, message: str) -> list[str]:
+    return [message] if broken else []
+
+
+def _psd_part(m: np.ndarray, k: int, label: str) -> list[str]:
+    """Violation unless cartesian part k of m (0 real, 1 imaginary) is PSD."""
+    return _when(not classify(cartesian_decomposition(m)[k]).positive_semidefinite, f"{label} not PSD")
+
+
+def _band_violations(m: np.ndarray, bounds: SpectralBounds, labels: str) -> list[str]:
+    """Band violations of the cartesian parts of m, labelled e.g. "AC"."""
+    out = []
+    for part, label in zip(cartesian_decomposition(m), labels):
+        eigs = hermitian_eig(part).eigenvalues
+        lo, hi = bounds.band(label.lower())
+        if eigs.size and (eigs.min() < lo - _BAND_SLACK or eigs.max() > hi + _BAND_SLACK):
+            out.append(f"{label} spectrum outside [{lo:g}, {hi:g}]")
+    return out
+
+
+def _pd_violations(inst: Instance) -> list[str]:
+    if inst.X is None:
+        return ["X missing"]
+    return _when(
+        not classify(inst.X).hermitian
+        or hermitian_eig((inst.X + inst.X.conj().T) / 2.0).eigenvalues.min() <= 0,
+        "X not positive definite",
+    )
+
+
+# Hypothesis code -> predicate giving the violation messages (empty if it holds).
+HYPOTHESES: dict[str, Callable[[Instance], list[str]]] = {
+    "normal:S": lambda i: _when(not classify(i.S).normal, "S not normal"),
+    "normal:T": lambda i: _when(not classify(i.T).normal, "T not normal"),
+    "normal:ST": lambda i: _when(not classify(i.S @ i.T).normal, "ST not normal"),
+    "hermitian:S": lambda i: _when(not classify(i.S).hermitian, "S not hermitian"),
+    "hermitian:T": lambda i: _when(not classify(i.T).hermitian, "T not hermitian"),
+    "psd:S": lambda i: _when(not classify(i.S).positive_semidefinite, "S not PSD"),
+    "psd:T": lambda i: _when(not classify(i.T).positive_semidefinite, "T not PSD"),
+    "psd-part:A": lambda i: _psd_part(i.S, 0, "A"),
+    "psd-part:C": lambda i: _psd_part(i.S, 1, "C"),
+    "psd-part:D": lambda i: _psd_part(i.T, 1, "D"),
+    "band:S": lambda i: _band_violations(i.S, i.bounds, "AC"),
+    "band:T": lambda i: _band_violations(i.T, i.bounds, "BD"),
+    "pd:X": _pd_violations,
+    "unit:x": lambda i: _when(
+        i.x is None or abs(np.linalg.norm(i.x) - 1.0) > 1e-12, "x not unit"
+    ),
+    "n-bound": lambda i: _when(
+        i.n is None or i.n < op_norm(commutator(i.S, i.T)) - 1e-9, "n below commutator norm"
+    ),
+}
 
 
 def validate_hypotheses(entry: CatalogEntry | str, inst: Instance) -> list[str]:
     """List of hypothesis violations; empty means the entry applies."""
     if isinstance(entry, str):
         entry = get_entry(entry)
-    out: list[str] = []
-    parts: dict[str, np.ndarray] = {}
-
-    def part(name: str) -> np.ndarray:
-        if name not in parts:
-            a, c = cartesian_decomposition(inst.S)
-            b, d = cartesian_decomposition(inst.T)
-            parts.update({"A": a, "C": c, "B": b, "D": d})
-        return parts[name]
-
-    for code in entry.hypotheses:
-        if code == "normal:S":
-            if not classify(inst.S).normal:
-                out.append("S not normal")
-        elif code == "normal:T":
-            if not classify(inst.T).normal:
-                out.append("T not normal")
-        elif code == "normal:ST":
-            if not classify(inst.S @ inst.T).normal:
-                out.append("ST not normal")
-        elif code == "hermitian:S":
-            if not classify(inst.S).hermitian:
-                out.append("S not hermitian")
-        elif code == "hermitian:T":
-            if not classify(inst.T).hermitian:
-                out.append("T not hermitian")
-        elif code == "psd:S":
-            if not classify(inst.S).positive_semidefinite:
-                out.append("S not PSD")
-        elif code == "psd:T":
-            if not classify(inst.T).positive_semidefinite:
-                out.append("T not PSD")
-        elif code.startswith("psd-part:"):
-            name = code.split(":", 1)[1]
-            if not classify(part(name)).positive_semidefinite:
-                out.append(f"{name} not PSD")
-        elif code == "band:S":
-            out += _band_violations(part("A"), inst.bounds.band("a"), "A")
-            out += _band_violations(part("C"), inst.bounds.band("c"), "C")
-        elif code == "band:T":
-            out += _band_violations(part("B"), inst.bounds.band("b"), "B")
-            out += _band_violations(part("D"), inst.bounds.band("d"), "D")
-        elif code == "pd:X":
-            if inst.X is None:
-                out.append("X missing")
-            else:
-                flags = classify(inst.X)
-                eigs = (
-                    hermitian_eig((inst.X + inst.X.conj().T) / 2.0).eigenvalues
-                    if flags.hermitian
-                    else None
-                )
-                if not flags.hermitian or eigs is None or eigs.min() <= 0:
-                    out.append("X not positive definite")
-        elif code == "unit:x":
-            if inst.x is None or abs(np.linalg.norm(inst.x) - 1.0) > 1e-12:
-                out.append("x not unit")
-        elif code == "n-bound":
-            if inst.n is None or inst.n < op_norm(commutator(inst.S, inst.T)) - 1e-9:
-                out.append("n below commutator norm")
-        else:  # pragma: no cover - catalog construction guards this
-            raise InputError(f"unknown hypothesis code {code!r}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# entry formulas
-
-
-def _sj_eval(d: np.ndarray, x: np.ndarray, y: np.ndarray, factor: float, tol: float):
-    """Per-index bound s_j(d) <= factor * s_j(x (+) y), worst j reported."""
-    lhs_vals = np.linalg.svd(d, compute_uv=False)
-    base = np.linalg.svd(direct_sum(x, y), compute_uv=False)
-    per_j = []
-    worst = None
-    for j, bj in enumerate(base, start=1):
-        if bj <= _SJ_CUTOFF:
-            continue
-        lhs_j = float(lhs_vals[j - 1]) if j <= lhs_vals.size else 0.0
-        rhs_j = float(factor * bj)
-        margin_j = rhs_j - lhs_j
-        per_j.append({"j": j, "lhs": lhs_j, "rhs": rhs_j, "margin": margin_j})
-        score = margin_j / max(1.0, abs(rhs_j))
-        if worst is None or score < worst[0]:
-            worst = (score, lhs_j, rhs_j)
-    if worst is None:
-        return 0.0, 0.0, {"per_j": per_j}
-    return worst[1], worst[2], {"per_j": per_j}
-
-
-def _shifted(m: np.ndarray, z: complex) -> np.ndarray:
-    return m - z * np.eye(m.shape[0])
-
-
-def _x_inverse(x: np.ndarray) -> np.ndarray:
-    svals = np.linalg.svd(x, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > 1e12:
-        raise HypothesisError("X is numerically singular (condition number > 1e12)")
-    return np.linalg.inv(x)
-
-
-def _formula(entry_id: str, inst: Instance, tol: float):
-    b = inst.bounds
-    s, t = inst.S, inst.T
-    if entry_id == "THM_MAIN":
-        lhs = op_norm(commutator(s, t))
-        rhs = 0.5 * math.hypot(b.a2 - b.a1, b.c2 - b.c1) * math.hypot(b.b2 - b.b1, b.d2 - b.d1)
-        return lhs, rhs, None
-    if entry_id == "STEP_CENTERED":
-        lhs = op_norm(commutator(s, t))
-        rhs = 2.0 * op_norm(_shifted(s, b.z)) * op_norm(_shifted(t, b.w))
-        return lhs, rhs, None
-    if entry_id == "STEP_CARTESIAN":
-        a, c = cartesian_decomposition(s)
-        lhs = op_norm(_shifted(s, b.z)) ** 2
-        rhs = op_norm(_shifted(a, b.a)) ** 2 + op_norm(_shifted(c, b.c)) ** 2
-        return lhs, rhs, None
-    if entry_id == "STEP_HALF_BAND":
-        lhs = op_norm(_shifted(s, b.z))
-        rhs = 0.5 * math.hypot(b.a2 - b.a1, b.c2 - b.c1)
-        return lhs, rhs, None
-    if entry_id == "COR_NORMBOUND":
-        a, c = cartesian_decomposition(s)
-        bb, d = cartesian_decomposition(t)
-        lhs = op_norm(commutator(s, t))
-        rhs = 0.5 * math.sqrt(4 * op_norm(a) ** 2 + op_norm(c) ** 2) * math.sqrt(
-            4 * op_norm(bb) ** 2 + op_norm(d) ** 2
-        )
-        return lhs, rhs, None
-    if entry_id == "REMARK_POSITIVE":
-        a, c = cartesian_decomposition(s)
-        bb, d = cartesian_decomposition(t)
-        lhs = op_norm(commutator(s, t))
-        rhs = 0.5 * math.sqrt(op_norm(a) ** 2 + 4 * op_norm(c) ** 2) * math.sqrt(
-            op_norm(bb) ** 2 + 4 * op_norm(d) ** 2
-        )
-        return lhs, rhs, None
-    if entry_id == "COR_SELF_COMMUTATOR":
-        a, c = cartesian_decomposition(s)
-        lhs = op_norm(self_commutator(s))
-        rhs = 0.5 * (op_norm(a) ** 2 + op_norm(c) ** 2)
-        return lhs, rhs, None
-    if entry_id == "SJ_GENERAL":
-        factor = max(b.b2 - b.a1, b.a2 - b.b1) + max(b.d2 - b.c1, b.c2 - b.d1)
-        return _sj_eval(s @ inst.X - inst.Y @ t, inst.X, inst.Y, factor, tol)
-    if entry_id == "SJ_MAX":
-        a, _ = cartesian_decomposition(s)
-        bb, _ = cartesian_decomposition(t)
-        factor = max(op_norm(a), op_norm(bb))
-        return _sj_eval(s @ inst.X - inst.Y @ t, inst.X, inst.Y, factor, tol)
-    if entry_id == "SJ_SINGLE":
-        factor = math.hypot(b.a2 - b.a1, b.c2 - b.c1)
-        return _sj_eval(s @ inst.X - inst.Y @ s, inst.X, inst.Y, factor, tol)
-    if entry_id == "HS_PRODUCT":
-        lhs, rhs = hs_norm(s @ t), hs_norm(t @ s)
-        return lhs, rhs, {"hs_gap": abs(lhs - rhs)}
-    if entry_id == "SQRT_PRODUCT":
-        lhs = op_norm(matrix_abs_sqrt(s @ t))
-        rhs = op_norm(matrix_abs_sqrt(t @ s))
-        return lhs, rhs, None
-    if entry_id == "NUMRAD_CLAIM":
-        return numerical_radius(s @ t), op_norm(t @ s), None
-    if entry_id in ("THREE_TERM", "THREE_TERM_STATED"):
-        xinv = _x_inverse(inst.X)
-        lhs = hs_norm(s - t) ** 2
-        f1 = hs_norm(s @ inst.X - inst.X @ t)
-        f2 = hs_norm(xinv @ s - t @ xinv)
-        rhs = f1 * f2 if entry_id == "THREE_TERM" else (f1 * f2) ** 2
-        return lhs, rhs, {"factor_left": f1, "factor_right": f2}
-    if entry_id == "COMMUTATOR_HS":
-        lhs = hs_norm(s @ inst.X - inst.X @ t)
-        rhs = hs_norm(inst.X) * math.sqrt(hs_norm(s) ** 2 + hs_norm(t) ** 2)
-        return lhs, rhs, None
-    if entry_id == "SCHWARZ_REVERSE":
-        g = s @ t
-        gx = g @ inst.x
-        lhs = float(np.linalg.norm(gx) ** 2)
-        inner = complex(inst.x.conj() @ (g @ gx))
-        rhs = (lhs**2 - abs(inner) ** 2) / (inst.n**2)
-        return lhs, rhs, {"inner_abs": abs(inner), "n": inst.n}
-    if entry_id == "FALSE_TEST":
-        return op_norm(commutator(s, t)), 0.0, None
-    raise InputError(f"no formula for entry {entry_id!r}")  # pragma: no cover
+    return [msg for code in entry.hypotheses for msg in HYPOTHESES[code](inst)]
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +601,7 @@ def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL
         if getattr(inst, req) is None:
             raise InputError(f"entry {entry.id} requires instance field {req!r}")
     violations = tuple(validate_hypotheses(entry, inst))
-    lhs, rhs, detail = _formula(entry.id, inst, tol)
+    lhs, rhs, detail = entry.formula(inst)
     if entry.direction == "le":
         margin = rhs - lhs
     elif entry.direction == "ge":
@@ -650,10 +652,10 @@ class SweepReport:
     tol: float
     wall_time_s: float
 
-    def to_json(self, include_wall_time: bool = False) -> dict:
-        # wall time is excluded from the artifact by default so that equal
-        # configurations serialize byte-identically
-        out = {
+    def to_json(self) -> dict:
+        # wall time stays out of the artifact so that equal configurations
+        # serialize byte-identically
+        return {
             "entry": self.entry,
             "trials": self.trials,
             "passes": self.passes,
@@ -667,9 +669,6 @@ class SweepReport:
             "recipe": self.recipe,
             "tol": self.tol,
         }
-        if include_wall_time:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
     def to_csv_row(self) -> list:
         fp = self.worst_fingerprint

@@ -24,7 +24,7 @@ from commlab.catalog import (
     get_entry,
     sweep,
 )
-from commlab.core import HypothesisError, InputError, ShapeError
+from commlab.core import HypothesisError, InputError, ShapeError, hs_norm, op_norm
 from commlab.derivations import (
     check_fp_pair,
     check_reduction,
@@ -33,7 +33,6 @@ from commlab.derivations import (
     min_distance_hs,
     orthogonality_probe_opnorm,
 )
-from commlab.core import hs_norm, op_norm
 from commlab.instances import (
     RECIPE_FAMILIES,
     Recipe,
@@ -44,6 +43,7 @@ from commlab.instances import (
 from commlab.search import maximize_ratio, search_state_to_json
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-3
+_DIM_MAX = 1024  # a dense complex matrix at this size is 16 MiB
 
 
 def _json_text(obj) -> str:
@@ -80,6 +80,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise InputError(f"--dims expects integers, got {text!r}") from exc
     if not dims:
         raise InputError("--dims expects at least one dimension")
+    if max(dims) > _DIM_MAX:
+        raise InputError(f"--dims must not exceed {_DIM_MAX}")
     return dims
 
 
@@ -89,24 +91,28 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _resolve_instance(args, entry=None):
-    """Instance from --instance, else generated from --recipe/--dims/--seed."""
-    if args.instance:
-        return _load_instance(args.instance)
-    family = args.recipe
-    default_dim = 2 if family == "equality-example" else 4
+def _generate_instance(args, entry):
+    """Instance generated from --recipe/--dims/--seed, with the pieces ``entry`` needs."""
+    default_dim = 2 if args.recipe == "equality-example" else 4
     dims = _parse_dims(args.dims) if args.dims else (default_dim,)
     if len(dims) != 1:
         raise InputError("this command takes a single dimension")
     try:
         if entry is not None:
-            recipe = entry.recipe_for(family, dims[0])
+            recipe = entry.recipe_for(args.recipe, dims[0])
         else:
-            recipe = Recipe(family=family or "normal", dim=dims[0])
+            recipe = Recipe(family=args.recipe or "normal", dim=dims[0])
         return make_instance(recipe, args.seed)
     except HypothesisError as exc:
         # an unbuildable generation request is a config problem, not a finding
         raise InputError(str(exc)) from exc
+
+
+def _resolve_instance(args, entry=None):
+    """Instance from --instance, else generated from --recipe/--dims/--seed."""
+    if args.instance:
+        return _load_instance(args.instance)
+    return _generate_instance(args, entry)
 
 
 def _cmd_list(args) -> int:
@@ -147,19 +153,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    default_dim = 2 if args.recipe == "equality-example" else 4
-    dims = _parse_dims(args.dims) if args.dims else (default_dim,)
-    if len(dims) != 1:
-        raise InputError("gen takes a single dimension")
     entry = get_entry(args.entry) if args.entry else None
-    try:
-        if entry is not None:
-            recipe = entry.recipe_for(args.recipe, dims[0])
-        else:
-            recipe = Recipe(family=args.recipe, dim=dims[0])
-        inst = make_instance(recipe, args.seed)
-    except HypothesisError as exc:
-        raise InputError(str(exc)) from exc
+    inst = _generate_instance(args, entry)
     _emit(_json_text(instance_to_json(inst)), args.out)
     return 0
 
@@ -213,9 +208,8 @@ def _cmd_search(args) -> int:
 def _cmd_fp(args) -> int:
     inst = _resolve_instance(args)
     report = check_fp_pair(inst.S, inst.T)
-    basis = kernel_basis(lift_derivation(inst.S, inst.T))
     reductions = []
-    for element in basis:
+    for element in report.kernel:
         red = check_reduction(inst.S, element.C)
         reductions.append(
             {

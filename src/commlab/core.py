@@ -18,7 +18,6 @@ __all__ = [
     "NumericError",
     "InputError",
     "as_matrix",
-    "adjoint",
     "commutator",
     "self_commutator",
     "matrix_algebra",
@@ -35,6 +34,12 @@ __all__ = [
     "classify",
     "direct_sum",
 ]
+
+
+_HERMITIAN_TOL = 1e-10  # hermitian_eig's relative Hermitian-ness check
+_NUMRAD_GRID = 64  # numerical_radius: coarse angles, then golden-section
+_NUMRAD_WIDTH = 1e-8  # refinement to this angular width
+_CLASSIFY_TOL = 1e-8  # classify's relative residual tolerance
 
 
 class ShapeError(ValueError):
@@ -66,11 +71,6 @@ def as_matrix(m) -> np.ndarray:
 def _require_square(m: np.ndarray, what: str) -> None:
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got {m.shape}")
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
 
 
 def commutator(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -137,17 +137,17 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, check_tol: float = 1e-10) -> SpectralDecomposition:
+def hermitian_eig(m) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Raises HypothesisError when the input is not Hermitian within
-    ``check_tol * max(1, op_norm(m))``, and NumericError when the computed
+    ``1e-10 * max(1, op_norm(m))``, and NumericError when the computed
     decomposition fails its reconstruction bound.
     """
     m = as_matrix(m)
     _require_square(m, "hermitian_eig")
     scale = max(1.0, op_norm(m))
-    if op_norm(m - m.conj().T) > check_tol * scale:
+    if op_norm(m - m.conj().T) > _HERMITIAN_TOL * scale:
         raise HypothesisError("input is not Hermitian within tolerance")
     h = (m + m.conj().T) / 2.0
     try:
@@ -227,13 +227,13 @@ def _golden_max(f, lo: float, hi: float, width: float) -> float:
     return best
 
 
-def numerical_radius(m, grid: int = 64, width: float = 1e-8) -> float:
+def numerical_radius(m) -> float:
     """Numerical radius w(M) = max over unit x of |<Mx, x>|.
 
     Uses the support-function identity w(M) = max over angles of the top
-    eigenvalue of Re(e^{i angle} M): a coarse grid of ``grid`` angles
-    followed by golden-section refinement (to angular width ``width``) on
-    the three best grid cells.
+    eigenvalue of Re(e^{i angle} M): a coarse grid of 64 angles followed by
+    golden-section refinement (to angular width 1e-8) on the three best
+    grid cells.
     """
     m = as_matrix(m)
     _require_square(m, "numerical_radius")
@@ -245,13 +245,13 @@ def numerical_radius(m, grid: int = 64, width: float = 1e-8) -> float:
         h = (h + h.conj().T) / 2.0
         return float(np.linalg.eigvalsh(h)[-1])
 
-    angles = np.arange(grid) * (2.0 * np.pi / grid)
+    angles = np.arange(_NUMRAD_GRID) * (2.0 * np.pi / _NUMRAD_GRID)
     vals = np.array([support(t) for t in angles])
     best = float(vals.max())
-    cell = 2.0 * np.pi / grid
+    cell = 2.0 * np.pi / _NUMRAD_GRID
     for idx in np.argsort(vals)[-3:]:
         t0 = angles[idx]
-        best = max(best, _golden_max(support, t0 - cell, t0 + cell, width))
+        best = max(best, _golden_max(support, t0 - cell, t0 + cell, _NUMRAD_WIDTH))
     return best
 
 
@@ -278,26 +278,26 @@ class OperatorFlags:
     unitary: bool
 
 
-def classify(m, tol: float = 1e-8) -> OperatorFlags:
+def classify(m) -> OperatorFlags:
     """Structure flags for a square matrix.
 
     Each flag holds when its defining residual is at most
-    ``tol * max(1, op_norm(m)**2)``; positive semidefiniteness additionally
+    ``1e-8 * max(1, op_norm(m)**2)``; positive semidefiniteness additionally
     requires the smallest eigenvalue of the Hermitian part to be at least
-    ``-tol * max(1, op_norm(m))``.
+    ``-1e-8 * max(1, op_norm(m))``.
     """
     m = as_matrix(m)
     _require_square(m, "classify")
     adj = m.conj().T
     opn = op_norm(m)
-    quad = tol * max(1.0, opn * opn)
+    quad = _CLASSIFY_TOL * max(1.0, opn * opn)
     hermitian = op_norm(m - adj) <= quad
     normal = op_norm(m @ adj - adj @ m) <= quad
     unitary = op_norm(adj @ m - np.eye(m.shape[0])) <= quad
     psd = False
     if hermitian and m.shape[0] > 0:
         smallest = float(np.linalg.eigvalsh((m + adj) / 2.0)[0])
-        psd = smallest >= -tol * max(1.0, opn)
+        psd = smallest >= -_CLASSIFY_TOL * max(1.0, opn)
     elif hermitian:
         psd = True
     return OperatorFlags(hermitian, normal, psd, unitary)

@@ -13,6 +13,7 @@ import numpy as np
 
 from commlab.core import (
     HypothesisError,
+    InputError,
     NumericError,
     ShapeError,
     as_matrix,
@@ -43,6 +44,7 @@ __all__ = [
 _KERNEL_REL_CUTOFF = 1e-8
 _RANGE_REL_CUTOFF = 1e-10
 _FP_REL_TOL = 1e-7
+_LIFT_MAX_BYTES = 256 * 2**20  # one n^2 x n^2 complex lift; n = 64 is the largest that fits
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -82,10 +84,13 @@ def lift_derivation(s, t) -> SylvesterOperator:
     """Lift (S, T) to the matrix of X -> SX - XT under column-stacking vec.
 
     The construction is self-checked against 20 random X; a mismatch beyond
-    1e-10 * max(1, |S| + |T|) * |X|_2 raises NumericError.
+    1e-10 * max(1, |S| + |T|) * |X|_2 raises NumericError. A lift larger
+    than 256 MiB (n > 64) raises InputError before anything is allocated.
     """
     s, t = _check_pair(s, t)
     n = s.shape[0]
+    if 16 * n**4 > _LIFT_MAX_BYTES:
+        raise InputError(f"dim {n} needs a {16 * n**4 / 2**20:.0f} MiB lift; the limit is n <= 64")
     eye = np.eye(n)
     lifted = np.kron(eye, s) - np.kron(t.T, eye)
     bound = 1e-10 * max(1.0, op_norm(s) + op_norm(t))
@@ -131,6 +136,7 @@ class FPReport:
     kernel_dimension: int
     adjoint_residuals: tuple[float, ...]
     worst_residual: float
+    kernel: tuple[KernelElement, ...]
 
 
 def check_fp_pair(s, t) -> FPReport:
@@ -150,6 +156,7 @@ def check_fp_pair(s, t) -> FPReport:
         kernel_dimension=len(basis),
         adjoint_residuals=residuals,
         worst_residual=worst,
+        kernel=tuple(basis),
     )
 
 

@@ -31,8 +31,6 @@ __all__ = [
     "Recipe",
     "RECIPE_FAMILIES",
     "random_unitary",
-    "random_hermitian_banded",
-    "random_normal_banded",
     "random_ginibre",
     "random_unit_vector",
     "equality_example",
@@ -323,27 +321,6 @@ def _normal_factor(
     )
 
 
-def random_hermitian_banded(dim: int, lo: float, hi: float, seed: int) -> np.ndarray:
-    """Hermitian matrix with spectrum in [lo, hi], both endpoints attained once."""
-    if lo > hi:
-        raise HypothesisError("random_hermitian_banded requires lo <= hi")
-    return _normal_factor(dim, (lo, hi), (0.0, 0.0), seed).build()
-
-
-def random_normal_banded(dim: int, bounds: SpectralBounds, operator: str, seed: int) -> np.ndarray:
-    """Normal matrix whose cartesian parts lie in the declared bands.
-
-    ``operator`` selects which band pair of ``bounds`` applies: "S" uses
-    (a, c), "T" uses (b, d). The two parts commute because they share the
-    conjugating eigenbasis.
-    """
-    if operator not in ("S", "T"):
-        raise InputError("operator must be 'S' or 'T'")
-    re_band = bounds.band("a" if operator == "S" else "b")
-    im_band = bounds.band("c" if operator == "S" else "d")
-    return _normal_factor(dim, re_band, im_band, seed).build()
-
-
 # ---------------------------------------------------------------------------
 # instances
 
@@ -387,8 +364,10 @@ class Instance:
     internals: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.S = as_matrix(self.S)
-        self.T = as_matrix(self.T)
+        # arrays are stored as read-only copies, so an instance (and the
+        # fingerprint that replays it) cannot drift after construction
+        self.S = _frozen(as_matrix(self.S))
+        self.T = _frozen(as_matrix(self.T))
         if self.S.shape != (self.dim, self.dim) or self.T.shape != (self.dim, self.dim):
             raise ShapeError("S and T must be square of size dim")
         for name in ("X", "Y", "C"):
@@ -397,9 +376,9 @@ class Instance:
                 m = as_matrix(m)
                 if m.shape != (self.dim, self.dim):
                     raise ShapeError(f"{name} must be square of size dim")
-                setattr(self, name, m)
+                setattr(self, name, _frozen(m))
         if self.x is not None:
-            self.x = np.asarray(self.x, dtype=np.complex128).reshape(-1)
+            self.x = _frozen(np.asarray(self.x, dtype=np.complex128).reshape(-1))
             if abs(np.linalg.norm(self.x) - 1.0) > 1e-12:
                 raise HypothesisError("x must be a unit vector within 1e-12")
         if self.n is not None:
@@ -409,6 +388,12 @@ class Instance:
 
     def fingerprint(self) -> Fingerprint:
         return Fingerprint(self.seed, self.dim, self.recipe, recipe_hash(self.recipe, self.dim))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def recipe_hash(recipe: str, dim: int) -> str:
@@ -441,7 +426,6 @@ class Recipe:
     x_kind: str = "ginibre"  # or "pd" for a positive definite X
     with_vector: bool = False
     tie_t_to_s: bool = False
-    band_scale: float = 1.0
 
     def __post_init__(self):
         if self.family not in RECIPE_FAMILIES:
@@ -450,12 +434,6 @@ class Recipe:
             raise ShapeError("recipe dim must be >= 1")
         if self.x_kind not in ("ginibre", "pd"):
             raise InputError("x_kind must be 'ginibre' or 'pd'")
-        if not (self.band_scale > 0 and np.isfinite(self.band_scale)):
-            raise HypothesisError("band_scale must be positive and finite")
-
-    @property
-    def name(self) -> str:
-        return self.family
 
 
 def _draw_band(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:
@@ -492,35 +470,34 @@ def _build_pair(recipe: Recipe, seed: int) -> tuple[dict, SpectralBounds]:
     """Draw the (S, T) factors and the declared bounds for one instance."""
     fam = recipe.family
     dim = recipe.dim
-    s = recipe.band_scale
     rng = np.random.default_rng(derive_seed(seed, 100))
     factors: dict = {}
 
     tie = recipe.tie_t_to_s or fam == "inner-normal"
 
     if fam in ("normal", "inner-normal"):
-        a, b = _draw_band(rng, -s, s), _draw_band(rng, -s, s)
-        c, d = _draw_band(rng, -s, s), _draw_band(rng, -s, s)
+        a, b = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
+        c, d = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
     elif fam == "positive-normal":
-        a, b = _draw_band(rng, 0, s), _draw_band(rng, 0, s)
-        c, d = _draw_band(rng, 0, s), _draw_band(rng, 0, s)
+        a, b = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
+        c, d = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
     elif fam == "normal-psd-imag":
-        a, b = _draw_band(rng, -s, s), _draw_band(rng, -s, s)
-        c, d = _draw_band(rng, 0, s), _draw_band(rng, 0, s)
+        a, b = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
+        c, d = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
     elif fam == "hermitian":
-        a, b = _draw_band(rng, -s, s), _draw_band(rng, -s, s)
+        a, b = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
         c, d = (0.0, 0.0), (0.0, 0.0)
     elif fam == "hermitian-psd":
-        a, b = _draw_band(rng, 0, s), _draw_band(rng, 0, s)
+        a, b = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
         c, d = (0.0, 0.0), (0.0, 0.0)
     elif fam == "cartesian-psd":
-        a, b = _draw_band(rng, 0, s), _draw_band(rng, 0, s)
-        c, d = _draw_band(rng, 0, s), _draw_band(rng, 0, s)
+        a, b = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
+        c, d = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
     elif fam == "unitary":
         a = b = c = d = (-1.0, 1.0)
     elif fam == "commuting-normal":
-        a, b = _draw_band(rng, -s, s), _draw_band(rng, -s, s)
-        c, d = _draw_band(rng, -s, s), _draw_band(rng, -s, s)
+        a, b = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
+        c, d = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
     else:
         raise InputError(f"family {fam!r} has no pair builder")
 
@@ -606,7 +583,7 @@ def make_instance(recipe: Recipe, seed: int) -> Instance:
     if recipe.with_vector:
         factors["x"] = VectorFactor(random_unit_vector(recipe.dim, derive_seed(seed, 7)))
     return _assemble(
-        recipe.family, recipe.dim, factors, bounds, seed, recipe.name, had_n=recipe.with_vector
+        recipe.family, recipe.dim, factors, bounds, seed, recipe.family, had_n=recipe.with_vector
     )
 
 

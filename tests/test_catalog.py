@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from commlab.catalog import (
     CATALOG,
     EXPLORATORY,
+    HYPOTHESES,
     SweepConfig,
     entry_ids,
     evaluate,
@@ -39,8 +40,12 @@ class TestCatalogShape:
         assert len(CATALOG) == 17
 
     def test_ids_unique_and_exploratory_separate(self):
-        assert len(set(entry_ids(True))) == len(entry_ids(True))
+        assert len(set(entry_ids())) == len(entry_ids())
         assert "THREE_TERM_STATED" in EXPLORATORY and "THREE_TERM_STATED" not in CATALOG
+
+    def test_every_hypothesis_code_has_a_predicate(self):
+        used = {code for e in (*CATALOG.values(), *EXPLORATORY.values()) for code in e.hypotheses}
+        assert used <= set(HYPOTHESES)
 
     def test_statuses(self):
         assert {e.status for e in CATALOG.values()} == {"proven", "suspect-step", "synthetic-false"}

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,74 @@ class TestOrthoCommand:
         code = run_cli("ortho", "--recipe", "normal", "--dims", "3", "--seed", "1", "--out", str(out))
         assert code == 0
         assert read_json(out)["verdict"] == "vacuous"
+
+
+class TestCommutingSchwarz:
+    """SCHWARZ_REVERSE divides by n^2, and a commuting pair has n = 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--entry", "SCHWARZ_REVERSE", "--recipe", "inner-normal", "--dims", "3"),
+            (
+                "search", "--entry", "SCHWARZ_REVERSE", "--recipe", "inner-normal", "--dims", "3",
+                "--iterations", "2", "--restarts", "1",
+            ),
+        ],
+    )
+    def test_reported_as_hypothesis_violation(self, argv, capsys):
+        assert run_cli(*argv) == 0
+        assert "hypothesis violation:" in capsys.readouterr().err
+
+    def test_instance_with_n_zero(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(
+            json.dumps(
+                {
+                    "dim": 2,
+                    "bounds": {k: 0.0 for k in ("a1", "b1", "c1", "d1", "c2", "d2")}
+                    | {"a2": 2.0, "b2": 4.0},
+                    "S": {"rows": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]},
+                    "T": {"rows": [[[3, 0], [0, 0]], [[0, 0], [4, 0]]]},
+                    "x": [[1, 0], [0, 0]],
+                    "n": 0.0,
+                }
+            )
+        )
+        assert run_cli("check", "--entry", "SCHWARZ_REVERSE", "--instance", str(inst_path)) == 0
+        assert "hypothesis violation:" in capsys.readouterr().err
+
+    def test_sweep_counts_not_applicable(self, capsys):
+        code = run_cli(
+            "sweep", "--entry", "SCHWARZ_REVERSE", "--recipe", "inner-normal", "--dims", "3",
+            "--trials", "2",
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["not_applicable"] == 2
+
+
+def _no_lift(*args):
+    raise AssertionError("the n^2 x n^2 lift was built")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fp", "--recipe", "normal", "--dims", "65"),
+        ("ortho", "--recipe", "normal", "--dims", "65"),
+        ("sweep", "--entry", "THM_MAIN", "--dims", "1000000", "--trials", "1"),
+    ],
+)
+def test_oversized_dims_refused_before_allocating(argv, monkeypatch):
+    monkeypatch.setattr(np, "kron", _no_lift)
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 16 * 2**20
 
 
 def test_usage_error_exit_code():

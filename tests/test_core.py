@@ -209,7 +209,7 @@ class TestMatrixAbsSqrt:
     def test_fourth_power_reconstructs(self, seed, dim):
         m = random_matrix(dim, seed)
         r = matrix_abs_sqrt(m)
-        flags = classify(r, tol=1e-8)
+        flags = classify(r)
         assert flags.hermitian and flags.positive_semidefinite
         gram = m.conj().T @ m
         r4 = np.linalg.matrix_power(r, 4)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab.core import HypothesisError, ShapeError, classify, hs_norm, op_norm
+from commlab.core import HypothesisError, InputError, ShapeError, classify, hs_norm, op_norm
 from commlab.derivations import (
     block_embedding,
     check_fp_pair,
@@ -35,6 +35,11 @@ class TestLift:
         op = lift_derivation(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
         got = sorted(np.round(np.diag(op.lifted).real, 12))
         assert got == sorted([1 - 3, 1 - 4, 2 - 3, 2 - 4])
+
+    def test_over_budget_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(np, "kron", lambda *a: pytest.fail("lift allocated"))
+        with pytest.raises(InputError, match="n <= 64"):
+            lift_derivation(np.eye(65), np.eye(65))
 
     def test_size_mismatch(self):
         with pytest.raises(ShapeError):
@@ -114,6 +119,15 @@ class TestFpPair:
     def test_disjoint_spectra_vacuous(self):
         rep = check_fp_pair(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
         assert rep.holds and rep.kernel_dimension == 0 and rep.worst_residual == 0.0
+
+    def test_report_carries_the_kernel_basis(self):
+        s = np.diag([1.0, 2.0, 1.0])
+        rep = check_fp_pair(s, s)
+        basis = kernel_basis(lift_derivation(s, s))
+        assert len(rep.kernel) == rep.kernel_dimension == len(basis) == 5
+        for got, want in zip(rep.kernel, basis):
+            np.testing.assert_array_equal(got.C, want.C)
+            assert got.residual == want.residual
 
 
 class TestReduction:
@@ -234,10 +248,10 @@ class TestBlockEmbedding:
         s_normal = random_normal_matrix(dim, seed)
         t_normal = random_normal_matrix(dim, seed + 1)
         be = block_embedding(s_normal, t_normal, z, z)
-        assert classify(be.N, tol=1e-10).normal
+        assert classify(be.N).normal
         s_bad = s_normal + np.triu(np.ones((dim, dim)), 1)
         be_bad = block_embedding(s_bad, t_normal, z, z)
-        assert not classify(be_bad.N, tol=1e-10).normal
+        assert not classify(be_bad.N).normal
 
     def test_shape_guard(self):
         with pytest.raises(ShapeError):

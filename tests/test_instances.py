@@ -16,10 +16,10 @@ from commlab.instances import (
     instance_from_json,
     instance_to_json,
     make_instance,
-    random_hermitian_banded,
-    random_normal_banded,
     random_unitary,
 )
+from commlab.instances import _normal_factor
+from commlab.search import perturb
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -50,52 +50,50 @@ class TestRandomUnitary:
             random_unitary(0, 1)
 
 
+def _banded(dim, re_band, im_band, seed):
+    """The banded generator behind every normal and hermitian recipe."""
+    return _normal_factor(dim, re_band, im_band, seed).build()
+
+
 class TestHermitianBanded:
     def test_forced_endpoints_dim_two(self):
-        m = random_hermitian_banded(2, 0.0, 1.0, 4)
+        m = _banded(2, (0.0, 1.0), (0.0, 0.0), 4)
         np.testing.assert_allclose(
             sorted(hermitian_eig(m).eigenvalues), [0.0, 1.0], atol=1e-10
         )
 
     def test_spectrum_within_band(self):
-        m = random_hermitian_banded(5, -2.0, 3.0, 9)
+        m = _banded(5, (-2.0, 3.0), (0.0, 0.0), 9)
         eigs = hermitian_eig(m).eigenvalues
         assert eigs.min() >= -2.0 - 1e-10 and eigs.max() <= 3.0 + 1e-10
         assert abs(eigs.min() + 2.0) <= 1e-10 and abs(eigs.max() - 3.0) <= 1e-10
 
     def test_degenerate_band(self):
-        m = random_hermitian_banded(3, 4.0, 4.0, 0)
+        m = _banded(3, (4.0, 4.0), (0.0, 0.0), 0)
         np.testing.assert_allclose(m, 4.0 * np.eye(3), atol=1e-12)
 
     def test_errors(self):
-        with pytest.raises(HypothesisError):
-            random_hermitian_banded(3, 2.0, 1.0, 0)
         with pytest.raises(ShapeError):
-            random_hermitian_banded(1, 0.0, 1.0, 0)
+            _banded(1, (0.0, 1.0), (0.0, 0.0), 0)
 
 
 class TestNormalBanded:
     BOUNDS = SpectralBounds(a1=0.0, a2=1.0, b1=-1.0, b2=0.5, c1=0.0, c2=1.0, d1=-0.25, d2=0.75)
 
     def test_zero_bands(self):
-        b = SpectralBounds(0, 0, 0, 0, 0, 0, 0, 0)
-        np.testing.assert_allclose(random_normal_banded(3, b, "S", 1), np.zeros((3, 3)), atol=1e-12)
+        np.testing.assert_allclose(_banded(3, (0, 0), (0, 0), 1), np.zeros((3, 3)), atol=1e-12)
 
     def test_degenerate_scalar(self):
-        b = SpectralBounds(a1=1, a2=1, b1=0, b2=0, c1=2, c2=2, d1=0, d2=0)
-        np.testing.assert_allclose(
-            random_normal_banded(4, b, "S", 2), (1 + 2j) * np.eye(4), atol=1e-12
-        )
+        np.testing.assert_allclose(_banded(4, (1, 1), (2, 2), 2), (1 + 2j) * np.eye(4), atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
-    @given(seeds, st.integers(2, 8), st.sampled_from(["S", "T"]))
-    def test_normality_and_bands(self, seed, dim, operator):
-        m = random_normal_banded(dim, self.BOUNDS, operator, seed)
-        assert classify(m, tol=1e-10).normal
+    @given(seeds, st.integers(2, 8), st.sampled_from(["ac", "bd"]))
+    def test_normality_and_bands(self, seed, dim, bands):
+        re_band, im_band = self.BOUNDS.band(bands[0]), self.BOUNDS.band(bands[1])
+        m = _banded(dim, re_band, im_band, seed)
+        assert classify(m).normal
         a = (m + m.conj().T) / 2
         c = (m - m.conj().T) / 2j
-        re_band = self.BOUNDS.band("a" if operator == "S" else "b")
-        im_band = self.BOUNDS.band("c" if operator == "S" else "d")
         re_eigs = hermitian_eig(a).eigenvalues
         im_eigs = hermitian_eig(c).eigenvalues
         assert re_eigs.min() >= re_band[0] - 1e-10 and re_eigs.max() <= re_band[1] + 1e-10
@@ -105,10 +103,6 @@ class TestNormalBanded:
         # cartesian parts commute
         scale = max(1.0, op_norm(a) * op_norm(c))
         assert op_norm(a @ c - c @ a) <= 1e-10 * scale
-
-    def test_bad_operator(self):
-        with pytest.raises(InputError):
-            random_normal_banded(3, self.BOUNDS, "Q", 0)
 
 
 class TestSpectralBounds:
@@ -212,6 +206,34 @@ class TestInstanceValidation:
         inst = equality_example()
         with pytest.raises(HypothesisError):
             Instance(S=inst.S, T=inst.T, bounds=inst.bounds, seed=0, dim=2, n=0.5)
+
+
+def _instance_from(source: str) -> Instance:
+    inst = make_instance(Recipe("hermitian", 3, with_x=True, with_y=True, with_vector=True), 4)
+    if source == "instance_from_json":
+        return instance_from_json(instance_to_json(inst) | {"C": instance_to_json(inst)["S"]})
+    if source == "perturb":
+        return perturb(inst, 0.1, 5)
+    return inst
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("source", ["make_instance", "instance_from_json", "perturb"])
+    def test_arrays_are_read_only(self, source):
+        inst = _instance_from(source)
+        names = ("S", "T", "X", "Y", "x") + (("C",) if source == "instance_from_json" else ())
+        for name in names:
+            with pytest.raises(ValueError):
+                getattr(inst, name)[0] = 99
+
+    def test_caller_arrays_stay_writable(self):
+        s = np.eye(2, dtype=complex)
+        x = np.array([1.0, 0.0], dtype=complex)
+        b = SpectralBounds(1, 1, 1, 1, 0, 0, 0, 0)
+        inst = Instance(S=s, T=s, bounds=b, seed=0, dim=2, X=s, Y=s, C=s, x=x)
+        s[0, 0] = 5.0
+        x[0] = 0.0
+        assert inst.S[0, 0] == 1.0 and inst.X[0, 0] == 1.0 and inst.x[0] == 1.0
 
 
 class TestJsonInterchange:
