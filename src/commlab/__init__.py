@@ -48,7 +48,6 @@ from commlab.derivations import (
     FPReport,
     KernelElement,
     SylvesterOperator,
-    block_embedding,
     check_fp_pair,
     check_reduction,
     kernel_basis,

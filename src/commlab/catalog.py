@@ -173,13 +173,17 @@ def _three_term(inst: Instance, squared: bool):
 
 
 def _schwarz_reverse(inst: Instance):
-    if inst.n <= 0 or inst.n**2 == 0:
+    try:
+        n2 = inst.n**2 if inst.n > 0 else 0.0
+    except OverflowError:
+        raise HypothesisError("n is too large: n^2 overflows") from None
+    if n2 == 0:
         raise HypothesisError("n must be positive: the bound divides by n^2")
     g = inst.S @ inst.T
     gx = g @ inst.x
     lhs = float(np.linalg.norm(gx) ** 2)
     inner = complex(inst.x.conj() @ (g @ gx))
-    rhs = (lhs**2 - abs(inner) ** 2) / (inst.n**2)
+    rhs = (lhs**2 - abs(inner) ** 2) / n2
     return lhs, rhs, {"inner_abs": abs(inner), "n": inst.n}
 
 

@@ -233,11 +233,12 @@ def _cmd_fp(args) -> int:
 
 def _cmd_ortho(args) -> int:
     inst = _resolve_instance(args)
+    op = lift_derivation(inst.S, inst.T)
     if inst.C is not None:
         c = inst.C
         c_source = "instance"
     else:
-        basis = kernel_basis(lift_derivation(inst.S, inst.T))
+        basis = kernel_basis(op)
         if not basis:
             payload = {
                 "verdict": "vacuous",
@@ -251,8 +252,8 @@ def _cmd_ortho(args) -> int:
     c_hs = hs_norm(c)
     c_op = op_norm(c)
     try:
-        hs_min = min_distance_hs(inst.S, inst.T, c)
-        probe = orthogonality_probe_opnorm(inst.S, inst.T, c, trials=args.trials, seed=args.seed)
+        hs_min = min_distance_hs(op, c)
+        probe = orthogonality_probe_opnorm(op, c, trials=args.trials, seed=args.seed)
     except HypothesisError as exc:
         payload = {
             "verdict": "not-applicable",

@@ -141,28 +141,19 @@ def hermitian_eig(m) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Raises HypothesisError when the input is not Hermitian within
-    ``1e-10 * max(1, op_norm(m))``, and NumericError when the computed
-    decomposition fails its reconstruction bound.
+    ``1e-10 * max(1, op_norm(m))``, and NumericError when the eigensolver
+    does not converge.
     """
     m = as_matrix(m)
     _require_square(m, "hermitian_eig")
-    scale = max(1.0, op_norm(m))
-    if op_norm(m - m.conj().T) > _HERMITIAN_TOL * scale:
+    if op_norm(m - m.conj().T) > _HERMITIAN_TOL * max(1.0, op_norm(m)):
         raise HypothesisError("input is not Hermitian within tolerance")
     h = (m + m.conj().T) / 2.0
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    recon = (vecs * vals) @ vecs.conj().T
-    if op_norm(m - recon) > 1e-10 * scale:
-        raise NumericError("eigendecomposition residual exceeds bound")
-    eye = np.eye(m.shape[0])
-    if op_norm(vecs.conj().T @ vecs - eye) > 1e-10:
-        raise NumericError("eigenvector matrix is not orthonormal")
-    return SpectralDecomposition(vals, vecs)
+    return SpectralDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
 @dataclass(frozen=True)
@@ -275,7 +266,6 @@ class OperatorFlags:
     hermitian: bool
     normal: bool
     positive_semidefinite: bool
-    unitary: bool
 
 
 def classify(m) -> OperatorFlags:
@@ -293,14 +283,13 @@ def classify(m) -> OperatorFlags:
     quad = _CLASSIFY_TOL * max(1.0, opn * opn)
     hermitian = op_norm(m - adj) <= quad
     normal = op_norm(m @ adj - adj @ m) <= quad
-    unitary = op_norm(adj @ m - np.eye(m.shape[0])) <= quad
     psd = False
     if hermitian and m.shape[0] > 0:
         smallest = float(np.linalg.eigvalsh((m + adj) / 2.0)[0])
         psd = smallest >= -_CLASSIFY_TOL * max(1.0, opn)
     elif hermitian:
         psd = True
-    return OperatorFlags(hermitian, normal, psd, unitary)
+    return OperatorFlags(hermitian, normal, psd)
 
 
 def direct_sum(x, y) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 from commlab.core import (
     HypothesisError,
     InputError,
-    NumericError,
     ShapeError,
     as_matrix,
     classify,
@@ -37,8 +36,6 @@ __all__ = [
     "min_distance_hs",
     "ProbeResult",
     "orthogonality_probe_opnorm",
-    "BlockEmbedding",
-    "block_embedding",
 ]
 
 _KERNEL_REL_CUTOFF = 1e-8
@@ -57,11 +54,19 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SylvesterOperator:
-    """The map X -> SX - XT as an n^2 x n^2 matrix over vec(X)."""
+    """The map X -> SX - XT as an n^2 x n^2 matrix over vec(X), factored once.
+
+    ``u``, ``svals``, ``vh`` are the SVD of ``lifted``; singular values at or
+    below ``cutoff`` (1e-8 * sigma_max, 0 for an empty lift) count as zero.
+    """
 
     S: np.ndarray
     T: np.ndarray
     lifted: np.ndarray
+    u: np.ndarray
+    svals: np.ndarray
+    vh: np.ndarray
+    cutoff: float
 
     @property
     def dim(self) -> int:
@@ -81,11 +86,11 @@ def _check_pair(s, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lift_derivation(s, t) -> SylvesterOperator:
-    """Lift (S, T) to the matrix of X -> SX - XT under column-stacking vec.
+    """Lift (S, T) to the matrix of X -> SX - XT under column-stacking vec,
+    together with its SVD and kernel cutoff.
 
-    The construction is self-checked against 20 random X; a mismatch beyond
-    1e-10 * max(1, |S| + |T|) * |X|_2 raises NumericError. A lift larger
-    than 256 MiB (n > 64) raises InputError before anything is allocated.
+    A lift larger than 256 MiB (n > 64) raises InputError before anything is
+    allocated.
     """
     s, t = _check_pair(s, t)
     n = s.shape[0]
@@ -93,14 +98,9 @@ def lift_derivation(s, t) -> SylvesterOperator:
         raise InputError(f"dim {n} needs a {16 * n**4 / 2**20:.0f} MiB lift; the limit is n <= 64")
     eye = np.eye(n)
     lifted = np.kron(eye, s) - np.kron(t.T, eye)
-    bound = 1e-10 * max(1.0, op_norm(s) + op_norm(t))
-    rng = np.random.default_rng(derive_seed(0xC0FFEE))
-    for _ in range(20):
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        resid = np.linalg.norm(lifted @ vec(x) - vec(s @ x - x @ t))
-        if resid > bound * max(hs_norm(x), 1e-300):
-            raise NumericError("lifted operator disagrees with direct evaluation")
-    return SylvesterOperator(S=s, T=t, lifted=lifted)
+    u, svals, vh = np.linalg.svd(lifted)
+    cutoff = _KERNEL_REL_CUTOFF * float(svals[0]) if svals.size else 0.0
+    return SylvesterOperator(S=s, T=t, lifted=lifted, u=u, svals=svals, vh=vh, cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,13 @@ class KernelElement:
 def kernel_basis(op: SylvesterOperator) -> list[KernelElement]:
     """HS-orthonormal basis of the numerical null space of the lifted map.
 
-    Right singular vectors with sigma <= 1e-8 * sigma_max qualify; all of
-    them do when sigma_max = 0. The empty list is a valid result.
+    Right singular vectors with sigma <= op.cutoff qualify; all of them do
+    when sigma_max = 0. The empty list is a valid result.
     """
-    _, svals, vh = np.linalg.svd(op.lifted)
-    smax = float(svals[0]) if svals.size else 0.0
-    cutoff = _KERNEL_REL_CUTOFF * smax
     out = []
-    for k in range(svals.size):
-        if svals[k] <= cutoff:
-            c = unvec(vh[k].conj(), op.dim)
-            out.append(KernelElement(C=c, residual=hs_norm(op.apply(c))))
+    for v in op.vh[op.svals <= op.cutoff]:
+        c = unvec(v.conj(), op.dim)
+        out.append(KernelElement(C=c, residual=hs_norm(op.apply(c))))
     return out
 
 
@@ -195,20 +191,18 @@ def check_reduction(s, c) -> ReductionReport:
     )
 
 
-def min_distance_hs(s, t, c) -> float:
+def min_distance_hs(op: SylvesterOperator, c) -> float:
     """Exact min over X of |SX - XT + C|_2 at the numerical rank of the lift.
 
-    Computed as the residual of projecting vec(-C) onto the column space of
-    the lifted operator. Always in [0, |C|_2] since X = 0 is admissible.
+    ``op`` is the lift of (S, T) from ``lift_derivation``; C must match S in
+    size. Computed as the residual of projecting vec(-C) onto the column
+    space of the lifted operator. Always in [0, |C|_2] since X = 0 is
+    admissible.
     """
-    s, t = _check_pair(s, t)
     c = as_matrix(c)
-    if c.shape != s.shape:
+    if c.shape != op.S.shape:
         raise ShapeError("C must match S and T in size")
-    op = lift_derivation(s, t)
-    u, svals, _ = np.linalg.svd(op.lifted)
-    smax = float(svals[0]) if svals.size else 0.0
-    ur = u[:, svals > _KERNEL_REL_CUTOFF * smax]
+    ur = op.u[:, op.svals > op.cutoff]
     cv = vec(c)
     resid = cv - ur @ (ur.conj().T @ cv)
     return float(np.linalg.norm(resid))
@@ -250,25 +244,24 @@ def _coordinate_descent(f, x0: np.ndarray, step0: float, floor: float, max_sweep
     return best, x, evals
 
 
-def orthogonality_probe_opnorm(s, t, c, trials: int = 32, seed: int = 0) -> ProbeResult:
+def orthogonality_probe_opnorm(
+    op: SylvesterOperator, c, trials: int = 32, seed: int = 0
+) -> ProbeResult:
     """Search for X making |SX - XT + C| smaller than |C| in operator norm.
 
-    A falsifier, not a certified minimizer: random starts plus coordinate
-    descent from the five best. The verdict is "consistent" when nothing
-    beats |C| - 1e-6. C must lie in the kernel of the derivation.
+    ``op`` is the lift of (S, T) from ``lift_derivation``. A falsifier, not a
+    certified minimizer: random starts plus coordinate descent from the five
+    best. The verdict is "consistent" when nothing beats |C| - 1e-6. C must
+    lie in the kernel of the derivation: |SC - CT|_2 <= max(op.cutoff, 1e-12).
     """
-    s, t = _check_pair(s, t)
     c = as_matrix(c)
-    op = lift_derivation(s, t)
-    svals = np.linalg.svd(op.lifted, compute_uv=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    if hs_norm(op.apply(c)) > max(_KERNEL_REL_CUTOFF * smax, 1e-12):
+    if hs_norm(op.apply(c)) > max(op.cutoff, 1e-12):
         raise HypothesisError("C is not in the kernel of the derivation")
 
     def objective(x: np.ndarray) -> float:
         return op_norm(op.apply(x) + c)
 
-    n = s.shape[0]
+    n = op.dim
     scale = max(hs_norm(c), 1.0)
     rng = np.random.default_rng(derive_seed(seed, 0xD15C))
     samples = [np.zeros((n, n), dtype=np.complex128)]
@@ -290,39 +283,3 @@ def orthogonality_probe_opnorm(s, t, c, trials: int = 32, seed: int = 0) -> Prob
     return ProbeResult(
         min_found=best, verdict=verdict, c_op_norm=c_op, starts=min(5, len(scored)), evaluations=evals
     )
-
-
-@dataclass(frozen=True)
-class BlockEmbedding:
-    """2n x 2n embedding turning any pair derivation into an inner one."""
-
-    N: np.ndarray
-    M: np.ndarray
-    Y: np.ndarray
-
-
-def block_embedding(s, t, c, x) -> BlockEmbedding:
-    """N = diag(S, T), M and Y put C and X in the upper-right corner.
-
-    Then NY - YN + M is the 2n x 2n matrix with SX - XT + C upper-right and
-    zeros elsewhere, so operator norms of the two expressions agree.
-    """
-    s, t = _check_pair(s, t)
-    c, x = as_matrix(c), as_matrix(x)
-    if c.shape != s.shape or x.shape != s.shape:
-        raise ShapeError("C and X must match S and T in size")
-    n = s.shape[0]
-    big_n = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    big_n[:n, :n] = s
-    big_n[n:, n:] = t
-    big_m = np.zeros_like(big_n)
-    big_m[:n, n:] = c
-    big_y = np.zeros_like(big_n)
-    big_y[:n, n:] = x
-    combined = big_n @ big_y - big_y @ big_n + big_m
-    corner = s @ x - x @ t + c
-    resid = combined.copy()
-    resid[:n, n:] -= corner
-    if op_norm(resid) > 1e-12 * max(1.0, op_norm(corner)):
-        raise NumericError("block embedding failed its corner identity")
-    return BlockEmbedding(N=big_n, M=big_m, Y=big_y)

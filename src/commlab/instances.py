@@ -346,7 +346,7 @@ class Fingerprint:
         return (self.recipe, self.dim, self.seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
     """One bundle of operators fed to an inequality or derivation check."""
 
@@ -364,10 +364,11 @@ class Instance:
     internals: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # arrays are stored as read-only copies, so an instance (and the
-        # fingerprint that replays it) cannot drift after construction
-        self.S = _frozen(as_matrix(self.S))
-        self.T = _frozen(as_matrix(self.T))
+        # fields are frozen and arrays are stored as read-only copies, so an
+        # instance (and the fingerprint that replays it) cannot drift after
+        # construction or skip the checks below
+        object.__setattr__(self, "S", _frozen(as_matrix(self.S)))
+        object.__setattr__(self, "T", _frozen(as_matrix(self.T)))
         if self.S.shape != (self.dim, self.dim) or self.T.shape != (self.dim, self.dim):
             raise ShapeError("S and T must be square of size dim")
         for name in ("X", "Y", "C"):
@@ -376,15 +377,21 @@ class Instance:
                 m = as_matrix(m)
                 if m.shape != (self.dim, self.dim):
                     raise ShapeError(f"{name} must be square of size dim")
-                setattr(self, name, _frozen(m))
+                object.__setattr__(self, name, _frozen(m))
         if self.x is not None:
-            self.x = _frozen(np.asarray(self.x, dtype=np.complex128).reshape(-1))
-            if abs(np.linalg.norm(self.x) - 1.0) > 1e-12:
+            x = _frozen(np.asarray(self.x, dtype=np.complex128).reshape(-1))
+            if not np.all(np.isfinite(x)):
+                raise InputError("x must be finite")
+            if abs(np.linalg.norm(x) - 1.0) > 1e-12:
                 raise HypothesisError("x must be a unit vector within 1e-12")
+            object.__setattr__(self, "x", x)
         if self.n is not None:
-            self.n = float(self.n)
-            if self.n < op_norm(commutator(self.S, self.T)) - 1e-9:
+            n = float(self.n)
+            if not np.isfinite(n):
+                raise InputError("n must be finite")
+            if n < op_norm(commutator(self.S, self.T)) - 1e-9:
                 raise HypothesisError("n must dominate the commutator norm")
+            object.__setattr__(self, "n", n)
 
     def fingerprint(self) -> Fingerprint:
         return Fingerprint(self.seed, self.dim, self.recipe, recipe_hash(self.recipe, self.dim))

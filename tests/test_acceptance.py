@@ -118,8 +118,8 @@ def test_criterion_05_fp_theorem():
     )
 
 
-def _random_kernel_element(s, t, seed):
-    basis = kernel_basis(lift_derivation(s, t))
+def _random_kernel_element(op, seed):
+    basis = kernel_basis(op)
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     coeffs /= np.linalg.norm(coeffs)
@@ -131,8 +131,9 @@ def test_criterion_06_hs_orthogonality():
     for k in range(100):
         dim = 2 + k % 5
         inst = make_instance(Recipe("inner-normal", dim), derive_seed(606, k))
-        c = _random_kernel_element(inst.S, inst.T, derive_seed(606, k, 1))
-        dist = min_distance_hs(inst.S, inst.T, c)
+        op = lift_derivation(inst.S, inst.T)
+        c = _random_kernel_element(op, derive_seed(606, k, 1))
+        dist = min_distance_hs(op, c)
         worst = max(worst, abs(dist - hs_norm(c)) / max(hs_norm(c), 1e-300))
     ok = worst <= 1e-8
     _verdict(6, f"HS range-kernel orthogonality on 100 inner pairs: worst rel error {worst:.2e}", ok)
@@ -143,8 +144,9 @@ def test_criterion_07_opnorm_probe():
     for k in range(100):
         dim = 2 + k % 3
         inst = make_instance(Recipe("inner-normal", dim), derive_seed(707, k))
-        c = _random_kernel_element(inst.S, inst.T, derive_seed(707, k, 1))
-        probe = orthogonality_probe_opnorm(inst.S, inst.T, c, trials=12, seed=k)
+        op = lift_derivation(inst.S, inst.T)
+        c = _random_kernel_element(op, derive_seed(707, k, 1))
+        probe = orthogonality_probe_opnorm(op, c, trials=12, seed=k)
         worst_deficit = max(worst_deficit, op_norm(c) - probe.min_found)
     ok = worst_deficit <= 1e-6
     _verdict(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -125,7 +126,7 @@ class TestEvaluate:
 
     def test_singular_x_raises(self):
         inst = make_instance(Recipe("hermitian", 3, with_x=True, x_kind="pd"), 5)
-        inst.X = np.diag([1.0, 1.0, 1e-14]).astype(complex)
+        inst = dataclasses.replace(inst, X=np.diag([1.0, 1.0, 1e-14]))
         with pytest.raises(HypothesisError):
             evaluate("THREE_TERM", inst)
 

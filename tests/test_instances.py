@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -171,7 +172,8 @@ class TestMakeInstance:
     @given(seeds)
     def test_unitary_family(self, seed):
         inst = make_instance(Recipe("unitary", 4), seed)
-        assert classify(inst.S).unitary and classify(inst.T).unitary
+        for u in (inst.S, inst.T):
+            assert op_norm(u.conj().T @ u - np.eye(4)) <= 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(seeds)
@@ -234,6 +236,11 @@ class TestImmutability:
         s[0, 0] = 5.0
         x[0] = 0.0
         assert inst.S[0, 0] == 1.0 and inst.X[0, 0] == 1.0 and inst.x[0] == 1.0
+
+    def test_fields_cannot_be_reassigned(self):
+        inst = _instance_from("make_instance")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.n = 0.0
 
 
 class TestJsonInterchange:
