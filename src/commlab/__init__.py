@@ -16,7 +16,6 @@ from commlab.core import (
     hermitian_eig,
     hs_norm,
     matrix_abs_sqrt,
-    matrix_algebra,
     numerical_radius,
     op_norm,
     self_commutator,

@@ -70,20 +70,17 @@ class CatalogEntry:
     hypotheses: tuple[str, ...] = ()
     requires: frozenset = frozenset()
     default_family: str = "normal"
-    with_x: bool = False
-    with_y: bool = False
-    x_kind: str = "ginibre"
-    with_vector: bool = False
     tie_t_to_s: bool = False
 
     def recipe_for(self, family: str | None, dim: int) -> Recipe:
+        """Recipe drawing the pieces the entry requires (x brings n with it)."""
         return Recipe(
             family=family or self.default_family,
             dim=dim,
-            with_x=self.with_x,
-            with_y=self.with_y,
-            x_kind=self.x_kind,
-            with_vector=self.with_vector,
+            with_x="X" in self.requires,
+            with_y="Y" in self.requires,
+            x_kind="pd" if "pd:X" in self.hypotheses else "ginibre",
+            with_vector="x" in self.requires,
             tie_t_to_s=self.tie_t_to_s,
         )
 
@@ -183,7 +180,12 @@ def _schwarz_reverse(inst: Instance):
     gx = g @ inst.x
     lhs = float(np.linalg.norm(gx) ** 2)
     inner = complex(inst.x.conj() @ (g @ gx))
-    rhs = (lhs**2 - abs(inner) ** 2) / n2
+    try:
+        rhs = (lhs**2 - abs(inner) ** 2) / n2
+    except OverflowError:
+        rhs = math.inf
+    if not math.isfinite(rhs):  # |STx| or |STx|^4 overflowed, or the bound did
+        raise HypothesisError("|STx| is too large: the bound overflows")
     return lhs, rhs, {"inner_abs": abs(inner), "n": inst.n}
 
 
@@ -284,8 +286,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             hypotheses=("normal:S", "normal:T", "band:S", "band:T"),
             requires=frozenset({"X", "Y"}),
             default_family="normal",
-            with_x=True,
-            with_y=True,
         ),
         CatalogEntry(
             id="SJ_MAX",
@@ -300,8 +300,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             hypotheses=("normal:S", "normal:T"),
             requires=frozenset({"X", "Y"}),
             default_family="normal",
-            with_x=True,
-            with_y=True,
         ),
         CatalogEntry(
             id="SJ_SINGLE",
@@ -312,8 +310,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             hypotheses=("normal:S", "band:S"),
             requires=frozenset({"X", "Y"}),
             default_family="normal",
-            with_x=True,
-            with_y=True,
             tie_t_to_s=True,
         ),
         CatalogEntry(
@@ -357,8 +353,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             hypotheses=("hermitian:S", "hermitian:T", "pd:X"),
             requires=frozenset({"X"}),
             default_family="hermitian",
-            with_x=True,
-            x_kind="pd",
         ),
         CatalogEntry(
             id="COMMUTATOR_HS",
@@ -373,7 +367,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             hypotheses=("psd:S", "psd:T"),
             requires=frozenset({"X"}),
             default_family="hermitian-psd",
-            with_x=True,
         ),
         CatalogEntry(
             id="SCHWARZ_REVERSE",
@@ -387,7 +380,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
             hypotheses=("hermitian:S", "hermitian:T", "unit:x", "n-bound"),
             requires=frozenset({"x", "n"}),
             default_family="hermitian",
-            with_vector=True,
         ),
         CatalogEntry(
             id="FALSE_TEST",
@@ -417,8 +409,6 @@ EXPLORATORY: dict[str, CatalogEntry] = {
         hypotheses=("normal:S", "normal:T", "pd:X"),
         requires=frozenset({"X"}),
         default_family="normal",
-        with_x=True,
-        x_kind="pd",
     )
 }
 

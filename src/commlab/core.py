@@ -20,7 +20,6 @@ __all__ = [
     "as_matrix",
     "commutator",
     "self_commutator",
-    "matrix_algebra",
     "cartesian_decomposition",
     "SpectralDecomposition",
     "hermitian_eig",
@@ -83,36 +82,6 @@ def self_commutator(s: np.ndarray) -> np.ndarray:
     """S*S - SS*."""
     s = as_matrix(s)
     return s.conj().T @ s - s @ s.conj().T
-
-
-_ALGEBRA_KINDS = ("add", "subtract", "multiply", "scale-by-complex", "adjoint-of-lhs")
-
-
-def matrix_algebra(lhs, rhs=None, kind: str = "add") -> np.ndarray:
-    """Textbook matrix algebra with explicit dimension checking.
-
-    ``rhs`` is a matrix for add/subtract/multiply, a complex scalar for
-    scale-by-complex, and ignored for adjoint-of-lhs.
-    """
-    a = as_matrix(lhs)
-    if kind == "adjoint-of-lhs":
-        return a.conj().T
-    if kind == "scale-by-complex":
-        z = complex(rhs)
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-            raise InputError("scale factor must be finite")
-        return z * a
-    if kind not in _ALGEBRA_KINDS:
-        raise InputError(f"unknown kind {kind!r}, expected one of {_ALGEBRA_KINDS}")
-    b = as_matrix(rhs)
-    if kind in ("add", "subtract"):
-        if a.shape != b.shape:
-            raise ShapeError(f"shape mismatch for {kind}: {a.shape} vs {b.shape}")
-        return a + b if kind == "add" else a - b
-    # multiply
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def cartesian_decomposition(s) -> tuple[np.ndarray, np.ndarray]:

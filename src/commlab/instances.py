@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "random_unit_vector",
     "equality_example",
     "make_instance",
+    "perturb",
     "matrix_to_json",
     "matrix_from_json",
     "vector_to_json",
@@ -44,6 +47,7 @@ __all__ = [
 ]
 
 _MASK = (1 << 64) - 1
+_BOUND_KEYS = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")
 
 
 def _splitmix64(z: int) -> int:
@@ -123,11 +127,21 @@ class SpectralBounds:
         }[which]
 
     def to_json(self) -> dict:
-        return {k: float(getattr(self, k)) for k in ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")}
+        return {k: float(getattr(self, k)) for k in _BOUND_KEYS}
 
     @staticmethod
     def from_json(d: dict) -> "SpectralBounds":
-        return SpectralBounds(**{k: float(d[k]) for k in ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")})
+        if not isinstance(d, dict) or any(k not in d for k in _BOUND_KEYS):
+            raise InputError(f"bounds must be an object with keys {', '.join(_BOUND_KEYS)}")
+        return SpectralBounds(**{k: _number(float, d[k], f"bounds {k}") for k in _BOUND_KEYS})
+
+
+def _number(convert, value, name: str):
+    """``convert(value)``, with a malformed or out-of-range JSON value as InputError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be a number in range: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +206,38 @@ class NormalFactor:
 
 
 @dataclass(frozen=True)
+class CartesianFactor:
+    """re + i im for two Hermitian factors, so each cartesian part has its own band."""
+
+    re: NormalFactor
+    im: NormalFactor
+
+    def build(self) -> np.ndarray:
+        return self.re.build() + 1j * self.im.build()
+
+    def perturbed(self, scale: float, rng: np.random.Generator) -> "CartesianFactor":
+        im = self.im.perturbed(scale, rng)  # im draws first; replay depends on the order
+        return CartesianFactor(self.re.perturbed(scale, rng), im)
+
+
+@dataclass(frozen=True)
 class CommutingPairFactor:
     """Two normal matrices sharing one eigenbasis, so they commute exactly."""
 
     u: np.ndarray
-    s_re: np.ndarray
-    s_im: np.ndarray
-    t_re: np.ndarray
-    t_im: np.ndarray
+    parts: tuple[np.ndarray, ...]  # eigenvalue parts in band order a, c (of S), b, d (of T)
     bounds: SpectralBounds
 
     def build(self) -> tuple[np.ndarray, np.ndarray]:
-        s = (self.u * (self.s_re + 1j * self.s_im)) @ self.u.conj().T
-        t = (self.u * (self.t_re + 1j * self.t_im)) @ self.u.conj().T
-        return s, t
+        a, c, b, d = self.parts
+        s = (self.u * (a + 1j * c)) @ self.u.conj().T
+        return s, (self.u * (b + 1j * d)) @ self.u.conj().T
 
     def perturbed(self, scale: float, rng: np.random.Generator) -> "CommutingPairFactor":
-        b = self.bounds
-        pins = (0, 1)
-        s_re = _perturb_band(self.s_re, (b.a1, b.a2), pins, scale, rng)
-        s_im = _perturb_band(self.s_im, (b.c1, b.c2), pins, scale, rng)
-        t_re = _perturb_band(self.t_re, (b.b1, b.b2), pins, scale, rng)
-        t_im = _perturb_band(self.t_im, (b.d1, b.d2), pins, scale, rng)
+        bands = (self.bounds.band(k) for k in "acbd")
+        parts = tuple(_perturb_band(v, band, (0, 1), scale, rng) for v, band in zip(self.parts, bands))
         u = self.u @ _unitary_step(self.u.shape[0], scale, rng)
-        return replace(self, u=u, s_re=s_re, s_im=s_im, t_re=t_re, t_im=t_im)
+        return replace(self, u=u, parts=parts)
 
 
 @dataclass(frozen=True)
@@ -361,7 +383,7 @@ class Instance:
     C: np.ndarray | None = None
     x: np.ndarray | None = None
     n: float | None = None
-    internals: dict | None = field(default=None, repr=False, compare=False)
+    internals: dict | None = field(default=None, repr=False, compare=False)  # factors, by name
 
     def __post_init__(self):
         # fields are frozen and arrays are stored as read-only copies, so an
@@ -408,18 +430,75 @@ def recipe_hash(recipe: str, dim: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-RECIPE_FAMILIES = (
-    "normal",
-    "positive-normal",
-    "normal-psd-imag",
-    "hermitian",
-    "hermitian-psd",
-    "cartesian-psd",
-    "unitary",
-    "commuting-normal",
-    "inner-normal",
-    "equality-example",
-)
+def _draw_band(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:
+    pair = np.sort(rng.uniform(lo, hi, size=2))
+    return float(pair[0]), float(pair[1])
+
+
+_BandSource = Callable[[np.random.Generator], tuple[float, float]]
+
+
+def _drawn(lo: float, hi: float) -> _BandSource:
+    """Each band is a sorted uniform pair drawn from [lo, hi]."""
+    return lambda rng: _draw_band(rng, lo, hi)
+
+
+def _fixed(lo: float, hi: float) -> _BandSource:
+    """Every band is [lo, hi], and nothing is drawn."""
+    return lambda rng: (lo, hi)
+
+
+def _normal_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
+    s = _normal_factor(dim, b.band("a"), b.band("c"), derive_seed(seed, 1))
+    t = s if tie else _normal_factor(dim, b.band("b"), b.band("d"), derive_seed(seed, 2))
+    return {"S": s, "T": t}
+
+
+def _cartesian_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
+    def part(band: str, k: int) -> NormalFactor:
+        return _normal_factor(dim, b.band(band), (0.0, 0.0), derive_seed(seed, k))
+
+    s = CartesianFactor(part("a", 1), part("c", 2))
+    return {"S": s, "T": CartesianFactor(part("b", 3), part("d", 4))}
+
+
+def _unitary_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
+    s, t = (UnitaryFactor(random_unitary(dim, derive_seed(seed, k))) for k in (1, 2))
+    return {"S": s, "T": t}
+
+
+def _commuting_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
+    rng = np.random.default_rng(derive_seed(seed, 3))
+    parts = tuple(_banded_spectrum(rng, dim, *b.band(k)) for k in "acbd")
+    return {"pair": CommutingPairFactor(random_unitary(dim, derive_seed(seed, 1)), parts, b)}
+
+
+class _Family(NamedTuple):
+    """How a generated family draws its bands and builds its (S, T) factors."""
+
+    ab: _BandSource  # bands a of S and b of T (real parts)
+    cd: _BandSource  # bands c of S and d of T (imaginary parts)
+    build: Callable[[int, SpectralBounds, int, bool], dict]  # (dim, bounds, seed, tie) -> factors
+    tied: bool = False  # T is S, with S's bands
+
+
+_SIGNED, _POSITIVE = _drawn(-1.0, 1.0), _drawn(0.0, 1.0)
+_ZERO, _UNIT = _fixed(0.0, 0.0), _fixed(-1.0, 1.0)
+
+_FAMILIES = {
+    "normal": _Family(_SIGNED, _SIGNED, _normal_pair),
+    "positive-normal": _Family(_POSITIVE, _POSITIVE, _normal_pair),
+    "normal-psd-imag": _Family(_SIGNED, _POSITIVE, _normal_pair),
+    "hermitian": _Family(_SIGNED, _ZERO, _normal_pair),
+    "hermitian-psd": _Family(_POSITIVE, _ZERO, _normal_pair),
+    "cartesian-psd": _Family(_POSITIVE, _POSITIVE, _cartesian_pair),
+    "unitary": _Family(_UNIT, _UNIT, _unitary_pair),
+    "commuting-normal": _Family(_SIGNED, _SIGNED, _commuting_pair),
+    "inner-normal": _Family(_SIGNED, _SIGNED, _normal_pair, tied=True),
+}
+
+# the generated families, then the one fixed instance
+RECIPE_FAMILIES = (*_FAMILIES, "equality-example")
 
 
 @dataclass(frozen=True)
@@ -443,11 +522,6 @@ class Recipe:
             raise InputError("x_kind must be 'ginibre' or 'pd'")
 
 
-def _draw_band(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:
-    pair = np.sort(rng.uniform(lo, hi, size=2))
-    return float(pair[0]), float(pair[1])
-
-
 def equality_example() -> Instance:
     """The built-in 2x2 instance attaining equality in the reverse-Schwarz
     check at constant 1/2: S = [[1,1],[1,-1]], T = [[0,1],[1,0]], x = (0,1)."""
@@ -456,7 +530,7 @@ def equality_example() -> Instance:
     x = np.array([0.0, 1.0], dtype=np.complex128)
     r2 = float(np.sqrt(2.0))
     bounds = SpectralBounds(a1=-r2, a2=r2, b1=-1.0, b2=1.0, c1=0.0, c2=0.0, d1=0.0, d2=0.0)
-    inst = Instance(
+    return Instance(
         S=s,
         T=t,
         bounds=bounds,
@@ -465,121 +539,38 @@ def equality_example() -> Instance:
         recipe="equality-example",
         x=x,
         n=2.0,
-        internals={
-            "family": "equality-example",
-            "factors": {"S": FixedFactor(s), "T": FixedFactor(t), "x": VectorFactor(x)},
-        },
+        internals={"S": FixedFactor(s), "T": FixedFactor(t), "x": VectorFactor(x)},
     )
-    return inst
-
-
-def _build_pair(recipe: Recipe, seed: int) -> tuple[dict, SpectralBounds]:
-    """Draw the (S, T) factors and the declared bounds for one instance."""
-    fam = recipe.family
-    dim = recipe.dim
-    rng = np.random.default_rng(derive_seed(seed, 100))
-    factors: dict = {}
-
-    tie = recipe.tie_t_to_s or fam == "inner-normal"
-
-    if fam in ("normal", "inner-normal"):
-        a, b = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
-        c, d = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
-    elif fam == "positive-normal":
-        a, b = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
-        c, d = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
-    elif fam == "normal-psd-imag":
-        a, b = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
-        c, d = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
-    elif fam == "hermitian":
-        a, b = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
-        c, d = (0.0, 0.0), (0.0, 0.0)
-    elif fam == "hermitian-psd":
-        a, b = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
-        c, d = (0.0, 0.0), (0.0, 0.0)
-    elif fam == "cartesian-psd":
-        a, b = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
-        c, d = _draw_band(rng, 0, 1), _draw_band(rng, 0, 1)
-    elif fam == "unitary":
-        a = b = c = d = (-1.0, 1.0)
-    elif fam == "commuting-normal":
-        a, b = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
-        c, d = _draw_band(rng, -1, 1), _draw_band(rng, -1, 1)
-    else:
-        raise InputError(f"family {fam!r} has no pair builder")
-
-    if tie:
-        b, d = a, c
-    bounds = SpectralBounds(a1=a[0], a2=a[1], b1=b[0], b2=b[1], c1=c[0], c2=c[1], d1=d[0], d2=d[1])
-
-    if fam in ("normal", "inner-normal", "positive-normal", "normal-psd-imag", "hermitian", "hermitian-psd"):
-        factors["S"] = _normal_factor(dim, a, c, derive_seed(seed, 1))
-        factors["T"] = factors["S"] if tie else _normal_factor(dim, b, d, derive_seed(seed, 2))
-    elif fam == "cartesian-psd":
-        factors["S_re"] = _normal_factor(dim, a, (0.0, 0.0), derive_seed(seed, 1))
-        factors["S_im"] = _normal_factor(dim, c, (0.0, 0.0), derive_seed(seed, 2))
-        factors["T_re"] = _normal_factor(dim, b, (0.0, 0.0), derive_seed(seed, 3))
-        factors["T_im"] = _normal_factor(dim, d, (0.0, 0.0), derive_seed(seed, 4))
-    elif fam == "unitary":
-        factors["S"] = UnitaryFactor(random_unitary(dim, derive_seed(seed, 1)))
-        factors["T"] = UnitaryFactor(random_unitary(dim, derive_seed(seed, 2)))
-    elif fam == "commuting-normal":
-        rng2 = np.random.default_rng(derive_seed(seed, 3))
-        factors["pair"] = CommutingPairFactor(
-            u=random_unitary(dim, derive_seed(seed, 1)),
-            s_re=_banded_spectrum(rng2, dim, *a),
-            s_im=_banded_spectrum(rng2, dim, *c),
-            t_re=_banded_spectrum(rng2, dim, *b),
-            t_im=_banded_spectrum(rng2, dim, *d),
-            bounds=bounds,
-        )
-    return factors, bounds
 
 
 def _assemble(
-    family: str,
-    dim: int,
-    factors: dict,
-    bounds: SpectralBounds,
-    seed: int,
-    recipe_name: str,
-    had_n: bool,
+    factors: dict, bounds: SpectralBounds, seed: int, dim: int, recipe: str, had_n: bool
 ) -> Instance:
     """Materialize matrices from factors and wrap them in an Instance."""
-    if family == "cartesian-psd":
-        s = factors["S_re"].build() + 1j * factors["S_im"].build()
-        t = factors["T_re"].build() + 1j * factors["T_im"].build()
-    elif family == "commuting-normal":
-        s, t = factors["pair"].build()
-    else:
-        s = factors["S"].build()
-        t = factors["T"].build()
-    x_mat = factors["X"].build() if "X" in factors else None
-    y_mat = factors["Y"].build() if "Y" in factors else None
-    vec = factors["x"].build() if "x" in factors else None
+    pair = factors.get("pair")  # a commuting pair builds S and T from one factor
+    s, t = pair.build() if pair else (factors["S"].build(), factors["T"].build())
+    built = {name: factors[name].build() for name in ("X", "Y", "x") if name in factors}
     n = op_norm(commutator(s, t)) if had_n else None
     return Instance(
-        S=s,
-        T=t,
-        bounds=bounds,
-        seed=seed,
-        dim=dim,
-        recipe=recipe_name,
-        X=x_mat,
-        Y=y_mat,
-        x=vec,
-        n=n,
-        internals={"family": family, "factors": factors},
+        S=s, T=t, bounds=bounds, seed=seed, dim=dim, recipe=recipe, n=n, internals=factors, **built
     )
 
 
 def make_instance(recipe: Recipe, seed: int) -> Instance:
     """Deterministically build an Instance satisfying the recipe's structure."""
-    if recipe.family == "equality-example":
+    family = _FAMILIES.get(recipe.family)
+    if family is None:  # the fixed equality example
         if recipe.dim != 2:
             raise HypothesisError("equality-example is a fixed 2x2 instance")
         return equality_example()
-    factors, bounds = _build_pair(recipe, seed)
+    rng = np.random.default_rng(derive_seed(seed, 100))
+    a, b = family.ab(rng), family.ab(rng)
+    c, d = family.cd(rng), family.cd(rng)
+    tie = recipe.tie_t_to_s or family.tied
+    if tie:
+        b, d = a, c
+    bounds = SpectralBounds(a1=a[0], a2=a[1], b1=b[0], b2=b[1], c1=c[0], c2=c[1], d1=d[0], d2=d[1])
+    factors = family.build(recipe.dim, bounds, seed, tie)
     if recipe.with_x:
         if recipe.x_kind == "pd":
             factors["X"] = _normal_factor(recipe.dim, (0.5, 2.0), (0.0, 0.0), derive_seed(seed, 5))
@@ -589,24 +580,29 @@ def make_instance(recipe: Recipe, seed: int) -> Instance:
         factors["Y"] = GinibreFactor(random_ginibre(recipe.dim, derive_seed(seed, 6)))
     if recipe.with_vector:
         factors["x"] = VectorFactor(random_unit_vector(recipe.dim, derive_seed(seed, 7)))
-    return _assemble(
-        recipe.family, recipe.dim, factors, bounds, seed, recipe.family, had_n=recipe.with_vector
-    )
+    return _assemble(factors, bounds, seed, recipe.dim, recipe.family, had_n=recipe.with_vector)
 
 
-def reassemble(inst: Instance, factors: dict, seed: int) -> Instance:
-    """Rebuild an instance from perturbed factors, keeping declared bounds."""
+def perturb(inst: Instance, scale: float, seed: int) -> Instance:
+    """Hypothesis-preserving random move of one instance.
+
+    Spectra move by uniform noise of width ``scale`` clamped to their bands
+    with endpoints re-pinned; bases multiply by exp(K) for random
+    skew-Hermitian K with |K| <= scale. Deterministic in (inst, scale, seed).
+    """
+    if scale <= 0:
+        raise HypothesisError("perturb requires scale > 0")
     if inst.internals is None:
-        raise HypothesisError("instance has no generator internals to rebuild from")
-    return _assemble(
-        inst.internals["family"],
-        inst.dim,
-        factors,
-        inst.bounds,
-        seed,
-        inst.recipe,
-        had_n=inst.n is not None,
-    )
+        raise HypothesisError("instance carries no generator internals; regenerate it via a recipe")
+    rng = np.random.default_rng(derive_seed(seed, 0x9E27))
+    old = inst.internals
+    factors = {}
+    for name, factor in sorted(old.items()):
+        if name == "T" and old.get("S") is factor:
+            factors["T"] = factors["S"]  # keep a tied pair tied
+            continue
+        factors[name] = factor.perturbed(scale, rng)
+    return _assemble(factors, inst.bounds, seed, inst.dim, inst.recipe, had_n=inst.n is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +619,7 @@ def matrix_from_json(obj) -> np.ndarray:
     rows = obj["rows"]
     try:
         m = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=np.complex128)
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
         raise InputError(f"matrix rows must be [re, im] pairs: {exc}") from exc
     if m.ndim != 2:
         raise InputError("matrix rows must form a rectangular grid")
@@ -637,7 +633,7 @@ def vector_to_json(v: np.ndarray) -> list:
 def vector_from_json(obj) -> np.ndarray:
     try:
         return np.array([complex(e[0], e[1]) for e in obj], dtype=np.complex128)
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
         raise InputError(f"vector entries must be [re, im] pairs: {exc}") from exc
 
 
@@ -662,22 +658,24 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(obj: dict) -> Instance:
+    if not isinstance(obj, dict):
+        raise InputError("instance JSON must be an object")
     for key in ("S", "T", "bounds"):
         if key not in obj:
             raise InputError(f"instance JSON is missing required key {key!r}")
     s = matrix_from_json(obj["S"])
     t = matrix_from_json(obj["T"])
-    dim = int(obj.get("dim", s.shape[0]))
+    dim = _number(int, obj.get("dim", s.shape[0]), "dim")
     return Instance(
         S=s,
         T=t,
         bounds=SpectralBounds.from_json(obj["bounds"]),
-        seed=int(obj.get("seed", 0)),
+        seed=_number(int, obj.get("seed", 0), "seed"),
         dim=dim,
         recipe=str(obj.get("recipe", "external")),
         X=matrix_from_json(obj["X"]) if "X" in obj else None,
         Y=matrix_from_json(obj["Y"]) if "Y" in obj else None,
         C=matrix_from_json(obj["C"]) if "C" in obj else None,
         x=vector_from_json(obj["x"]) if "x" in obj else None,
-        n=float(obj["n"]) if "n" in obj else None,
+        n=_number(float, obj["n"], "n") if "n" in obj else None,
     )

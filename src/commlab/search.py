@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from commlab.core import HypothesisError, InputError
+from commlab.core import InputError
 from commlab.catalog import (
     DEFAULT_TOL,
     CatalogEntry,
@@ -22,12 +20,11 @@ from commlab.catalog import (
     get_entry,
 )
 from commlab.instances import (
-    Fingerprint,
     Instance,
     derive_seed,
     instance_to_json,
     make_instance,
-    reassemble,
+    perturb,
 )
 
 __all__ = ["perturb", "SearchState", "maximize_ratio", "search_state_to_json"]
@@ -35,28 +32,6 @@ __all__ = ["perturb", "SearchState", "maximize_ratio", "search_state_to_json"]
 _STAGNATION_LIMIT = 50
 _STEP_FLOOR = 1e-6
 _RATIO_DENOM_FLOOR = 1e-9
-
-
-def perturb(inst: Instance, scale: float, seed: int) -> Instance:
-    """Hypothesis-preserving random move of one instance.
-
-    Spectra move by uniform noise of width ``scale`` clamped to their bands
-    with endpoints re-pinned; bases multiply by exp(K) for random
-    skew-Hermitian K with |K| <= scale. Deterministic in (inst, scale, seed).
-    """
-    if scale <= 0:
-        raise HypothesisError("perturb requires scale > 0")
-    if inst.internals is None:
-        raise HypothesisError("instance carries no generator internals; regenerate it via a recipe")
-    rng = np.random.default_rng(derive_seed(seed, 0x9E27))
-    old = inst.internals["factors"]
-    factors = {}
-    for name, factor in sorted(old.items()):
-        if name == "T" and old.get("S") is factor:
-            factors["T"] = factors["S"]  # keep a tied pair tied
-            continue
-        factors[name] = factor.perturbed(scale, rng)
-    return reassemble(inst, factors, seed)
 
 
 def _objective(entry: CatalogEntry, report: InequalityReport) -> tuple[str, float]:

@@ -59,6 +59,20 @@ class TestCatalogShape:
             get_entry("NOPE")
 
 
+class TestEntryRecipe:
+    """An entry's recipe draws exactly the pieces it requires."""
+
+    @pytest.mark.parametrize("entry_id", entry_ids())
+    def test_pieces_follow_requires(self, entry_id):
+        entry = get_entry(entry_id)
+        inst = make_instance(entry.recipe_for(None, 3), 0)
+        for name in ("X", "Y", "x", "n"):
+            assert (getattr(inst, name) is not None) == (name in entry.requires), name
+        x = inst.X
+        x_pd = x is not None and np.allclose(x, x.conj().T) and np.linalg.eigvalsh(x).min() > 0
+        assert x_pd == ("pd:X" in entry.hypotheses)
+
+
 class TestValidateHypotheses:
     def test_identity_pair_clean(self):
         inst = _bare_instance(np.eye(2), np.eye(2), SpectralBounds(1, 1, 1, 1, 0, 0, 0, 0))

@@ -251,6 +251,12 @@ class TestOrthoCommand:
         assert counts == {"lift": 1, "svd": 1}
 
 
+_SCHWARZ_BOUNDS = {k: 0.0 for k in ("a1", "b1", "c1", "d1", "c2", "d2")} | {"a2": 2.0, "b2": 4.0}
+_HUGE = 10**400  # a JSON integer literal too large for a float
+_BIG_DIAG = {"rows": [[[1e50, 0], [0, 0]], [[0, 0], [2, 0]]]}  # with x = e1, |STx|^4 overflows
+_HUGE_DIAG = {"rows": [[[1e100, 0], [0, 0]], [[0, 0], [2, 0]]]}  # here |STx|^2 already overflows
+
+
 def _schwarz_instance(tmp_path, **fields):
     """A commuting diagonal pair with unit x, as instance JSON; ``fields`` override keys."""
     inst_path = tmp_path / "inst.json"
@@ -258,8 +264,7 @@ def _schwarz_instance(tmp_path, **fields):
         json.dumps(
             {
                 "dim": 2,
-                "bounds": {k: 0.0 for k in ("a1", "b1", "c1", "d1", "c2", "d2")}
-                | {"a2": 2.0, "b2": 4.0},
+                "bounds": _SCHWARZ_BOUNDS,
                 "S": {"rows": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]},
                 "T": {"rows": [[[3, 0], [0, 0]], [[0, 0], [4, 0]]]},
                 "x": [[1, 0], [0, 0]],
@@ -300,6 +305,17 @@ class TestCommutingSchwarz:
             ({"n": float("nan")}, 2, "error: n must be finite"),
             ({"n": float("inf")}, 2, "error: n must be finite"),
             ({"x": [[float("nan"), 0], [0, 0]]}, 2, "error: x must be finite"),
+            ({"n": _HUGE}, 2, "error: n must be a number"),
+            ({"S": {"rows": [[[_HUGE, 0], [0, 0]], [[0, 0], [2, 0]]]}}, 2, "error: matrix rows"),
+            ({"bounds": _SCHWARZ_BOUNDS | {"a1": "abc"}}, 2, "error: bounds a1 must be a number"),
+            ({"bounds": {k: v for k, v in _SCHWARZ_BOUNDS.items() if k != "d2"}}, 2, "error: bounds"),
+            ({"bounds": [1, 2]}, 2, "error: bounds must be an object"),
+            ({"n": "abc"}, 2, "error: n must be a number"),
+            ({"n": [1]}, 2, "error: n must be a number"),
+            ({"dim": "two"}, 2, "error: dim must be a number"),
+            ({"seed": 1e400}, 2, "error: seed must be a number"),
+            ({"S": _BIG_DIAG, "T": _BIG_DIAG}, 0, "hypothesis violation: |STx| is too large"),
+            ({"S": _HUGE_DIAG, "T": _HUGE_DIAG}, 0, "hypothesis violation: |STx| is too large"),
         ],
     )
     def test_instance_with_extreme_n_or_x(self, fields, code, message, tmp_path, capsys):

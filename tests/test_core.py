@@ -14,7 +14,6 @@ from commlab.core import (
     hermitian_eig,
     hs_norm,
     matrix_abs_sqrt,
-    matrix_algebra,
     numerical_radius,
     op_norm,
     singular_values,
@@ -26,41 +25,6 @@ HADAMARD_LIKE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 6)
-
-
-class TestMatrixAlgebra:
-    def test_adjoint(self):
-        np.testing.assert_array_equal(
-            matrix_algebra(NILPOTENT, kind="adjoint-of-lhs"), [[0, 0], [1, 0]]
-        )
-
-    def test_identity_multiply(self):
-        m = random_matrix(3, 5)
-        np.testing.assert_allclose(matrix_algebra(np.eye(3), m, kind="multiply"), m)
-
-    def test_hand_square(self):
-        np.testing.assert_allclose(
-            matrix_algebra(HADAMARD_LIKE, HADAMARD_LIKE, kind="multiply"),
-            [[2, 0], [0, 2]],
-        )
-
-    def test_add_subtract_scale(self):
-        m = random_matrix(2, 0)
-        np.testing.assert_allclose(matrix_algebra(m, m, kind="add"), 2 * m)
-        np.testing.assert_allclose(matrix_algebra(m, m, kind="subtract"), 0 * m)
-        np.testing.assert_allclose(matrix_algebra(m, 2j, kind="scale-by-complex"), 2j * m)
-
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            matrix_algebra(np.eye(2), np.eye(3), kind="add")
-        with pytest.raises(ShapeError):
-            matrix_algebra(np.ones((2, 3)), np.ones((2, 3)), kind="multiply")
-        with pytest.raises(InputError):
-            matrix_algebra(np.eye(2), np.eye(2), kind="frobnicate")
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InputError):
-            matrix_algebra(np.array([[np.nan, 0], [0, 0]]), np.eye(2), kind="add")
 
 
 class TestCartesianDecomposition:

@@ -2,8 +2,10 @@
 
 Pinned here: the catalog listing byte for byte; the verdict of every entry
 on its default instances at seeds 0-2 and on two recipes that break most
-hypotheses; and the exact violation messages, in order, of every entry on
-hand-built instances that break every hypothesis code.
+hypotheses; the exact violation messages, in order, of every entry on
+hand-built instances that break every hypothesis code; and, per recipe
+family, the instances ``gen`` draws and the best instance ``search`` finds,
+so any change to the order of random draws shows.
 
 The files under tests/golden/ are the program's own output. After an
 intended change, regenerate them with
@@ -23,13 +25,21 @@ import pytest
 
 from commlab.catalog import CATALOG, EXPLORATORY, validate_hypotheses
 from commlab.cli import main
-from commlab.instances import Instance, SpectralBounds
+from commlab.instances import RECIPE_FAMILIES, Instance, SpectralBounds
 
 GOLDEN = Path(__file__).parent / "golden"
 ENTRY_IDS = tuple(CATALOG) + tuple(EXPLORATORY)
 # (seed, recipe override); None keeps the entry's default recipe
 CHECK_CASES = ((0, None), (1, None), (2, None), (0, "cartesian-psd"), (0, "unitary"))
 REL = 1e-12
+# gen --entry E covers X, Y, a positive definite X, x with n, and a tied T
+GEN_ENTRIES = ("SJ_GENERAL", "THREE_TERM", "SCHWARZ_REVERSE", "SJ_SINGLE")
+SEARCH_ENTRIES = ("SJ_GENERAL", "SJ_SINGLE", "SCHWARZ_REVERSE", "THREE_TERM_STATED")
+GENERATED = tuple(f for f in RECIPE_FAMILIES if f != "equality-example")
+SEARCH_CASES = tuple(
+    (e, f, "3", "5") for f in GENERATED for e in SEARCH_ENTRIES
+) + (("SCHWARZ_REVERSE", "equality-example", "2", "0"),)
+INSTANCE_KEYS = ("bounds", "S", "T", "X", "Y", "x", "n")
 
 
 def _run(*argv) -> tuple[int, str]:
@@ -57,6 +67,54 @@ def _check_record(entry_id: str, seed: int, recipe: str | None) -> dict:
         "rhs": report["rhs"],
         "margin": report["margin"],
     }
+
+
+def _instance_record(inst: dict) -> dict:
+    return {k: inst[k] for k in INSTANCE_KEYS if k in inst}
+
+
+def _gen_record(family: str, entry_id: str) -> dict:
+    rc, out = _run("gen", "--recipe", family, "--entry", entry_id, "--dims", "3", "--seed", "1")
+    return {"exit": rc, "instance": _instance_record(json.loads(out)) if rc == 0 else None}
+
+
+def _search_record(entry_id: str, family: str, dims: str, seed: str) -> dict:
+    rc, out = _run(
+        "search", "--entry", entry_id, "--recipe", family, "--dims", dims,
+        "--iterations", "60", "--restarts", "2", "--seed", seed,
+    )
+    if not out:  # a search that stops on a hypothesis violation prints no state
+        return {"exit": rc, "state": None}
+    state = json.loads(out)
+    return {
+        "exit": rc,
+        "verdict": state["best_report"]["verdict"],
+        "best_objective": state["best_objective"],
+        "margin": state["best_report"]["margin"],
+        "instance": _instance_record(state["best_instance"]),
+    }
+
+
+def _assert_close(got, want, where: str) -> None:
+    """Equal structure, floats equal at rel REL."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for k in want:
+            _assert_close(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=REL, abs_tol=REL), where
+    else:
+        assert got == want, where
+
+
+def _records_text(records: dict) -> str:
+    """One record per line, so a changed record reads as one changed line."""
+    lines = (f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in records.items())
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def _broken_instances() -> dict[str, Instance]:
@@ -119,6 +177,19 @@ def test_violation_messages_match_golden():
     assert _violation_records() == _golden("violations.json")
 
 
+@pytest.mark.parametrize("entry_id", GEN_ENTRIES)
+@pytest.mark.parametrize("family", RECIPE_FAMILIES)
+def test_gen_matches_golden(family, entry_id):
+    want = _golden("gen.json")[f"{family}:{entry_id}"]
+    _assert_close(_gen_record(family, entry_id), want, f"{family}:{entry_id}")
+
+
+@pytest.mark.parametrize("entry_id,family,dims,seed", SEARCH_CASES)
+def test_search_matches_golden(entry_id, family, dims, seed):
+    want = _golden("search.json")[f"{entry_id}:{family}"]
+    _assert_close(_search_record(entry_id, family, dims, seed), want, f"{entry_id}:{family}")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for fmt in ("json", "csv"):
@@ -128,4 +199,8 @@ if __name__ == "__main__":
     }
     for name, records in (("checks.json", checks), ("violations.json", _violation_records())):
         (GOLDEN / name).write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+    gens = {f"{f}:{e}": _gen_record(f, e) for f in RECIPE_FAMILIES for e in GEN_ENTRIES}
+    searches = {f"{c[0]}:{c[1]}": _search_record(*c) for c in SEARCH_CASES}
+    for name, records in (("gen.json", gens), ("search.json", searches)):
+        (GOLDEN / name).write_text(_records_text(records), encoding="utf-8")
     sys.exit(0)

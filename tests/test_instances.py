@@ -258,6 +258,11 @@ class TestJsonInterchange:
         with pytest.raises(InputError):
             instance_from_json({"S": {"rows": [[[1, 0]]]}})
 
+    @pytest.mark.parametrize("obj", [5, None])
+    def test_not_an_object(self, obj):
+        with pytest.raises(InputError):
+            instance_from_json(obj)
+
     def test_malformed_matrix(self):
         with pytest.raises(InputError):
             instance_from_json(
