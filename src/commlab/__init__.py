@@ -7,8 +7,6 @@ from commlab.core import (
     NumericError,
     OperatorFlags,
     ShapeError,
-    SingularValueList,
-    SpectralDecomposition,
     cartesian_decomposition,
     classify,
     commutator,
@@ -19,7 +17,6 @@ from commlab.core import (
     numerical_radius,
     op_norm,
     self_commutator,
-    singular_values,
 )
 from commlab.instances import (
     Instance,

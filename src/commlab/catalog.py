@@ -443,7 +443,7 @@ def _band_violations(m: np.ndarray, bounds: SpectralBounds, labels: str) -> list
     """Band violations of the cartesian parts of m, labelled e.g. "AC"."""
     out = []
     for part, label in zip(cartesian_decomposition(m), labels):
-        eigs = hermitian_eig(part).eigenvalues
+        eigs = hermitian_eig(part)
         lo, hi = bounds.band(label.lower())
         if eigs.size and (eigs.min() < lo - _BAND_SLACK or eigs.max() > hi + _BAND_SLACK):
             out.append(f"{label} spectrum outside [{lo:g}, {hi:g}]")
@@ -455,7 +455,7 @@ def _pd_violations(inst: Instance) -> list[str]:
         return ["X missing"]
     return _when(
         not classify(inst.X).hermitian
-        or hermitian_eig((inst.X + inst.X.conj().T) / 2.0).eigenvalues.min() <= 0,
+        or hermitian_eig((inst.X + inst.X.conj().T) / 2.0).min() <= 0,
         "X not positive definite",
     )
 
@@ -691,12 +691,14 @@ def sweep(entry: CatalogEntry | str, config: SweepConfig) -> SweepReport:
     Determinism: the trial at (dim, index) always sees the seed
     ``derive_seed(master_seed, dim, index)``, so results do not depend on
     execution order and any failure can be replayed from its fingerprint.
+    The worst trial has the lowest score ``margin / max(1, |rhs|)``, the
+    normalization verdicts use; its raw margin is reported.
     """
     if isinstance(entry, str):
         entry = get_entry(entry)
     start = time.perf_counter()
     passes = failures = not_applicable = 0
-    worst: tuple[float, Fingerprint] | None = None
+    worst: tuple[float, float, Fingerprint] | None = None  # score, margin, fingerprint
     for dim in config.dims:
         recipe = entry.recipe_for(config.recipe, dim)
         for trial in range(config.trials):
@@ -714,8 +716,9 @@ def sweep(entry: CatalogEntry | str, config: SweepConfig) -> SweepReport:
                 passes += 1
             else:
                 failures += 1
-            if worst is None or report.margin < worst[0]:
-                worst = (report.margin, report.fingerprint)
+            score = report.margin / max(1.0, abs(report.rhs))
+            if worst is None or score < worst[0]:
+                worst = (score, report.margin, report.fingerprint)
     total = len(config.dims) * config.trials
     return SweepReport(
         entry=entry.id,
@@ -723,8 +726,8 @@ def sweep(entry: CatalogEntry | str, config: SweepConfig) -> SweepReport:
         passes=passes,
         failures=failures,
         not_applicable=not_applicable,
-        worst_margin=worst[0] if worst else None,
-        worst_fingerprint=worst[1] if worst else None,
+        worst_margin=worst[1] if worst else None,
+        worst_fingerprint=worst[2] if worst else None,
         dims=tuple(config.dims),
         trials_per_dim=config.trials,
         master_seed=config.master_seed,

@@ -286,17 +286,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, entry_flag=True, instance_flag=True):
-        if entry_flag:
-            p.add_argument("--entry", help="catalog entry id (see `commlab list`)")
-        if instance_flag:
-            p.add_argument("--instance", help="path to an instance JSON file")
+    flags = {
+        "--entry": dict(required=True, help="catalog entry id (see `commlab list`)"),
+        "--instance": dict(help="path to an instance JSON file"),
+        "--tol": dict(type=float, default=DEFAULT_TOL, help="margin tolerance"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+    }
+
+    def add_common(p, *extra):
+        """The generation flags and --out, then each flag of ``extra`` from ``flags``."""
+        for flag in extra:
+            p.add_argument(flag, **flags[flag])
         p.add_argument("--recipe", choices=RECIPE_FAMILIES, help="generation recipe family")
         p.add_argument("--dims", help="dimension, or comma list for sweep (default 4)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="margin tolerance")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_list = sub.add_parser("list", help="print the catalog with statuses")
     p_list.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -312,26 +316,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_check = sub.add_parser("check", help="evaluate one entry on one instance")
-    add_common(p_check)
-    p_check.set_defaults(func=_cmd_check, require_entry=True)
+    add_common(p_check, "--entry", "--instance", "--tol", "--format")
+    p_check.set_defaults(func=_cmd_check)
 
     p_sweep = sub.add_parser("sweep", help="randomized trials of one entry")
-    add_common(p_sweep, instance_flag=False)
+    add_common(p_sweep, "--entry", "--tol", "--format")
     p_sweep.add_argument("--trials", type=int, default=100, help="trials per dimension")
-    p_sweep.set_defaults(func=_cmd_sweep, require_entry=True)
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_search = sub.add_parser("search", help="maximize tightness / hunt counterexamples")
-    add_common(p_search, instance_flag=False)
+    add_common(p_search, "--entry", "--tol")
     p_search.add_argument("--iterations", type=int, default=500)
     p_search.add_argument("--restarts", type=int, default=8)
-    p_search.set_defaults(func=_cmd_search, require_entry=True)
+    p_search.set_defaults(func=_cmd_search)
 
     p_fp = sub.add_parser("fp", help="adjoint-intertwining check plus reduction diagnostics")
-    add_common(p_fp, entry_flag=False)
+    add_common(p_fp, "--instance")
     p_fp.set_defaults(func=_cmd_fp)
 
     p_ortho = sub.add_parser("ortho", help="range-kernel orthogonality: exact HS + probe")
-    add_common(p_ortho, entry_flag=False)
+    add_common(p_ortho, "--instance")
     p_ortho.add_argument("--trials", type=int, default=32, help="probe sample count")
     p_ortho.set_defaults(func=_cmd_ortho)
 
@@ -344,9 +348,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "require_entry", False) and not args.entry:
-        print("error: --entry is required for this command", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -21,10 +21,7 @@ __all__ = [
     "commutator",
     "self_commutator",
     "cartesian_decomposition",
-    "SpectralDecomposition",
     "hermitian_eig",
-    "SingularValueList",
-    "singular_values",
     "op_norm",
     "hs_norm",
     "numerical_radius",
@@ -62,7 +59,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InputError("matrix contains non-finite entries")
     return a
 
@@ -98,16 +95,8 @@ def cartesian_decomposition(s) -> tuple[np.ndarray, np.ndarray]:
     return a, c
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (real, descending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+def hermitian_eig(m) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, real and descending.
 
     Raises HypothesisError when the input is not Hermitian within
     ``1e-10 * max(1, op_norm(m))``, and NumericError when the eigensolver
@@ -119,34 +108,9 @@ def hermitian_eig(m) -> SpectralDecomposition:
         raise HypothesisError("input is not Hermitian within tolerance")
     h = (m + m.conj().T) / 2.0
     try:
-        vals, vecs = np.linalg.eigh(h)
+        return np.linalg.eigvalsh(h)[::-1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    return SpectralDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
-
-
-@dataclass(frozen=True)
-class SingularValueList:
-    """Descending singular values; index ``j`` is 1-based and s_j = 0 past the end."""
-
-    values: np.ndarray
-
-    def s(self, j: int) -> float:
-        if j < 1:
-            raise InputError("singular value index is 1-based")
-        if j > self.values.size:
-            return 0.0
-        return float(self.values[j - 1])
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def singular_values(m) -> SingularValueList:
-    """All singular values of ``m``, non-negative and non-increasing."""
-    m = as_matrix(m)
-    vals = np.linalg.svd(m, compute_uv=False)
-    return SingularValueList(np.maximum(vals, 0.0))
 
 
 def op_norm(m) -> float:

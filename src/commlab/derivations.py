@@ -56,13 +56,12 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
 class SylvesterOperator:
     """The map X -> SX - XT as an n^2 x n^2 matrix over vec(X), factored once.
 
-    ``u``, ``svals``, ``vh`` are the SVD of ``lifted``; singular values at or
+    ``u``, ``svals``, ``vh`` are the SVD of that matrix; singular values at or
     below ``cutoff`` (1e-8 * sigma_max, 0 for an empty lift) count as zero.
     """
 
     S: np.ndarray
     T: np.ndarray
-    lifted: np.ndarray
     u: np.ndarray
     svals: np.ndarray
     vh: np.ndarray
@@ -100,7 +99,7 @@ def lift_derivation(s, t) -> SylvesterOperator:
     lifted = np.kron(eye, s) - np.kron(t.T, eye)
     u, svals, vh = np.linalg.svd(lifted)
     cutoff = _KERNEL_REL_CUTOFF * float(svals[0]) if svals.size else 0.0
-    return SylvesterOperator(S=s, T=t, lifted=lifted, u=u, svals=svals, vh=vh, cutoff=cutoff)
+    return SylvesterOperator(S=s, T=t, u=u, svals=svals, vh=vh, cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -212,8 +211,6 @@ def min_distance_hs(op: SylvesterOperator, c) -> float:
 class ProbeResult:
     min_found: float
     verdict: str  # "consistent" | "violation-candidate"
-    c_op_norm: float
-    starts: int
     evaluations: int
 
 
@@ -278,8 +275,5 @@ def orthogonality_probe_opnorm(
         )
         evals += used
         best = min(best, val)
-    c_op = op_norm(c)
-    verdict = "consistent" if best >= c_op - 1e-6 else "violation-candidate"
-    return ProbeResult(
-        min_found=best, verdict=verdict, c_op_norm=c_op, starts=min(5, len(scored)), evaluations=evals
-    )
+    verdict = "consistent" if best >= op_norm(c) - 1e-6 else "violation-candidate"
+    return ProbeResult(min_found=best, verdict=verdict, evaluations=evals)

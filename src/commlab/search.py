@@ -65,7 +65,6 @@ class SearchState:
     best_instance: Instance
     best_report: InequalityReport
     trace: tuple[tuple[int, float], ...]
-    step: float
 
 
 def maximize_ratio(
@@ -92,7 +91,7 @@ def maximize_ratio(
     if restarts < 1:
         raise InputError("restarts must be >= 1")
 
-    best_global: tuple[float, tuple, Instance, InequalityReport, str, float] | None = None
+    best_global: tuple[float, tuple, Instance, InequalityReport, str] | None = None
     best_trace: tuple[tuple[int, float], ...] = ()
     for restart in range(restarts):
         recipe_obj = entry.recipe_for(recipe, dim)
@@ -121,7 +120,7 @@ def maximize_ratio(
             if it % 50 == 0:
                 trace.append((it, obj))
         key = inst.fingerprint().sort_key()
-        candidate = (obj, key, inst, report, kind, step)
+        candidate = (obj, key, inst, report, kind)
         if (
             best_global is None
             or obj > best_global[0]
@@ -131,7 +130,7 @@ def maximize_ratio(
             best_trace = tuple(trace)
 
     assert best_global is not None
-    obj, _, inst, report, kind, step = best_global
+    obj, _, inst, report, kind = best_global
     return SearchState(
         entry=entry.id,
         dim=dim,
@@ -143,7 +142,6 @@ def maximize_ratio(
         best_instance=inst,
         best_report=report,
         trace=best_trace,
-        step=step,
     )
 
 

@@ -53,10 +53,15 @@ def sampling_radius(m: np.ndarray, budget: int = 100_000, seed: int = 0, restart
     return max(best, float(np.abs(q).max()))
 
 
+def kron_lift(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The matrix of X -> SX - XT on column-stacked vec(X), by Kronecker products."""
+    n = s.shape[0]
+    return np.kron(np.eye(n), s) - np.kron(t.T, np.eye(n))
+
+
 def brute_min_distance_hs(s: np.ndarray, t: np.ndarray, c: np.ndarray) -> float:
     """Least-squares residual of min over X of |SX - XT + C|_F via lstsq."""
-    n = s.shape[0]
-    lifted = np.kron(np.eye(n), s) - np.kron(t.T, np.eye(n))
+    lifted = kron_lift(s, t)
     cv = c.flatten(order="F")
     x, *_ = np.linalg.lstsq(lifted, -cv, rcond=1e-8)
     return float(np.linalg.norm(lifted @ x + cv))

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commlab import cli, derivations
 from commlab.cli import main
-from commlab.instances import instance_from_json
+from commlab.instances import Recipe, derive_seed, instance_from_json, instance_to_json, make_instance
 
 
 def run_cli(*argv):
@@ -167,6 +171,21 @@ class TestSweep:
     def test_bad_dims(self):
         assert run_cli("sweep", "--entry", "THM_MAIN", "--dims", "x,y", "--trials", "1") == 2
 
+    def test_worst_trial_has_lowest_normalized_score(self, capsys):
+        # SJ_SINGLE's trials here rank differently by raw margin and by margin / max(1, |rhs|)
+        assert run_cli("sweep", "--entry", "SJ_SINGLE", "--dims", "2,4", "--trials", "5") == 1
+        report = json.loads(capsys.readouterr().out)
+        replays = []
+        for dim in (2, 4):
+            for trial in range(5):
+                seed = derive_seed(0, dim, trial)
+                run_cli("check", "--entry", "SJ_SINGLE", "--dims", str(dim), "--seed", str(seed))
+                check = json.loads(capsys.readouterr().out)
+                replays.append((check["margin"] / max(1.0, abs(check["rhs"])), dim, seed, check["margin"]))
+        _, dim, seed, margin = min(replays)
+        assert (report["worst_fingerprint"]["dim"], report["worst_fingerprint"]["seed"]) == (dim, seed)
+        assert report["worst_margin"] == margin
+
 
 class TestSearchCommand:
     def test_smoke_and_determinism(self, tmp_path):
@@ -316,6 +335,8 @@ class TestCommutingSchwarz:
             ({"seed": 1e400}, 2, "error: seed must be a number"),
             ({"S": _BIG_DIAG, "T": _BIG_DIAG}, 0, "hypothesis violation: |STx| is too large"),
             ({"S": _HUGE_DIAG, "T": _HUGE_DIAG}, 0, "hypothesis violation: |STx| is too large"),
+            ({"x": [[1, 0], [0, 0], [0, 0]]}, 2, "error: x must have length dim"),
+            ({"bounds": _SCHWARZ_BOUNDS | {"a1": float("nan")}}, 2, "error: bounds a1, a2 must be finite"),
         ],
     )
     def test_instance_with_extreme_n_or_x(self, fields, code, message, tmp_path, capsys):
@@ -331,6 +352,38 @@ class TestCommutingSchwarz:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["not_applicable"] == 2
+
+
+# the equality example's S, T and x: their commutator has norm 2
+_EQUALITY_PAIR = {
+    "S": {"rows": [[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]},
+    "T": {"rows": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+    "x": [[0, 0], [1, 0]],
+    "bounds": {"a1": -1.5, "a2": 1.5, "b1": -1.0, "b2": 1.0}
+    | {k: 0.0 for k in ("c1", "c2", "d1", "d2")},
+}
+
+
+class TestInstanceHypotheses:
+    """A non-unit x or a small n breaks a hypothesis of SCHWARZ_REVERSE; the file still loads."""
+
+    def _check_reported(self, inst_path, message, capsys):
+        assert run_cli("check", "--entry", "SCHWARZ_REVERSE", "--instance", str(inst_path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "not-applicable"
+        assert report["hypothesis_violations"] == [message]
+        # commands that never read x or n run as usual
+        assert run_cli("check", "--entry", "THM_MAIN", "--instance", str(inst_path)) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "satisfied"
+        assert run_cli("fp", "--instance", str(inst_path)) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
+
+    def test_non_unit_x_is_reported(self, tmp_path, capsys):
+        self._check_reported(_schwarz_instance(tmp_path, x=[[1, 0], [1, 0]]), "x not unit", capsys)
+
+    def test_small_n_is_reported(self, tmp_path, capsys):
+        inst_path = _schwarz_instance(tmp_path, n=0.5, **_EQUALITY_PAIR)
+        self._check_reported(inst_path, "n below commutator norm", capsys)
 
 
 def _no_lift(*args):
@@ -359,3 +412,62 @@ def test_oversized_dims_refused_before_allocating(argv, monkeypatch):
 
 def test_usage_error_exit_code():
     assert run_cli("unknown-command") == 2
+
+
+_FUZZ_ARGVS = (
+    ("check", "--entry", "SCHWARZ_REVERSE"),
+    ("check", "--entry", "THM_MAIN"),
+    ("fp",),
+    ("ortho", "--trials", "2"),
+)
+_MATRICES = ("S", "T", "X", "Y")
+_BIG_LITERAL = "__1e400__"  # written into the JSON text as the literal 1e400
+
+
+@st.composite
+def _mutated_instance_text(draw):
+    """A valid dim-2 or dim-3 instance JSON with one malformed part."""
+    dim = draw(st.sampled_from((2, 3)))
+    family = draw(st.sampled_from(("hermitian", "inner-normal")))
+    recipe = Recipe(family, dim, with_x=True, with_y=True, with_vector=True)
+    obj = instance_to_json(make_instance(recipe, draw(st.integers(0, 3))))
+    kind = draw(st.sampled_from(("drop", "scalar", "x-length", "matrix-shape")))
+    if kind == "drop":
+        parent = draw(st.sampled_from((obj, obj["bounds"], obj["S"])))
+        del parent[draw(st.sampled_from(sorted(parent)))]
+    elif kind == "scalar":
+        paths = [(obj, k) for k in ("dim", "seed", "n")] + [(obj["bounds"], k) for k in obj["bounds"]]
+        paths += [(obj["x"][i], p) for i in range(dim) for p in (0, 1)]
+        for m in _MATRICES:
+            paths += [(row[j], p) for row in obj[m]["rows"] for j in range(dim) for p in (0, 1)]
+        parent, key = draw(st.sampled_from(paths))
+        parent[key] = draw(
+            st.sampled_from(
+                (str(parent[key]), "abc", [parent[key]], float("nan"), float("inf"), _BIG_LITERAL, 10**400)
+            )
+        )
+    elif kind == "x-length":
+        obj["x"] = draw(st.sampled_from((obj["x"][:-1], obj["x"] + [[0.0, 0.0]], [])))
+    else:
+        rows = obj[draw(st.sampled_from(_MATRICES))]["rows"]
+        change = draw(st.sampled_from(("drop-row", "add-row", "drop-column", "ragged")))
+        if change == "drop-row":
+            rows.pop()
+        elif change == "add-row":
+            rows.append(rows[0])
+        elif change == "drop-column":
+            for row in rows:
+                row.pop()
+        else:
+            rows[0].pop()
+    return json.dumps(obj).replace(f'"{_BIG_LITERAL}"', "1e400")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_instance_text())
+def test_mutated_instance_exits_with_a_documented_code(tmp_path_factory, text):
+    inst_path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    inst_path.write_text(text)
+    for argv in _FUZZ_ARGVS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run_cli(*argv, "--instance", str(inst_path)) in (0, 1, 2)

@@ -127,11 +127,8 @@ def _broken_instances() -> dict[str, Instance]:
     tight = SpectralBounds(0, 0, 0, 0, 0, 0, 0, 0)
     wide = SpectralBounds(-9, 9, -9, 9, -9, 9, -9, 9)
     general = Instance(
-        S=ginibre(), T=ginibre(), bounds=tight, seed=0, dim=3, X=ginibre(), x=np.eye(3)[0], n=99.0
+        S=ginibre(), T=ginibre(), bounds=tight, seed=0, dim=3, X=ginibre(), x=2.0 * np.eye(3)[0], n=0.0
     )
-    # the constructor refuses a non-unit x and a small n, so break them afterwards
-    object.__setattr__(general, "x", 2.0 * general.x)
-    object.__setattr__(general, "n", 0.0)
     h = ginibre()
     indefinite = Instance(
         S=np.diag([1.0, -1.0, 0.5]), T=h + h.conj().T, bounds=wide, seed=0, dim=3,

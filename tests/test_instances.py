@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commlab.catalog import validate_hypotheses
 from commlab.core import HypothesisError, InputError, ShapeError, classify, commutator, hermitian_eig, op_norm
 from commlab.instances import (
     Instance,
@@ -60,12 +61,12 @@ class TestHermitianBanded:
     def test_forced_endpoints_dim_two(self):
         m = _banded(2, (0.0, 1.0), (0.0, 0.0), 4)
         np.testing.assert_allclose(
-            sorted(hermitian_eig(m).eigenvalues), [0.0, 1.0], atol=1e-10
+            sorted(hermitian_eig(m)), [0.0, 1.0], atol=1e-10
         )
 
     def test_spectrum_within_band(self):
         m = _banded(5, (-2.0, 3.0), (0.0, 0.0), 9)
-        eigs = hermitian_eig(m).eigenvalues
+        eigs = hermitian_eig(m)
         assert eigs.min() >= -2.0 - 1e-10 and eigs.max() <= 3.0 + 1e-10
         assert abs(eigs.min() + 2.0) <= 1e-10 and abs(eigs.max() - 3.0) <= 1e-10
 
@@ -95,8 +96,8 @@ class TestNormalBanded:
         assert classify(m).normal
         a = (m + m.conj().T) / 2
         c = (m - m.conj().T) / 2j
-        re_eigs = hermitian_eig(a).eigenvalues
-        im_eigs = hermitian_eig(c).eigenvalues
+        re_eigs = hermitian_eig(a)
+        im_eigs = hermitian_eig(c)
         assert re_eigs.min() >= re_band[0] - 1e-10 and re_eigs.max() <= re_band[1] + 1e-10
         assert im_eigs.min() >= im_band[0] - 1e-10 and im_eigs.max() <= im_band[1] + 1e-10
         # endpoints attained
@@ -150,7 +151,7 @@ class TestMakeInstance:
 
     def test_pd_x(self):
         inst = make_instance(Recipe("hermitian", 4, with_x=True, x_kind="pd"), 3)
-        eigs = hermitian_eig(inst.X).eigenvalues
+        eigs = hermitian_eig(inst.X)
         assert eigs.min() > 0
 
     def test_vector_and_n(self):
@@ -198,16 +199,18 @@ class TestMakeInstance:
 
 
 class TestInstanceValidation:
+    """The constructor checks x and n as input; whether x is a unit vector and
+    n bounds |ST-TS| are hypotheses of SCHWARZ_REVERSE, which refuses them."""
+
     def test_non_unit_vector_rejected(self):
         b = SpectralBounds(0, 1, 0, 1, 0, 1, 0, 1)
         s = np.eye(2, dtype=complex)
-        with pytest.raises(HypothesisError):
-            Instance(S=s, T=s, bounds=b, seed=0, dim=2, x=np.array([1.0, 1.0]))
+        inst = Instance(S=s, T=s, bounds=b, seed=0, dim=2, x=np.array([1.0, 1.0]), n=1.0)
+        assert validate_hypotheses("SCHWARZ_REVERSE", inst) == ["x not unit"]
 
     def test_undersized_n_rejected(self):
-        inst = equality_example()
-        with pytest.raises(HypothesisError):
-            Instance(S=inst.S, T=inst.T, bounds=inst.bounds, seed=0, dim=2, n=0.5)
+        inst = dataclasses.replace(equality_example(), n=0.5)
+        assert validate_hypotheses("SCHWARZ_REVERSE", inst) == ["n below commutator norm"]
 
 
 def _instance_from(source: str) -> Instance:
