@@ -32,6 +32,7 @@ from commlab.core import (
     matrix_abs_sqrt,
     numerical_radius,
     op_norm,
+    overflow_is_hypothesis_error,
     self_commutator,
 )
 from commlab.instances import Fingerprint, Instance, Recipe, SpectralBounds, derive_seed, make_instance
@@ -176,10 +177,11 @@ def _schwarz_reverse(inst: Instance):
         raise HypothesisError("n is too large: n^2 overflows") from None
     if n2 == 0:
         raise HypothesisError("n must be positive: the bound divides by n^2")
-    g = inst.S @ inst.T
-    gx = g @ inst.x
-    lhs = float(np.linalg.norm(gx) ** 2)
-    inner = complex(inst.x.conj() @ (g @ gx))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        g = inst.S @ inst.T
+        gx = g @ inst.x
+        lhs = float(np.linalg.norm(gx) ** 2)
+        inner = complex(inst.x.conj() @ (g @ gx))
     try:
         rhs = (lhs**2 - abs(inner) ** 2) / n2
     except OverflowError:
@@ -586,7 +588,8 @@ def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL
 
     Hypothesis violations detected by validation produce a "not-applicable"
     verdict. A missing required matrix raises InputError; an input the
-    formula cannot evaluate safely (e.g. a numerically singular X) raises
+    formula cannot evaluate safely (e.g. a numerically singular X), or whose
+    entries overflow float arithmetic in validation or the formula, raises
     HypothesisError.
     """
     if isinstance(entry, str):
@@ -594,8 +597,9 @@ def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL
     for req in sorted(entry.requires):
         if getattr(inst, req) is None:
             raise InputError(f"entry {entry.id} requires instance field {req!r}")
-    violations = tuple(validate_hypotheses(entry, inst))
-    lhs, rhs, detail = entry.formula(inst)
+    with overflow_is_hypothesis_error():
+        violations = tuple(validate_hypotheses(entry, inst))
+        lhs, rhs, detail = entry.formula(inst)
     if entry.direction == "le":
         margin = rhs - lhs
     elif entry.direction == "ge":

@@ -24,7 +24,14 @@ from commlab.catalog import (
     get_entry,
     sweep,
 )
-from commlab.core import HypothesisError, InputError, ShapeError, hs_norm, op_norm
+from commlab.core import (
+    HypothesisError,
+    InputError,
+    ShapeError,
+    hs_norm,
+    op_norm,
+    overflow_is_hypothesis_error,
+)
 from commlab.derivations import (
     check_fp_pair,
     check_reduction,
@@ -207,21 +214,23 @@ def _cmd_search(args) -> int:
 
 def _cmd_fp(args) -> int:
     inst = _resolve_instance(args)
-    report = check_fp_pair(inst.S, inst.T)
-    reductions = []
-    for element in report.kernel:
-        red = check_reduction(inst.S, element.C)
-        reductions.append(
-            {
-                "kernel_residual": element.residual,
-                "range_reduces": red.range_reduces,
-                "restriction_normal": red.restriction_normal,
-                "residuals": red.residuals,
-            }
-        )
+    with overflow_is_hypothesis_error():
+        report = check_fp_pair(inst.S, inst.T)
+        reductions = []
+        for element in report.kernel:
+            red = check_reduction(inst.S, element.C)
+            reductions.append(
+                {
+                    "kernel_residual": element.residual,
+                    "range_reduces": red.range_reduces,
+                    "restriction_normal": red.restriction_normal,
+                    "residuals": red.residuals,
+                }
+            )
     payload = {
         "holds": report.holds,
         "kernel_dimension": report.kernel_dimension,
+        "lift": report.lift,
         "worst_adjoint_residual": report.worst_residual,
         "adjoint_residuals": list(report.adjoint_residuals),
         "reductions": reductions,
@@ -243,6 +252,7 @@ def _cmd_ortho(args) -> int:
             payload = {
                 "verdict": "vacuous",
                 "kernel_dimension": 0,
+                "lift": op.lift,
                 "fingerprint": inst.fingerprint().to_json(),
             }
             _emit(_json_text(payload), args.out)
@@ -258,6 +268,7 @@ def _cmd_ortho(args) -> int:
         payload = {
             "verdict": "not-applicable",
             "hypothesis_violations": [str(exc)],
+            "lift": op.lift,
             "fingerprint": inst.fingerprint().to_json(),
         }
         _emit(_json_text(payload), args.out)
@@ -269,6 +280,8 @@ def _cmd_ortho(args) -> int:
         "c_op_norm": c_op,
         "min_distance_hs": hs_min,
         "hs_consistent": hs_consistent,
+        "lift": op.lift,
+        "probe_evaluations": probe.evaluations,
         "probe_min_found": probe.min_found,
         "probe_verdict": probe.verdict,
         "probe_trials": args.trials,

@@ -8,6 +8,7 @@ for a scale natural to the quantity being tested.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ __all__ = [
     "HypothesisError",
     "NumericError",
     "InputError",
+    "overflow_is_hypothesis_error",
     "as_matrix",
     "commutator",
     "self_commutator",
@@ -52,6 +54,21 @@ class NumericError(RuntimeError):
 
 class InputError(ValueError):
     """A request references unknown, missing, or malformed data."""
+
+
+@contextmanager
+def overflow_is_hypothesis_error():
+    """Within the block, float overflow raises HypothesisError, not a warning.
+
+    Inputs are checked finite on entry, so an overflow, or an invalid
+    operation such as inf - inf that follows one, means the entries are too
+    large for float arithmetic: a hypothesis of the computation fails.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise HypothesisError(f"entries too large for float arithmetic ({exc})") from None
 
 
 def as_matrix(m) -> np.ndarray:

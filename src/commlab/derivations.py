@@ -2,7 +2,14 @@
 
 Vectorization is column-stacking throughout: vec(SX - XT) equals
 (I (x) S - T^t (x) I) vec(X). Kernel and range computations use the numerical
-rank of the lifted matrix with a relative singular-value cutoff.
+rank of that lifted matrix with a relative singular-value cutoff.
+
+The lift is factored one of two ways, chosen from the input alone. When S and
+T are both numerically normal, S = U diag(lam) U* and T = V diag(mu) V*, the
+lift's singular values are the gaps |lam_i - mu_j| and its kernel is spanned
+by the matrices u_i v_j*: two n x n eigendecompositions replace the SVD of the
+n^2 x n^2 matrix (the "spectral" lift). Any other pair takes that SVD (the
+"kronecker" lift).
 """
 
 from __future__ import annotations
@@ -42,6 +49,12 @@ _KERNEL_REL_CUTOFF = 1e-8
 _RANGE_REL_CUTOFF = 1e-10
 _FP_REL_TOL = 1e-7
 _LIFT_MAX_BYTES = 256 * 2**20  # one n^2 x n^2 complex lift; n = 64 is the largest that fits
+# S = A + iC is diagonalized through the Hermitian A + _GAMMA C. A weight with
+# no simple rational form keeps distinct eigenvalues of typical inputs from
+# meeting under lam -> Re lam + _GAMMA Im lam; a pair that does meet fails the
+# residual check and takes the Kronecker lift.
+_GAMMA = np.pi / 7
+_EIGEN_REL_RESIDUAL = 1e-12
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -54,18 +67,27 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SylvesterOperator:
-    """The map X -> SX - XT as an n^2 x n^2 matrix over vec(X), factored once.
+    """The map X -> SX - XT, with the numerical null space of its lift.
 
-    ``u``, ``svals``, ``vh`` are the SVD of that matrix; singular values at or
-    below ``cutoff`` (1e-8 * sigma_max, 0 for an empty lift) count as zero.
+    ``lift`` names the factorization used, "spectral" or "kronecker" (see the
+    module docstring); singular values at or below ``cutoff`` (1e-8 times the
+    largest, 0 when all are 0) count as zero. ``_kernel`` holds an
+    HS-orthonormal basis of the null space, ``_cokernel`` one of the
+    orthogonal complement of the range, each as a read-only (k, n, n) stack
+    (the spectral lift shares one stack between them).
     """
 
     S: np.ndarray
     T: np.ndarray
-    u: np.ndarray
-    svals: np.ndarray
-    vh: np.ndarray
     cutoff: float
+    lift: str
+    _kernel: np.ndarray
+    _cokernel: np.ndarray
+
+    def __post_init__(self):
+        # kernel_basis hands out views of these stacks
+        self._kernel.flags.writeable = False
+        self._cokernel.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -84,22 +106,68 @@ def _check_pair(s, t) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
-def lift_derivation(s, t) -> SylvesterOperator:
-    """Lift (S, T) to the matrix of X -> SX - XT under column-stacking vec,
-    together with its SVD and kernel cutoff.
+def _eigenbasis(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(U, lam) with S U = U diag(lam) for unitary U, or None.
 
-    A lift larger than 256 MiB (n > 64) raises InputError before anything is
-    allocated.
+    U is the eigenbasis of the Hermitian A + gamma C for S = A + iC, and lam
+    the diagonal of U*SU. None unless |SU - U diag(lam)|_2 <= 1e-12 sqrt(n)
+    max(1, max |lam_i|) holds with a finite bound, which allows each of the
+    n columns a residual of 1e-12 |S| (|S| = max |lam_i| for normal S). This
+    rejects a non-normal S, a normal S whose distinct eigenvalues meet under
+    lam -> Re lam + gamma Im lam, and a residual that overflows.
+    """
+    w = (1 - 1j * _GAMMA) / 2 * s
+    _, u = np.linalg.eigh(w + w.conj().T)  # A + gamma C
+    su = s @ u
+    lam = np.einsum("ij,ij->j", u.conj(), su)
+    bound = _EIGEN_REL_RESIDUAL * np.sqrt(len(lam)) * max(1.0, float(np.abs(lam).max(initial=0.0)))
+    if not np.linalg.norm(su - u * lam) <= bound < np.inf:
+        return None
+    return u, lam
+
+
+def _kronecker_lift(s: np.ndarray, t: np.ndarray) -> SylvesterOperator:
+    """The lift's null space and range complement from its SVD."""
+    n = s.shape[0]
+    eye = np.eye(n)
+    u, svals, vh = np.linalg.svd(np.kron(eye, s) - np.kron(t.T, eye))
+    cutoff = _KERNEL_REL_CUTOFF * float(svals[0]) if svals.size else 0.0
+    null = svals <= cutoff
+    # a C-order reshape of a column-stacked vec gives the transposed matrix
+    kernel = vh[null].conj().reshape(-1, n, n).transpose(0, 2, 1)
+    cokernel = u[:, null].T.reshape(-1, n, n).transpose(0, 2, 1)
+    return SylvesterOperator(s, t, cutoff, "kronecker", kernel, cokernel)
+
+
+def lift_derivation(s, t) -> SylvesterOperator:
+    """Factor the lift of X -> SX - XT (column-stacking vec) and find its
+    numerical kernel.
+
+    The spectral lift runs when ``_eigenbasis`` accepts both S and T (T is
+    factored only when it differs from S); otherwise the n^2 x n^2 lift is
+    built and its SVD taken. On the spectral lift the cutoff is 1e-8 *
+    max |lam_i - mu_j| and the kernel is u_i v_j* for each (i, j) with
+    |lam_i - mu_j| <= cutoff, in row-major (i, j) order; the kernel of the
+    Kronecker lift comes in the SVD's order, by descending singular value.
+
+    n > 64 raises InputError before anything is allocated: the lift takes
+    16 n^4 bytes, and so does the kernel of a scalar pair on either path.
     """
     s, t = _check_pair(s, t)
     n = s.shape[0]
     if 16 * n**4 > _LIFT_MAX_BYTES:
         raise InputError(f"dim {n} needs a {16 * n**4 / 2**20:.0f} MiB lift; the limit is n <= 64")
-    eye = np.eye(n)
-    lifted = np.kron(eye, s) - np.kron(t.T, eye)
-    u, svals, vh = np.linalg.svd(lifted)
-    cutoff = _KERNEL_REL_CUTOFF * float(svals[0]) if svals.size else 0.0
-    return SylvesterOperator(S=s, T=t, u=u, svals=svals, vh=vh, cutoff=cutoff)
+    left = _eigenbasis(s)
+    right = left if left is None or np.array_equal(s, t) else _eigenbasis(t)
+    if right is None:
+        return _kronecker_lift(s, t)
+    (u, lam), (v, mu) = left, right
+    gaps = np.abs(lam[:, None] - mu[None, :])
+    cutoff = _KERNEL_REL_CUTOFF * float(gaps.max(initial=0.0))
+    i, j = np.nonzero(gaps <= cutoff)
+    kernel = u.T[i][:, :, None] * v.T.conj()[j][:, None, :]
+    # the lift is normal here, so its range complement is its kernel
+    return SylvesterOperator(s, t, cutoff, "spectral", kernel, kernel)
 
 
 @dataclass(frozen=True)
@@ -111,16 +179,13 @@ class KernelElement:
 
 
 def kernel_basis(op: SylvesterOperator) -> list[KernelElement]:
-    """HS-orthonormal basis of the numerical null space of the lifted map.
+    """HS-orthonormal basis of the numerical null space of the lifted map,
+    in the order ``lift_derivation`` documents.
 
-    Right singular vectors with sigma <= op.cutoff qualify; all of them do
-    when sigma_max = 0. The empty list is a valid result.
+    Every direction qualifies when every singular value is 0. The empty list
+    is a valid result.
     """
-    out = []
-    for v in op.vh[op.svals <= op.cutoff]:
-        c = unvec(v.conj(), op.dim)
-        out.append(KernelElement(C=c, residual=hs_norm(op.apply(c))))
-    return out
+    return [KernelElement(C=c, residual=hs_norm(op.apply(c))) for c in op._kernel]
 
 
 @dataclass(frozen=True)
@@ -132,6 +197,7 @@ class FPReport:
     adjoint_residuals: tuple[float, ...]
     worst_residual: float
     kernel: tuple[KernelElement, ...]
+    lift: str  # the lift that found the kernel: "spectral" or "kronecker"
 
 
 def check_fp_pair(s, t) -> FPReport:
@@ -142,7 +208,8 @@ def check_fp_pair(s, t) -> FPReport:
     1e-7 * max(1, |S| + |T|). An empty kernel passes vacuously.
     """
     s, t = _check_pair(s, t)
-    basis = kernel_basis(lift_derivation(s, t))
+    op = lift_derivation(s, t)
+    basis = kernel_basis(op)
     residuals = tuple(hs_norm(s.conj().T @ e.C - e.C @ t.conj().T) for e in basis)
     worst = max(residuals, default=0.0)
     tol = _FP_REL_TOL * max(1.0, op_norm(s) + op_norm(t))
@@ -152,6 +219,7 @@ def check_fp_pair(s, t) -> FPReport:
         adjoint_residuals=residuals,
         worst_residual=worst,
         kernel=tuple(basis),
+        lift=op.lift,
     )
 
 
@@ -194,17 +262,15 @@ def min_distance_hs(op: SylvesterOperator, c) -> float:
     """Exact min over X of |SX - XT + C|_2 at the numerical rank of the lift.
 
     ``op`` is the lift of (S, T) from ``lift_derivation``; C must match S in
-    size. Computed as the residual of projecting vec(-C) onto the column
-    space of the lifted operator. Always in [0, |C|_2] since X = 0 is
-    admissible.
+    size. Computed as the norm of the projection of C onto the orthogonal
+    complement of the lift's range: on the spectral lift,
+    sqrt(sum |(U*CV)_ij|^2) over the kernel's (i, j). Always in [0, |C|_2]
+    since X = 0 is admissible.
     """
     c = as_matrix(c)
     if c.shape != op.S.shape:
         raise ShapeError("C must match S and T in size")
-    ur = op.u[:, op.svals > op.cutoff]
-    cv = vec(c)
-    resid = cv - ur @ (ur.conj().T @ cv)
-    return float(np.linalg.norm(resid))
+    return float(np.linalg.norm(np.tensordot(op._cokernel, c.conj(), axes=2)))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,7 @@ class TestFpCommand:
         assert payload["holds"] is True
         assert payload["kernel_dimension"] >= 3
         assert len(payload["reductions"]) == payload["kernel_dimension"]
+        assert payload["lift"] == "spectral"
 
     def test_failing_pair(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -228,8 +230,10 @@ class TestFpCommand:
                 }
             )
         )
-        code = run_cli("fp", "--instance", str(inst_path))
+        out = tmp_path / "fp.json"
+        code = run_cli("fp", "--instance", str(inst_path), "--out", str(out))
         assert code == 1
+        assert read_json(out)["lift"] == "kronecker"  # S is nilpotent, not normal
 
 
 class TestOrthoCommand:
@@ -244,14 +248,25 @@ class TestOrthoCommand:
         assert payload["hs_consistent"] is True
         assert payload["probe_verdict"] == "consistent"
         assert payload["min_distance_hs"] == pytest.approx(payload["c_hs_norm"], rel=1e-8)
+        assert payload["lift"] == "spectral"
+        inst = make_instance(Recipe("inner-normal", 3), 4)
+        op = derivations.lift_derivation(inst.S, inst.T)
+        probe = derivations.orthogonality_probe_opnorm(
+            op, derivations.kernel_basis(op)[0].C, trials=6, seed=4
+        )
+        assert payload["probe_evaluations"] == probe.evaluations
 
     def test_trivial_kernel_is_vacuous(self, tmp_path):
         out = tmp_path / "ortho.json"
         code = run_cli("ortho", "--recipe", "normal", "--dims", "3", "--seed", "1", "--out", str(out))
         assert code == 0
-        assert read_json(out)["verdict"] == "vacuous"
+        payload = read_json(out)
+        assert payload["verdict"] == "vacuous"
+        assert payload["lift"] == "spectral"
 
-    def test_lifts_and_factors_once(self, monkeypatch, capsys):
+    @staticmethod
+    def _count_lifts_and_svds(monkeypatch, *argv):
+        """Run ``ortho`` and count lifts and SVDs of a 16 x 16 (n^2 x n^2 at n = 4) matrix."""
         counts = {"lift": 0, "svd": 0}
         lift, svd = derivations.lift_derivation, np.linalg.svd
 
@@ -266,14 +281,24 @@ class TestOrthoCommand:
         monkeypatch.setattr(cli, "lift_derivation", counting_lift)
         monkeypatch.setattr(derivations, "lift_derivation", counting_lift)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        assert run_cli("ortho", "--recipe", "inner-normal", "--dims", "4", "--trials", "2") == 0
+        assert run_cli("ortho", "--dims", "4", "--trials", "2", *argv) == 0
+        return counts
+
+    def test_lifts_and_factors_once(self, monkeypatch, capsys):
+        # a normal pair takes the spectral lift: no n^2 x n^2 SVD at all
+        assert self._count_lifts_and_svds(monkeypatch, "--recipe", "inner-normal") == {"lift": 1, "svd": 0}
+
+    def test_non_normal_pair_lifts_and_factors_once(self, monkeypatch, capsys):
+        counts = self._count_lifts_and_svds(monkeypatch, "--recipe", "cartesian-psd")
         assert counts == {"lift": 1, "svd": 1}
+        assert json.loads(capsys.readouterr().out)["lift"] == "kronecker"
 
 
 _SCHWARZ_BOUNDS = {k: 0.0 for k in ("a1", "b1", "c1", "d1", "c2", "d2")} | {"a2": 2.0, "b2": 4.0}
 _HUGE = 10**400  # a JSON integer literal too large for a float
 _BIG_DIAG = {"rows": [[[1e50, 0], [0, 0]], [[0, 0], [2, 0]]]}  # with x = e1, |STx|^4 overflows
 _HUGE_DIAG = {"rows": [[[1e100, 0], [0, 0]], [[0, 0], [2, 0]]]}  # here |STx|^2 already overflows
+_OVERFLOW_DIAG = {"rows": [[[1e160, 0], [0, 0]], [[0, 0], [2, 0]]]}  # here S S* overflows
 
 
 def _schwarz_instance(tmp_path, **fields):
@@ -344,6 +369,18 @@ class TestCommutingSchwarz:
         assert run_cli("check", "--entry", "SCHWARZ_REVERSE", "--instance", str(inst_path)) == code
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [("check", "--entry", "THM_MAIN"), ("check", "--entry", "SCHWARZ_REVERSE"), ("fp",)]
+    )
+    def test_overflow_from_finite_input_is_a_hypothesis_violation(self, argv, tmp_path, capsys):
+        inst_path = _schwarz_instance(tmp_path, S=_OVERFLOW_DIAG, T=_OVERFLOW_DIAG)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv, "--instance", str(inst_path)) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hypothesis violation: entries too large") and captured.out == ""
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_sweep_counts_not_applicable(self, capsys):
         code = run_cli(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from commlab.core import HypothesisError, InputError, ShapeError, hs_norm, op_norm
 from commlab.derivations import (
+    _GAMMA,
     check_fp_pair,
     check_reduction,
     kernel_basis,
@@ -22,23 +23,41 @@ NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 def lifted(op):
-    """The n^2 x n^2 matrix ``op`` factors, rebuilt from its SVD."""
-    return (op.u * op.svals) @ op.vh
+    """The n^2 x n^2 matrix of ``op.apply`` on column-stacked vec, one basis matrix at a time."""
+    n = op.dim
+    return np.column_stack([vec(op.apply(unvec(e, n))) for e in np.eye(n * n)])
+
+
+def oracle_kernel(s, t):
+    """Cutoff 1e-8 sigma_max, kernel dimension and null-space projector of ``kron_lift(s, t)``."""
+    _, svals, vh = np.linalg.svd(kron_lift(s, t))
+    cutoff = 1e-8 * svals[0]
+    null = vh[svals <= cutoff].conj().T
+    return cutoff, null.shape[1], null @ null.conj().T
+
+
+def kernel_projector(op):
+    """Projector onto the span of ``kernel_basis(op)``, on column-stacked vec."""
+    vecs = np.array([vec(e.C) for e in kernel_basis(op)]).reshape(-1, op.dim**2).T
+    return vecs @ vecs.conj().T
 
 
 class TestLift:
     def test_scalar(self):
         op = lift_derivation([[3.0]], [[1.0]])
         np.testing.assert_allclose(lifted(op), [[2.0]])
+        assert op.cutoff == 1e-8 * 2.0
 
     def test_identity_pair(self):
         op = lift_derivation(np.eye(2), np.eye(2))
         np.testing.assert_allclose(lifted(op), np.zeros((4, 4)))
+        assert op.cutoff == 0.0
 
     def test_diagonal_multiset(self):
         op = lift_derivation(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
         got = sorted(np.round(np.diag(lifted(op)).real, 12))
         assert got == sorted([1 - 3, 1 - 4, 2 - 3, 2 - 4])
+        assert op.cutoff == 1e-8 * 3.0  # sigma_max = |1 - 4|
 
     def test_over_budget_refused_before_allocating(self, monkeypatch):
         monkeypatch.setattr(np, "kron", lambda *a: pytest.fail("lift allocated"))
@@ -56,21 +75,106 @@ class TestLift:
         t = random_matrix(dim, seed + 1)
         op = lift_derivation(s, t)
         x = random_matrix(dim, seed + 2)
-        direct = vec(s @ x - x @ t)
-        assert np.linalg.norm(lifted(op) @ vec(x) - direct) <= 1e-10 * max(
+        assert np.linalg.norm(kron_lift(s, t) @ vec(x) - vec(op.apply(x))) <= 1e-10 * max(
             1.0, op_norm(s) + op_norm(t)
         ) * max(1.0, hs_norm(x))
 
     def test_factorization_is_attached(self):
-        s, t = random_matrix(3, 4), random_matrix(3, 5)
-        op = lift_derivation(s, t)
-        np.testing.assert_allclose(lifted(op), kron_lift(s, t), atol=1e-12)
-        assert np.all(np.diff(op.svals) <= 0)
-        assert op.cutoff == 1e-8 * op.svals[0]
+        normal = random_normal_matrix(3, 6)
+        for s, t, lift in (
+            (random_matrix(3, 4), random_matrix(3, 5), "kronecker"),
+            (random_normal_matrix(3, 4), random_normal_matrix(3, 5), "spectral"),
+            (normal, normal, "spectral"),
+        ):
+            op = lift_derivation(s, t)
+            assert op.lift == lift
+            np.testing.assert_allclose(lifted(op), kron_lift(s, t), atol=1e-12)
+            cutoff, dim, projector = oracle_kernel(s, t)
+            if lift == "kronecker":  # the same matrix, so the same SVD
+                assert op.cutoff == cutoff
+            else:
+                assert op.cutoff == pytest.approx(cutoff, rel=1e-12)
+            assert len(kernel_basis(op)) == dim
+            np.testing.assert_allclose(kernel_projector(op), projector, atol=1e-10)
 
     def test_vec_unvec_round_trip(self):
         m = random_matrix(3, 0)
         np.testing.assert_array_equal(unvec(vec(m), 3), m)
+
+
+def _conjugated(diagonal, seed):
+    """U diag(d) U* for a Haar unitary U: normal, with the spectrum d."""
+    u = random_unitary(len(diagonal), seed)
+    return (u * np.asarray(diagonal)) @ u.conj().T
+
+
+@st.composite
+def lift_pairs(draw):
+    """(S, T, the lift the pair must take) over the cases the spectral lift must tell apart."""
+    kind = draw(
+        st.sampled_from(
+            ("normal", "hermitian", "repeated", "scalar", "conjugate", "colliding", "non-normal")
+        )
+    )
+    seed, dim = draw(seeds), draw(st.integers(2, 5))
+    tied = draw(st.booleans())
+    lift = "spectral"
+    if kind == "normal":
+        s, t = random_normal_matrix(dim, seed), random_normal_matrix(dim, seed + 1)
+    elif kind == "hermitian":
+        a, b = random_matrix(dim, seed), random_matrix(dim, seed + 1)
+        s, t = a + a.conj().T, b + b.conj().T
+    elif kind == "repeated":
+        d = np.array([1.0, 2.0, 1.0])
+        rotated = draw(st.booleans())
+        s = _conjugated(d, seed) if rotated else np.diag(d)
+        t = _conjugated(d, seed + 1) if rotated else np.diag(d)
+    elif kind == "scalar":
+        c, e = draw(st.sampled_from((2.0, -1.0 + 3.0j))), draw(st.sampled_from((2.0, 0.5j)))
+        s, t = c * np.eye(dim), e * np.eye(dim)
+    elif kind == "conjugate":  # i and -i share a real part, as a real rotation's eigenvalues do
+        s = _conjugated([1j, -1j, 2.0], seed)
+        t = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    elif kind == "colliding":  # 0 and gamma - i meet under lam -> Re lam + gamma Im lam
+        d = np.array([0.0, _GAMMA - 1j, *random_normal_matrix(dim, seed).diagonal()])
+        s, t = _conjugated(d, seed), random_normal_matrix(len(d), seed + 1)
+        lift = "kronecker"
+    else:
+        s, t = random_matrix(dim, seed), random_matrix(dim, seed + 1)
+        lift = "kronecker"
+    return s, (s if tied else t), lift
+
+
+class TestSpectralLift:
+    """The spectral lift against the Kronecker oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lift_pairs(), seeds)
+    def test_matches_kronecker_oracle(self, pair, seed):
+        s, t, lift = pair
+        op = lift_derivation(s, t)
+        assert op.lift == lift
+        cutoff, dim, projector = oracle_kernel(s, t)
+        assert len(kernel_basis(op)) == dim
+        np.testing.assert_allclose(kernel_projector(op), projector, atol=1e-8)
+        c = random_matrix(s.shape[0], seed)
+        assert min_distance_hs(op, c) == pytest.approx(brute_min_distance_hs(s, t, c), abs=1e-8)
+
+    def test_normal_pair_builds_no_kronecker_lift(self, monkeypatch):
+        svd = np.linalg.svd
+
+        def small_svd(a, *args, **kwargs):
+            assert np.shape(a) != (16, 16), "the n^2 x n^2 SVD was taken"
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "kron", lambda *a: pytest.fail("the Kronecker lift was built"))
+        monkeypatch.setattr(np.linalg, "svd", small_svd)
+        s = random_normal_matrix(4, 1)
+        for t in (s, random_normal_matrix(4, 2)):
+            op = lift_derivation(s, t)
+            assert op.lift == "spectral"
+            min_distance_hs(op, random_matrix(4, 3))
+            assert check_fp_pair(s, t).holds
 
 
 class TestKernelBasis:
