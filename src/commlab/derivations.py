@@ -2,7 +2,7 @@
 
 Vectorization is column-stacking throughout: vec(SX - XT) equals
 (I (x) S - T^t (x) I) vec(X). Kernel and range computations use the numerical
-rank of that lifted matrix with a relative singular-value cutoff.
+rank of that lifted matrix with a relative, absolutely floored cutoff.
 
 The lift is factored one of two ways, chosen from the input alone. When S and
 T are both numerically normal, S = U diag(lam) U* and T = V diag(mu) V*, the
@@ -70,8 +70,8 @@ class SylvesterOperator:
     """The map X -> SX - XT, with the numerical null space of its lift.
 
     ``lift`` names the factorization used, "spectral" or "kronecker" (see the
-    module docstring); singular values at or below ``cutoff`` (1e-8 times the
-    largest, 0 when all are 0) count as zero. ``_kernel`` holds an
+    module docstring); singular values at or below ``cutoff`` (see
+    ``_cutoff``; 0 when all are 0) count as zero. ``_kernel`` holds an
     HS-orthonormal basis of the null space, ``_cokernel`` one of the
     orthogonal complement of the range, each as a read-only (k, n, n) stack
     (the spectral lift shares one stack between them).
@@ -126,12 +126,18 @@ def _eigenbasis(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return u, lam
 
 
+def _cutoff(smax: float, *parts: np.ndarray) -> float:
+    """1e-8 smax, floored against rounding at 1e-12 max(1, sum of each part's largest |entry|)."""
+    scale = sum(float(np.abs(p).max(initial=0.0)) for p in parts)  # squares nothing: no overflow
+    return min(smax, max(_KERNEL_REL_CUTOFF * smax, 1e-12 * max(1.0, scale)))
+
+
 def _kronecker_lift(s: np.ndarray, t: np.ndarray) -> SylvesterOperator:
     """The lift's null space and range complement from its SVD."""
     n = s.shape[0]
     eye = np.eye(n)
     u, svals, vh = np.linalg.svd(np.kron(eye, s) - np.kron(t.T, eye))
-    cutoff = _KERNEL_REL_CUTOFF * float(svals[0]) if svals.size else 0.0
+    cutoff = _cutoff(float(svals[0]) if svals.size else 0.0, s, t)
     null = svals <= cutoff
     # a C-order reshape of a column-stacked vec gives the transposed matrix
     kernel = vh[null].conj().reshape(-1, n, n).transpose(0, 2, 1)
@@ -145,10 +151,10 @@ def lift_derivation(s, t) -> SylvesterOperator:
 
     The spectral lift runs when ``_eigenbasis`` accepts both S and T (T is
     factored only when it differs from S); otherwise the n^2 x n^2 lift is
-    built and its SVD taken. On the spectral lift the cutoff is 1e-8 *
-    max |lam_i - mu_j| and the kernel is u_i v_j* for each (i, j) with
-    |lam_i - mu_j| <= cutoff, in row-major (i, j) order; the kernel of the
-    Kronecker lift comes in the SVD's order, by descending singular value.
+    built and its SVD taken. The cutoff is ``_cutoff`` of the largest singular
+    value, floored by lam and mu (by S and T on the Kronecker lift); the kernel
+    is u_i v_j* for each (i, j) with |lam_i - mu_j| <= cutoff, in row-major
+    (i, j) order, or on the Kronecker lift comes in the SVD's order.
 
     n > 64 raises InputError before anything is allocated: the lift takes
     16 n^4 bytes, and so does the kernel of a scalar pair on either path.
@@ -163,7 +169,7 @@ def lift_derivation(s, t) -> SylvesterOperator:
         return _kronecker_lift(s, t)
     (u, lam), (v, mu) = left, right
     gaps = np.abs(lam[:, None] - mu[None, :])
-    cutoff = _KERNEL_REL_CUTOFF * float(gaps.max(initial=0.0))
+    cutoff = _cutoff(float(gaps.max(initial=0.0)), lam, mu)
     i, j = np.nonzero(gaps <= cutoff)
     kernel = u.T[i][:, :, None] * v.T.conj()[j][:, None, :]
     # the lift is normal here, so its range complement is its kernel

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from commlab.core import HypothesisError, InputError, ShapeError, hs_norm, op_norm
 from commlab.derivations import (
     _GAMMA,
+    _kronecker_lift,
     check_fp_pair,
     check_reduction,
     kernel_basis,
@@ -58,6 +59,23 @@ class TestLift:
         got = sorted(np.round(np.diag(lifted(op)).real, 12))
         assert got == sorted([1 - 3, 1 - 4, 2 - 3, 2 - 4])
         assert op.cutoff == 1e-8 * 3.0  # sigma_max = |1 - 4|
+
+    def test_scalar_up_to_rounding_keeps_the_scalar_kernel(self):
+        # U(2I)U* is 2I up to rounding; the cutoff's floor keeps that noise out of the range
+        s = _conjugated([2.0, 2.0, 2.0], 1)
+        for op in (lift_derivation(s, s), _kronecker_lift(s, s)):
+            assert len(kernel_basis(op)) == 9
+        exact = lift_derivation(2.0 * np.eye(3), 2.0 * np.eye(3))
+        assert exact.cutoff == 0.0
+        assert len(kernel_basis(exact)) == 9
+
+    def test_huge_non_normal_pair_keeps_its_kernel(self):
+        # the Kronecker cutoff's scale squares no entry, so it stays finite at 1e160
+        s = np.array([[1e160, 1e160], [0.0, 2.0]], dtype=complex)
+        with np.errstate(over="raise", invalid="raise"):
+            op = _kronecker_lift(s, s)
+        assert op.cutoff == pytest.approx(1e-8 * np.sqrt(3.0) * 1e160)
+        assert len(op._kernel) == 2  # I and S
 
     def test_over_budget_refused_before_allocating(self, monkeypatch):
         monkeypatch.setattr(np, "kron", lambda *a: pytest.fail("lift allocated"))
