@@ -496,6 +496,7 @@ def validate_hypotheses(entry: CatalogEntry | str, inst: Instance) -> list[str]:
 # ---------------------------------------------------------------------------
 # reports
 
+# column orders of the check and sweep CSV artifacts, whose cells the CLI reads off to_json
 REPORT_CSV_FIELDS = (
     "entry",
     "verdict",
@@ -564,23 +565,6 @@ class InequalityReport:
             "fingerprint": self.fingerprint.to_json(),
             "detail": self.detail,
         }
-
-    def to_csv_row(self) -> list:
-        fp = self.fingerprint
-        return [
-            self.entry,
-            self.verdict,
-            "" if self.satisfied is None else str(self.satisfied).lower(),
-            _jsonable_float(self.lhs),
-            _jsonable_float(self.rhs),
-            _jsonable_float(self.margin),
-            self.tol,
-            fp.seed,
-            fp.dim,
-            fp.recipe,
-            fp.recipe_hash,
-            "; ".join(self.hypothesis_violations),
-        ]
 
 
 def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -667,26 +651,6 @@ class SweepReport:
             "recipe": self.recipe,
             "tol": self.tol,
         }
-
-    def to_csv_row(self) -> list:
-        fp = self.worst_fingerprint
-        return [
-            self.entry,
-            self.trials,
-            self.passes,
-            self.failures,
-            self.not_applicable,
-            _jsonable_float(self.worst_margin),
-            fp.seed if fp else "",
-            fp.dim if fp else "",
-            fp.recipe if fp else "",
-            fp.recipe_hash if fp else "",
-            " ".join(str(d) for d in self.dims),
-            self.trials_per_dim,
-            self.master_seed,
-            self.recipe,
-            self.tol,
-        ]
 
 
 def sweep(entry: CatalogEntry | str, config: SweepConfig) -> SweepReport:

@@ -4,6 +4,11 @@ Everything is driven by explicit flags (no environment configuration) and all
 randomness flows from --seed, so identical invocations produce byte-identical
 report artifacts. Exit codes: 0 all applicable checks satisfied/consistent,
 1 at least one violation found, 2 usage or input error.
+
+Each command handler returns ``(artifact, exit code)``, plus any lines for
+stderr: the artifact is a JSON-ready object, or text already formatted, and
+``main`` alone writes it to --out or stdout, then the stderr lines. A CSV row
+holds the fields of the command's JSON artifact, flattened by ``_csv_text``.
 """
 
 from __future__ import annotations
@@ -57,27 +62,37 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(fields, rows) -> str:
+def _csv_cell(value, sep: str):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return sep.join(str(v) for v in value)
+    return value
+
+
+def _csv_text(fields, rows, sep: str) -> str:
+    """CSV of JSON artifacts ``rows``, one column per name in ``fields``.
+
+    A nested ``fingerprint`` is spliced in (``worst_fingerprint`` gives
+    ``worst_seed``, ``worst_dim``, ...; a null one gives empty cells), a list
+    is joined by ``sep``, booleans are lower case as in JSON and null is an
+    empty cell.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+        flat = {}
+        for key, value in row.items():
+            if key.endswith("fingerprint"):
+                prefix = key[: -len("fingerprint")]
+                flat.update((prefix + k, v) for k, v in (value or {}).items())
+            else:
+                flat[key] = value
+        writer.writerow([_csv_cell(flat.get(f), sep) for f in fields])
     return buf.getvalue()
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_instance(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return instance_from_json(data)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -118,36 +133,32 @@ def _generate_instance(args, entry):
 def _resolve_instance(args, entry=None):
     """Instance from --instance, else generated from --recipe/--dims/--seed."""
     if args.instance:
-        return _load_instance(args.instance)
+        with open(args.instance, "r", encoding="utf-8") as fh:
+            return instance_from_json(json.load(fh))
     return _generate_instance(args, entry)
 
 
-def _cmd_list(args) -> int:
+def _cmd_list(args) -> tuple:
+    rows = [
+        {
+            "id": e.id,
+            "status": e.status,
+            "direction": e.direction,
+            "requires": sorted(e.requires),
+            "hypotheses": list(e.hypotheses),
+            "default_recipe": e.default_family,
+            "description": e.description,
+        }
+        for e in CATALOG.values()
+    ]
     if args.format == "json":
-        payload = [
-            {
-                "id": e.id,
-                "status": e.status,
-                "direction": e.direction,
-                "requires": sorted(e.requires),
-                "hypotheses": list(e.hypotheses),
-                "default_recipe": e.default_family,
-                "description": e.description,
-            }
-            for e in CATALOG.values()
-        ]
-        _emit(_json_text(payload), args.out)
-        return 0
+        return rows, 0
     if args.format == "csv":
-        rows = [
-            [e.id, e.status, e.direction, " ".join(sorted(e.requires)), e.default_family, e.description]
-            for e in CATALOG.values()
-        ]
-        text = _csv_text(("id", "status", "direction", "requires", "default_recipe", "description"), rows)
+        fields = ("id", "status", "direction", "requires", "default_recipe", "description")
+        text = _csv_text(fields, rows, " ")
         text += "\n# check report columns: " + ",".join(REPORT_CSV_FIELDS) + "\n"
         text += "# sweep report columns: " + ",".join(SWEEP_CSV_FIELDS) + "\n"
-        _emit(text, args.out)
-        return 0
+        return text, 0
     lines = [f"{len(CATALOG)} catalog entries\n"]
     for e in CATALOG.values():
         lines.append(f"  {e.id:20s} [{e.status}] {e.description}")
@@ -155,30 +166,26 @@ def _cmd_list(args) -> int:
     lines.append("recipes: " + ", ".join(RECIPE_FAMILIES))
     lines.append("check report CSV columns: " + ",".join(REPORT_CSV_FIELDS))
     lines.append("sweep report CSV columns: " + ",".join(SWEEP_CSV_FIELDS))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple:
     entry = get_entry(args.entry) if args.entry else None
-    inst = _generate_instance(args, entry)
-    _emit(_json_text(instance_to_json(inst)), args.out)
-    return 0
+    return instance_to_json(_generate_instance(args, entry)), 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     entry = get_entry(args.entry)
     tol = _check_tol(args.tol)
     inst = _resolve_instance(args, entry)
     report = evaluate(entry, inst, tol=tol)
-    if args.format == "csv":
-        _emit(_csv_text(REPORT_CSV_FIELDS, [report.to_csv_row()]), args.out)
-    else:
-        _emit(_json_text(report.to_json()), args.out)
-    return 1 if report.verdict == "violated" else 0
+    blob = report.to_json()
+    artifact = _csv_text(REPORT_CSV_FIELDS, [blob], "; ") if args.format == "csv" else blob
+    return artifact, 1 if report.verdict == "violated" else 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
+    """Also returns the wall time, for ``main`` to print on stderr after the artifact."""
     entry = get_entry(args.entry)
     tol = _check_tol(args.tol)
     dims = _parse_dims(args.dims) if args.dims else (4,)
@@ -186,15 +193,12 @@ def _cmd_sweep(args) -> int:
         dims=dims, trials=args.trials, master_seed=args.seed, recipe=args.recipe, tol=tol
     )
     report = sweep(entry, config)
-    if args.format == "csv":
-        _emit(_csv_text(SWEEP_CSV_FIELDS, [report.to_csv_row()]), args.out)
-    else:
-        _emit(_json_text(report.to_json()), args.out)
-    print(f"# sweep wall time: {report.wall_time_s:.3f}s", file=sys.stderr)
-    return 1 if report.failures > 0 else 0
+    blob = report.to_json()
+    artifact = _csv_text(SWEEP_CSV_FIELDS, [blob], " ") if args.format == "csv" else blob
+    return artifact, 1 if report.failures > 0 else 0, f"# sweep wall time: {report.wall_time_s:.3f}s"
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple:
     tol = _check_tol(args.tol)
     dims = _parse_dims(args.dims) if args.dims else (4,)
     if len(dims) != 1:
@@ -208,11 +212,10 @@ def _cmd_search(args) -> int:
         recipe=args.recipe,
         tol=tol,
     )
-    _emit(_json_text(search_state_to_json(state)), args.out)
-    return 1 if state.best_report.verdict == "violated" else 0
+    return search_state_to_json(state), 1 if state.best_report.verdict == "violated" else 0
 
 
-def _cmd_fp(args) -> int:
+def _cmd_fp(args) -> tuple:
     inst = _resolve_instance(args)
     with overflow_is_hypothesis_error():
         report = check_fp_pair(inst.S, inst.T)
@@ -236,60 +239,42 @@ def _cmd_fp(args) -> int:
         "reductions": reductions,
         "fingerprint": inst.fingerprint().to_json(),
     }
-    _emit(_json_text(payload), args.out)
-    return 0 if report.holds else 1
+    return payload, 0 if report.holds else 1
 
 
-def _cmd_ortho(args) -> int:
+def _cmd_ortho(args) -> tuple:
     inst = _resolve_instance(args)
     op = lift_derivation(inst.S, inst.T)
+    base = {"lift": op.lift, "fingerprint": inst.fingerprint().to_json()}
     if inst.C is not None:
-        c = inst.C
-        c_source = "instance"
+        c, c_source = inst.C, "instance"
     else:
         basis = kernel_basis(op)
         if not basis:
-            payload = {
-                "verdict": "vacuous",
-                "kernel_dimension": 0,
-                "lift": op.lift,
-                "fingerprint": inst.fingerprint().to_json(),
-            }
-            _emit(_json_text(payload), args.out)
-            return 0
-        c = basis[0].C
-        c_source = "kernel-basis[0]"
+            return {**base, "verdict": "vacuous", "kernel_dimension": 0}, 0
+        c, c_source = basis[0].C, "kernel-basis[0]"
     c_hs = hs_norm(c)
     c_op = op_norm(c)
     try:
         hs_min = min_distance_hs(op, c)
         probe = orthogonality_probe_opnorm(op, c, trials=args.trials, seed=args.seed)
     except HypothesisError as exc:
-        payload = {
-            "verdict": "not-applicable",
-            "hypothesis_violations": [str(exc)],
-            "lift": op.lift,
-            "fingerprint": inst.fingerprint().to_json(),
-        }
-        _emit(_json_text(payload), args.out)
-        return 0
+        return {**base, "verdict": "not-applicable", "hypothesis_violations": [str(exc)]}, 0
     hs_consistent = hs_min >= c_hs - 1e-8 * max(1.0, c_hs)
     payload = {
+        **base,
         "c_source": c_source,
         "c_hs_norm": c_hs,
         "c_op_norm": c_op,
         "min_distance_hs": hs_min,
         "hs_consistent": hs_consistent,
-        "lift": op.lift,
         "probe_evaluations": probe.evaluations,
         "probe_min_found": probe.min_found,
         "probe_verdict": probe.verdict,
         "probe_trials": args.trials,
         "seed": args.seed,
-        "fingerprint": inst.fingerprint().to_json(),
     }
-    _emit(_json_text(payload), args.out)
-    return 0 if hs_consistent and probe.verdict == "consistent" else 1
+    return payload, 0 if hs_consistent and probe.verdict == "consistent" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +347,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        artifact, code, *notes = args.func(args)
+        text = artifact if isinstance(artifact, str) else _json_text(artifact)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        for note in notes:
+            print(note, file=sys.stderr)
+        return code
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2

@@ -30,8 +30,6 @@ from commlab.core import (
 from commlab.instances import derive_seed
 
 __all__ = [
-    "vec",
-    "unvec",
     "SylvesterOperator",
     "lift_derivation",
     "KernelElement",
@@ -55,14 +53,6 @@ _LIFT_MAX_BYTES = 256 * 2**20  # one n^2 x n^2 complex lift; n = 64 is the large
 # residual check and takes the Kronecker lift.
 _GAMMA = np.pi / 7
 _EIGEN_REL_RESIDUAL = 1e-12
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return as_matrix(m).flatten(order="F")
-
-def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v, dtype=np.complex128).reshape((n, n), order="F")
 
 
 @dataclass(frozen=True)
@@ -111,17 +101,20 @@ def _eigenbasis(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
     U is the eigenbasis of the Hermitian A + gamma C for S = A + iC, and lam
     the diagonal of U*SU. None unless |SU - U diag(lam)|_2 <= 1e-12 sqrt(n)
-    max(1, max |lam_i|) holds with a finite bound, which allows each of the
-    n columns a residual of 1e-12 |S| (|S| = max |lam_i| for normal S). This
-    rejects a non-normal S, a normal S whose distinct eigenvalues meet under
-    lam -> Re lam + gamma Im lam, and a residual that overflows.
+    max(1, max |lam_i|), which allows each of the n columns a residual of
+    1e-12 |S| (|S| = max |lam_i| for normal S). The residual is scaled by
+    max(1, max |lam_i|) before its norm squares it, so a large S cannot
+    overflow there. This rejects a non-normal S, a normal S whose distinct
+    eigenvalues meet under lam -> Re lam + gamma Im lam, and an S too large
+    for a finite scale.
     """
     w = (1 - 1j * _GAMMA) / 2 * s
     _, u = np.linalg.eigh(w + w.conj().T)  # A + gamma C
     su = s @ u
     lam = np.einsum("ij,ij->j", u.conj(), su)
-    bound = _EIGEN_REL_RESIDUAL * np.sqrt(len(lam)) * max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if not np.linalg.norm(su - u * lam) <= bound < np.inf:
+    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+    residual = np.linalg.norm((su - u * lam) / scale) if scale < np.inf else np.inf
+    if not residual <= _EIGEN_REL_RESIDUAL * np.sqrt(len(lam)):
         return None
     return u, lam
 

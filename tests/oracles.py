@@ -106,6 +106,16 @@ def golden_section_radius(m: np.ndarray) -> float:
     return best
 
 
+def vec(m: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization."""
+    return np.asarray(m, dtype=np.complex128).flatten(order="F")
+
+
+def unvec(v: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrix whose column-stacked vec is ``v``."""
+    return np.asarray(v, dtype=np.complex128).reshape((n, n), order="F")
+
+
 def kron_lift(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The matrix of X -> SX - XT on column-stacked vec(X), by Kronecker products."""
     n = s.shape[0]

@@ -17,6 +17,7 @@ from commlab.catalog import (
     sweep,
     validate_hypotheses,
 )
+from commlab.cli import main
 from commlab.core import HypothesisError, InputError, commutator, hs_norm, op_norm
 from commlab.instances import (
     Instance,
@@ -171,12 +172,16 @@ class TestEvaluate:
         assert report.entry == "THREE_TERM_STATED"
         assert np.isfinite(report.margin)
 
-    def test_report_json_and_csv_row(self):
+    def test_report_json_and_csv_row(self, capsys):
         report = evaluate("THM_MAIN", equality_example())
         blob = report.to_json()
         assert blob["entry"] == "THM_MAIN" and blob["fingerprint"]["recipe"] == "equality-example"
-        row = report.to_csv_row()
+        argv = ["check", "--entry", "THM_MAIN", "--recipe", "equality-example", "--dims", "2"]
+        assert main([*argv, "--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[0] == "THM_MAIN" and row[1] == "satisfied"
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == blob
 
 
 PROVEN_DEFAULTS_HOLD = (

@@ -1,8 +1,12 @@
+import argparse
 import contextlib
+import csv
 import io
 import json
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,10 @@ from hypothesis import strategies as st
 
 from commlab import cli, derivations
 from commlab.cli import main
+from commlab.catalog import REPORT_CSV_FIELDS, SWEEP_CSV_FIELDS
 from commlab.instances import Recipe, derive_seed, instance_from_json, instance_to_json, make_instance
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -171,6 +178,16 @@ class TestSweep:
 
     def test_bad_dims(self):
         assert run_cli("sweep", "--entry", "THM_MAIN", "--dims", "x,y", "--trials", "1") == 2
+
+    def test_wall_time_goes_to_stderr(self, capsys):
+        assert run_cli("sweep", "--entry", "THM_MAIN", "--trials", "1") == 0
+        assert re.fullmatch(r"# sweep wall time: \d+\.\d{3}s\n", capsys.readouterr().err)
+
+    def test_unwritable_out_prints_only_the_error(self, tmp_path, capsys):
+        # the wall time follows the artifact, so a failed write leaves it out
+        assert run_cli("sweep", "--entry", "THM_MAIN", "--trials", "1", "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_worst_trial_has_lowest_normalized_score(self, capsys):
         # SJ_SINGLE's trials here rank differently by raw margin and by margin / max(1, |rhs|)
@@ -449,6 +466,82 @@ def test_oversized_dims_refused_before_allocating(argv, monkeypatch):
 
 def test_usage_error_exit_code():
     assert run_cli("unknown-command") == 2
+
+
+def _flat_cells(blob: dict, sep: str) -> dict:
+    """``blob`` as CSV cells: each fingerprint spliced in under its key's prefix
+    (``worst_fingerprint`` gives ``worst_seed``, ...), lists joined by ``sep``,
+    booleans lower case and null empty."""
+    flat = {}
+    for key, value in blob.items():
+        if key in ("fingerprint", "worst_fingerprint"):
+            prefix = key.removesuffix("fingerprint")
+            flat.update({prefix + k: v for k, v in (value or {}).items()})
+        else:
+            flat[key] = value
+    cells = {}
+    for key, value in flat.items():
+        if value is None:
+            cells[key] = ""
+        elif isinstance(value, bool):
+            cells[key] = "true" if value else "false"
+        elif isinstance(value, list):
+            cells[key] = sep.join(map(str, value))
+        else:
+            cells[key] = str(value)
+    return cells
+
+
+# (argv, CSV columns, list separator)
+_CSV_CASES = (
+    (("check", "--entry", "THM_MAIN"), REPORT_CSV_FIELDS, "; "),
+    # "S not normal; T not normal": two violations, so the join shows
+    (("check", "--entry", "THM_MAIN", "--recipe", "cartesian-psd"), REPORT_CSV_FIELDS, "; "),
+    (("check", "--entry", "FALSE_TEST", "--dims", "3"), REPORT_CSV_FIELDS, "; "),
+    (("sweep", "--entry", "THM_MAIN", "--dims", "2,3", "--trials", "3"), SWEEP_CSV_FIELDS, " "),
+    (("sweep", "--entry", "THM_MAIN", "--trials", "0"), SWEEP_CSV_FIELDS, " "),  # null worst fingerprint
+)
+
+
+@pytest.mark.parametrize("argv,fields,sep", _CSV_CASES)
+def test_csv_row_is_the_flattened_json(argv, fields, sep, capsys):
+    code = run_cli(*argv, "--format", "json")
+    blob = json.loads(capsys.readouterr().out)
+    assert run_cli(*argv, "--format", "csv") == code
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert tuple(header) == fields
+    want = _flat_cells(blob, sep)
+    if all(v is not None for k, v in blob.items() if k.endswith("fingerprint")):
+        assert set(fields) <= set(want)  # every column is read off the JSON
+    assert dict(zip(header, row)) == {f: want.get(f, "") for f in fields}
+
+
+def test_catalog_csv_rows_are_the_flattened_json(capsys):
+    assert run_cli("list", "--format", "json") == 0
+    entries = json.loads(capsys.readouterr().out)
+    assert run_cli("list", "--format", "csv") == 0
+    table = capsys.readouterr().out.split("\n\n")[0]
+    header, *rows = csv.reader(io.StringIO(table))
+    assert len(rows) == len(entries)
+    for row, entry in zip(rows, entries):
+        want = _flat_cells(entry, " ")
+        assert dict(zip(header, row)) == {f: want[f] for f in header}
+
+
+def _readme_flags() -> dict:
+    """Command -> flags, from the README's "Flags, per command" table."""
+    text = README.read_text(encoding="utf-8").split("Flags, per command", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", text, flags=re.MULTILINE)
+    return {cmd: set(re.findall(r"`(--[a-z-]+)", flags)) for cmd, flags in rows}
+
+
+def test_readme_flag_table_matches_the_parser():
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    want = {
+        cmd: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for cmd, p in subparsers.choices.items()
+    }
+    assert _readme_flags() == want
 
 
 _FUZZ_ARGVS = (

@@ -3,9 +3,11 @@
 Pinned here: the catalog listing byte for byte; the verdict of every entry
 on its default instances at seeds 0-2 and on two recipes that break most
 hypotheses; the exact violation messages, in order, of every entry on
-hand-built instances that break every hypothesis code; and, per recipe
-family, the instances ``gen`` draws and the best instance ``search`` finds,
-so any change to the order of random draws shows.
+hand-built instances that break every hypothesis code; per recipe family,
+the instances ``gen`` draws and the best instance ``search`` finds, so any
+change to the order of random draws shows; and the report artifacts: every
+entry's ``check --format csv``, ``sweep`` in JSON and CSV, and ``fp`` and
+``ortho`` per generated family and on an instance file that carries ``C``.
 
 The files under tests/golden/ are the program's own output. After an
 intended change, regenerate them with
@@ -14,10 +16,12 @@ CHANGES.md.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +29,15 @@ import pytest
 
 from commlab.catalog import CATALOG, EXPLORATORY, validate_hypotheses
 from commlab.cli import main
-from commlab.instances import RECIPE_FAMILIES, Instance, SpectralBounds
+from commlab.instances import (
+    RECIPE_FAMILIES,
+    Instance,
+    Recipe,
+    SpectralBounds,
+    instance_to_json,
+    make_instance,
+    matrix_to_json,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 ENTRY_IDS = tuple(CATALOG) + tuple(EXPLORATORY)
@@ -40,6 +52,32 @@ SEARCH_CASES = tuple(
     (e, f, "3", "5") for f in GENERATED for e in SEARCH_ENTRIES
 ) + (("SCHWARZ_REVERSE", "equality-example", "2", "0"),)
 INSTANCE_KEYS = ("bounds", "S", "T", "X", "Y", "x", "n")
+WITH_C = "INSTANCE_WITH_C"  # stands for the path of _write_instance_with_c's file
+SWEEP_CASES = (
+    ("THM_MAIN", "--dims", "2,3", "--trials", "4"),
+    ("FALSE_TEST", "--dims", "2,3", "--trials", "4"),
+    ("THM_MAIN", "--trials", "0"),  # no trial, so a null worst fingerprint
+)
+ARTIFACT_CASES = (
+    {f"check:csv:{e}": ("check", "--entry", e, "--format", "csv") for e in ENTRY_IDS}
+    | {
+        ":".join(("sweep", fmt, *case)): ("sweep", "--entry", *case, "--format", fmt)
+        for case in SWEEP_CASES
+        for fmt in ("json", "csv")
+    }
+    | {f"fp:{f}": ("fp", "--recipe", f, "--dims", "3", "--seed", "1") for f in GENERATED}
+    | {
+        f"ortho:{f}": ("ortho", "--recipe", f, "--dims", "3", "--seed", "1", "--trials", "2")
+        for f in GENERATED
+    }
+    | {
+        "fp:instance-with-c": ("fp", "--instance", WITH_C),
+        "ortho:instance-with-c": ("ortho", "--instance", WITH_C, "--trials", "2"),
+        "check:csv:instance-with-c": (
+            "check", "--entry", "THM_MAIN", "--instance", WITH_C, "--format", "csv"
+        ),
+    }
+)
 
 
 def _run(*argv) -> tuple[int, str]:
@@ -93,6 +131,41 @@ def _search_record(entry_id: str, family: str, dims: str, seed: str) -> dict:
         "margin": state["best_report"]["margin"],
         "instance": _instance_record(state["best_instance"]),
     }
+
+
+def _csv_cell(text: str):
+    """A CSV cell as the number it spells, else as the text."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _csv_cells(text: str) -> dict:
+    """The one data row of a CSV artifact, keyed by the header."""
+    header, row = csv.reader(io.StringIO(text))
+    return dict(zip(header, map(_csv_cell, row)))
+
+
+def _write_instance_with_c(path: str) -> None:
+    """An inner-normal pair with a C outside the kernel, as instance JSON."""
+    blob = instance_to_json(make_instance(Recipe("inner-normal", 3), 5))
+    blob["C"] = matrix_to_json(0.5 * np.eye(3) + 0.1j * np.ones((3, 3)))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(blob, fh)
+
+
+def _artifact_record(argv: tuple) -> dict:
+    """Exit code and artifact; a CSV artifact is read into its cells."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/with_c.json"
+        if WITH_C in argv:
+            _write_instance_with_c(path)
+        rc, out = _run(*(path if a == WITH_C else a for a in argv))
+    csv_out = "--format" in argv and argv[argv.index("--format") + 1] == "csv"
+    return {"exit": rc, "artifact": _csv_cells(out) if csv_out else json.loads(out)}
 
 
 def _assert_close(got, want, where: str) -> None:
@@ -181,6 +254,12 @@ def test_gen_matches_golden(family, entry_id):
     _assert_close(_gen_record(family, entry_id), want, f"{family}:{entry_id}")
 
 
+@pytest.mark.parametrize("key", ARTIFACT_CASES)
+def test_artifact_matches_golden(key):
+    """Floats at rel REL; verdicts, exit codes, lifts and counts exactly."""
+    _assert_close(_artifact_record(ARTIFACT_CASES[key]), _golden("artifacts.json")[key], key)
+
+
 @pytest.mark.parametrize("entry_id,family,dims,seed", SEARCH_CASES)
 def test_search_matches_golden(entry_id, family, dims, seed):
     want = _golden("search.json")[f"{entry_id}:{family}"]
@@ -198,6 +277,7 @@ if __name__ == "__main__":
         (GOLDEN / name).write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
     gens = {f"{f}:{e}": _gen_record(f, e) for f in RECIPE_FAMILIES for e in GEN_ENTRIES}
     searches = {f"{c[0]}:{c[1]}": _search_record(*c) for c in SEARCH_CASES}
-    for name, records in (("gen.json", gens), ("search.json", searches)):
+    artifacts = {k: _artifact_record(argv) for k, argv in ARTIFACT_CASES.items()}
+    for name, records in (("gen.json", gens), ("search.json", searches), ("artifacts.json", artifacts)):
         (GOLDEN / name).write_text(_records_text(records), encoding="utf-8")
     sys.exit(0)
