@@ -10,7 +10,6 @@ from commlab.core import (
     cartesian_decomposition,
     classify,
     commutator,
-    direct_sum,
     hermitian_eig,
     hs_norm,
     matrix_abs_sqrt,

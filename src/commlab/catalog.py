@@ -26,7 +26,6 @@ from commlab.core import (
     cartesian_decomposition,
     classify,
     commutator,
-    direct_sum,
     hermitian_eig,
     hs_norm,
     matrix_abs_sqrt,
@@ -124,7 +123,8 @@ def _step_cartesian(inst: Instance):
 def _sj_eval(inst: Instance, t: np.ndarray, factor: float):
     """Per-index bound s_j(SX - Yt) <= factor * s_j(X (+) Y), worst j reported."""
     lhs_vals = np.linalg.svd(inst.S @ inst.X - inst.Y @ t, compute_uv=False)
-    base = np.linalg.svd(direct_sum(inst.X, inst.Y), compute_uv=False)
+    # the singular values of X (+) Y are those of X and of Y, merged
+    base = np.sort(np.concatenate([np.linalg.svd(m, compute_uv=False) for m in (inst.X, inst.Y)]))[::-1]
     per_j = []
     worst = None
     for j, bj in enumerate(base, start=1):
@@ -456,8 +456,7 @@ def _pd_violations(inst: Instance) -> list[str]:
     if inst.X is None:
         return ["X missing"]
     return _when(
-        not classify(inst.X).hermitian
-        or hermitian_eig((inst.X + inst.X.conj().T) / 2.0).min() <= 0,
+        not classify(inst.X).hermitian or hermitian_eig(inst.X).min() <= 0,
         "X not positive definite",
     )
 

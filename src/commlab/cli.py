@@ -217,19 +217,18 @@ def _cmd_search(args) -> tuple:
 
 def _cmd_fp(args) -> tuple:
     inst = _resolve_instance(args)
-    with overflow_is_hypothesis_error():
-        report = check_fp_pair(inst.S, inst.T)
-        reductions = []
-        for element in report.kernel:
-            red = check_reduction(inst.S, element.C)
-            reductions.append(
-                {
-                    "kernel_residual": element.residual,
-                    "range_reduces": red.range_reduces,
-                    "restriction_normal": red.restriction_normal,
-                    "residuals": red.residuals,
-                }
-            )
+    report = check_fp_pair(inst.S, inst.T)
+    reductions = []
+    for element in report.kernel:
+        red = check_reduction(inst.S, element.C)
+        reductions.append(
+            {
+                "kernel_residual": element.residual,
+                "range_reduces": red.range_reduces,
+                "restriction_normal": red.restriction_normal,
+                "residuals": red.residuals,
+            }
+        )
     payload = {
         "holds": report.holds,
         "kernel_dimension": report.kernel_dimension,
@@ -347,7 +346,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        artifact, code, *notes = args.func(args)
+        with overflow_is_hypothesis_error():
+            artifact, code, *notes = args.func(args)
         text = artifact if isinstance(artifact, str) else _json_text(artifact)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

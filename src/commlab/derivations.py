@@ -53,6 +53,7 @@ _LIFT_MAX_BYTES = 256 * 2**20  # one n^2 x n^2 complex lift; n = 64 is the large
 # residual check and takes the Kronecker lift.
 _GAMMA = np.pi / 7
 _EIGEN_REL_RESIDUAL = 1e-12
+_DESCENT_MAX_SWEEPS = 200  # _coordinate_descent's cap on sweeps over the entries
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,7 @@ def check_reduction(s, c) -> ReductionReport:
     r_norm = op_norm(restriction @ restriction.conj().T - restriction.conj().T @ restriction)
     return ReductionReport(
         range_reduces=r_inv <= tol and r_coinv <= tol,
-        restriction_normal=classify(restriction).normal if restriction.size else True,
+        restriction_normal=classify(restriction).normal,
         residuals={"invariance": r_inv, "co_invariance": r_coinv, "normality": r_norm},
     )
 
@@ -279,14 +280,14 @@ class ProbeResult:
     evaluations: int
 
 
-def _coordinate_descent(f, x0: np.ndarray, step0: float, floor: float, max_sweeps: int = 200):
+def _coordinate_descent(f, x0: np.ndarray, step0: float, floor: float):
     """Greedy per-entry descent with step halving on stagnant sweeps."""
     x = x0.copy()
     best = f(x)
     evals = 1
     step = step0
     n = x.shape[0]
-    for _ in range(max_sweeps):
+    for _ in range(_DESCENT_MAX_SWEEPS):
         improved = False
         for i in range(n):
             for j in range(n):

@@ -116,6 +116,38 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(v, dtype=np.complex128).reshape((n, n), order="F")
 
 
+def eager_flags(m: np.ndarray) -> tuple[bool, bool, bool]:
+    """(hermitian, normal, positive_semidefinite) of a square matrix, all computed up front.
+
+    Each residual is taken against 1e-8 max(1, |M|^2), and the smallest
+    eigenvalue of the Hermitian part against -1e-8 max(1, |M|), as
+    ``core.classify`` defines them.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+
+    def top(a):
+        return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
+
+    adj = m.conj().T
+    opn = top(m)
+    quad = 1e-8 * max(1.0, opn * opn)
+    hermitian = top(m - adj) <= quad
+    normal = top(m @ adj - adj @ m) <= quad
+    if not hermitian or m.shape[0] == 0:
+        return hermitian, normal, hermitian
+    smallest = float(np.linalg.eigvalsh((m + adj) / 2.0)[0])
+    return hermitian, normal, smallest >= -1e-8 * max(1.0, opn)
+
+
+def direct_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Block-diagonal direct sum of two (possibly rectangular) matrices."""
+    x, y = np.asarray(x, dtype=np.complex128), np.asarray(y, dtype=np.complex128)
+    out = np.zeros((x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]), dtype=np.complex128)
+    out[: x.shape[0], : x.shape[1]] = x
+    out[x.shape[0] :, x.shape[1] :] = y
+    return out
+
+
 def kron_lift(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The matrix of X -> SX - XT on column-stacked vec(X), by Kronecker products."""
     n = s.shape[0]

@@ -27,6 +27,7 @@ from commlab.instances import (
     equality_example,
     make_instance,
 )
+from oracles import direct_sum
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -99,6 +100,13 @@ class TestValidateHypotheses:
         inst = equality_example()
         assert validate_hypotheses("SCHWARZ_REVERSE", inst) == []
 
+    def test_thm_main_cost(self, linalg_calls):
+        """Two SVDs per normality test (op_norm, then the residual), one eigvalsh per cartesian part."""
+        inst = make_instance(get_entry("THM_MAIN").recipe_for(None, 4), 0)
+        linalg_calls.update(svd=0, eigvalsh=0)
+        assert validate_hypotheses("THM_MAIN", inst) == []
+        assert linalg_calls == {"svd": 4, "eigvalsh": 4}
+
 
 class TestEvaluate:
     def test_thm_main_on_equality_example(self):
@@ -165,6 +173,25 @@ class TestEvaluate:
         assert {p["j"] for p in per_j} == set(range(1, 7))
         worst = min(p["margin"] / max(1.0, abs(p["rhs"])) for p in per_j)
         assert report.margin / max(1.0, abs(report.rhs)) == pytest.approx(worst)
+
+    @pytest.mark.parametrize("zero_y", [False, True])
+    @pytest.mark.parametrize("entry_id", ["SJ_GENERAL", "SJ_MAX", "SJ_SINGLE"])
+    def test_sj_rhs_is_factor_times_direct_sum_singular_values(self, entry_id, zero_y):
+        inst = make_instance(get_entry(entry_id).recipe_for(None, 3), 11)
+        if zero_y:  # half the singular values of X (+) Y fall below the cutoff
+            inst = dataclasses.replace(inst, Y=np.zeros_like(inst.Y))
+        b = inst.bounds
+        factor = {
+            "SJ_GENERAL": max(b.b2 - b.a1, b.a2 - b.b1) + max(b.d2 - b.c1, b.c2 - b.d1),
+            "SJ_MAX": max(op_norm((m + m.conj().T) / 2.0) for m in (inst.S, inst.T)),
+            "SJ_SINGLE": np.hypot(b.a2 - b.a1, b.c2 - b.c1),
+        }[entry_id]
+        base = np.linalg.svd(direct_sum(inst.X, inst.Y), compute_uv=False)
+        per_j = evaluate(entry_id, inst).detail["per_j"]
+        assert [p["j"] for p in per_j] == [j for j, bj in enumerate(base, start=1) if bj > 1e-12]
+        assert len(per_j) == (3 if zero_y else 6)
+        for p in per_j:
+            assert p["rhs"] == pytest.approx(factor * base[p["j"] - 1], rel=1e-12, abs=1e-12)
 
     def test_three_term_stated_evaluable(self):
         inst = make_instance(Recipe("normal", 4, with_x=True, x_kind="pd"), 8)

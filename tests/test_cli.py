@@ -399,6 +399,23 @@ class TestCommutingSchwarz:
         assert captured.err.startswith("hypothesis violation: entries too large") and captured.out == ""
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_ortho_kernel_element_that_overflows(self, tmp_path, capsys):
+        # every entry of C = 1e160 I is finite, but |C|_2^2 overflows
+        inst_path = tmp_path / "inst.json"
+        gen = ("gen", "--recipe", "inner-normal", "--dims", "3", "--seed", "5", "--out", str(inst_path))
+        assert run_cli(*gen) == 0
+        c = {"rows": [[[1e160 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]}
+        inst_path.write_text(json.dumps(read_json(inst_path) | {"C": c}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("ortho", "--instance", str(inst_path)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "hypothesis violation: entries too large for float arithmetic (overflow encountered in dot)\n"
+        )
+        assert captured.out == ""
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_sweep_counts_not_applicable(self, capsys):
         code = run_cli(
             "sweep", "--entry", "SCHWARZ_REVERSE", "--recipe", "inner-normal", "--dims", "3",

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commlab.core import (
-    HypothesisError,
     InputError,
     ShapeError,
     as_matrix,
     cartesian_decomposition,
     classify,
-    direct_sum,
     hermitian_eig,
     hs_norm,
     matrix_abs_sqrt,
@@ -18,7 +16,7 @@ from commlab.core import (
     op_norm,
 )
 from commlab.instances import random_unitary
-from oracles import golden_section_radius, random_matrix, random_normal_matrix
+from oracles import eager_flags, golden_section_radius, random_matrix, random_normal_matrix
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 HADAMARD_LIKE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
@@ -79,9 +77,13 @@ class TestHermitianEig:
     def test_zero(self):
         np.testing.assert_allclose(hermitian_eig(np.zeros((2, 2))), [0.0, 0.0])
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HypothesisError):
-            hermitian_eig(NILPOTENT)
+    def test_non_hermitian_gives_hermitian_part(self):
+        # (N + N*)/2 = [[0, 1/2], [1/2, 0]]
+        np.testing.assert_allclose(hermitian_eig(NILPOTENT), [0.5, -0.5])
+
+    def test_takes_one_eigvalsh_and_no_svd(self, linalg_calls):
+        hermitian_eig(random_matrix(4, 0))
+        assert linalg_calls == {"svd": 0, "eigvalsh": 1}
 
     @settings(max_examples=40, deadline=None)
     @given(seeds, dims)
@@ -301,23 +303,48 @@ class TestClassify:
         with pytest.raises(ShapeError):
             classify(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            pytest.param(random_matrix(4, 1), id="random"),
+            pytest.param((random_matrix(4, 2) + random_matrix(4, 2).conj().T) / 2.0, id="hermitian"),
+            pytest.param(random_normal_matrix(4, 3), id="normal"),
+            pytest.param(random_matrix(4, 4) @ random_matrix(4, 4).conj().T, id="psd"),
+            pytest.param(-np.eye(3), id="negative-definite"),
+            pytest.param(NILPOTENT, id="nilpotent"),
+            pytest.param(np.eye(4, k=1), id="jordan"),
+            pytest.param(np.zeros((0, 0)), id="empty"),
+            pytest.param(np.zeros((3, 3)), id="zero"),
+            pytest.param(1e-9 * random_matrix(4, 5), id="tiny-random"),
+            pytest.param(1e-9 * random_normal_matrix(4, 6), id="tiny-normal"),
+        ],
+    )
+    def test_flags_equal_eager_formulas(self, m):
+        flags = classify(m)
+        assert (flags.hermitian, flags.normal, flags.positive_semidefinite) == eager_flags(m)
 
-class TestDirectSum:
-    def test_merged_singular_values(self):
-        d = direct_sum(np.eye(2), np.zeros((2, 2)))
-        np.testing.assert_allclose(np.linalg.svd(d, compute_uv=False), [1, 1, 0, 0])
+    @pytest.mark.parametrize(
+        "m, flag, want",
+        [
+            (random_matrix(4, 0), "hermitian", {"svd": 2, "eigvalsh": 0}),
+            (random_matrix(4, 0), "normal", {"svd": 2, "eigvalsh": 0}),
+            # not Hermitian, so no eigensolve
+            (random_matrix(4, 0), "positive_semidefinite", {"svd": 2, "eigvalsh": 0}),
+            (np.diag([1.0, 2.0, 3.0]), "positive_semidefinite", {"svd": 2, "eigvalsh": 1}),
+        ],
+    )
+    def test_reading_one_flag_costs_its_test(self, linalg_calls, m, flag, want):
+        flags = classify(m)
+        assert linalg_calls == {"svd": 1, "eigvalsh": 0}  # op_norm(m) only
+        getattr(flags, flag)
+        assert linalg_calls == want
+        getattr(flags, flag)  # a flag is computed once
+        assert linalg_calls == want
 
-    def test_shapes(self):
-        assert direct_sum(np.ones((2, 2)), np.ones((3, 3))).shape == (5, 5)
-
-    def test_scalars(self):
-        np.testing.assert_allclose(direct_sum([[2.0]], [[3.0]]), np.diag([2.0, 3.0]))
-
-    @settings(max_examples=30, deadline=None)
-    @given(seeds, st.integers(1, 4), st.integers(1, 4))
-    def test_spectrum_is_merge(self, seed, d1, d2):
-        x = random_matrix(d1, seed)
-        y = random_matrix(d2, seed + 1)
-        svals = [np.linalg.svd(m, compute_uv=False) for m in (x, y)]
-        merged = np.sort(np.concatenate(svals))[::-1]
-        np.testing.assert_allclose(np.linalg.svd(direct_sum(x, y), compute_uv=False), merged, atol=1e-12)
+    def test_caller_writes_do_not_change_flags(self):
+        m = np.diag([1.0, 2.0]).astype(complex)
+        flags = classify(m)
+        m[0, 1] = 5.0  # neither Hermitian nor normal now
+        assert flags.hermitian and flags.normal and flags.positive_semidefinite
+        with pytest.raises(ValueError):
+            flags.matrix[0, 1] = 5.0
