@@ -256,7 +256,7 @@ def _cmd_ortho(args) -> tuple:
     c_op = op_norm(c)
     try:
         hs_min = min_distance_hs(op, c)
-        probe = orthogonality_probe_opnorm(op, c, trials=args.trials, seed=args.seed)
+        probe = orthogonality_probe_opnorm(op, c)
     except HypothesisError as exc:
         return {**base, "verdict": "not-applicable", "hypothesis_violations": [str(exc)]}, 0
     hs_consistent = hs_min >= c_hs - 1e-8 * max(1.0, c_hs)
@@ -270,8 +270,6 @@ def _cmd_ortho(args) -> tuple:
         "probe_evaluations": probe.evaluations,
         "probe_min_found": probe.min_found,
         "probe_verdict": probe.verdict,
-        "probe_trials": args.trials,
-        "seed": args.seed,
     }
     return payload, 0 if hs_consistent and probe.verdict == "consistent" else 1
 
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ortho = sub.add_parser("ortho", help="range-kernel orthogonality: exact HS + probe")
     add_common(p_ortho, "--instance")
-    p_ortho.add_argument("--trials", type=int, default=32, help="probe sample count")
     p_ortho.set_defaults(func=_cmd_ortho)
 
     return parser

@@ -27,7 +27,6 @@ from commlab.core import (
     hs_norm,
     op_norm,
 )
-from commlab.instances import derive_seed
 
 __all__ = [
     "SylvesterOperator",
@@ -53,7 +52,10 @@ _LIFT_MAX_BYTES = 256 * 2**20  # one n^2 x n^2 complex lift; n = 64 is the large
 # residual check and takes the Kronecker lift.
 _GAMMA = np.pi / 7
 _EIGEN_REL_RESIDUAL = 1e-12
-_DESCENT_MAX_SWEEPS = 200  # _coordinate_descent's cap on sweeps over the entries
+# The probe's Schatten exponents, taken in turn, and the step lengths of its
+# line searches in units of |R| / |delta G|_2 (see orthogonality_probe_opnorm).
+_PROBE_EXPONENTS = (2, 4, 8, 16, 32, 64)
+_PROBE_STEPS = 2.0 ** np.arange(-30, 3)
 
 
 @dataclass(frozen=True)
@@ -280,66 +282,43 @@ class ProbeResult:
     evaluations: int
 
 
-def _coordinate_descent(f, x0: np.ndarray, step0: float, floor: float):
-    """Greedy per-entry descent with step halving on stagnant sweeps."""
-    x = x0.copy()
-    best = f(x)
-    evals = 1
-    step = step0
-    n = x.shape[0]
-    for _ in range(_DESCENT_MAX_SWEEPS):
-        improved = False
-        for i in range(n):
-            for j in range(n):
-                for unit in (1.0, 1j):
-                    for sgn in (1.0, -1.0):
-                        y = x.copy()
-                        y[i, j] += sgn * unit * step
-                        val = f(y)
-                        evals += 1
-                        if val < best:
-                            best, x = val, y
-                            improved = True
-        if not improved:
-            step *= 0.5
-            if step < floor:
-                break
-    return best, x, evals
-
-
-def orthogonality_probe_opnorm(
-    op: SylvesterOperator, c, trials: int = 32, seed: int = 0
-) -> ProbeResult:
+def orthogonality_probe_opnorm(op: SylvesterOperator, c) -> ProbeResult:
     """Search for X making |SX - XT + C| smaller than |C| in operator norm.
 
     ``op`` is the lift of (S, T) from ``lift_derivation``. A falsifier, not a
-    certified minimizer: random starts plus coordinate descent from the five
-    best. The verdict is "consistent" when nothing beats |C| - 1e-6. C must
-    lie in the kernel of the derivation: |SC - CT|_2 <= max(op.cutoff, 1e-12).
+    certified minimizer: one deterministic descent from X = 0 on the convex
+    X -> |R|, R = SX - XT + C = U diag(s) V*. For each p in 2, 4, ..., 64 it
+    steps along -G, G = delta*(U diag((s/s_1)^(p-1)) V*) (the gradient of
+    the Schatten p-norm up to scale, delta* Y = S*Y - YT*), trying the 33
+    step lengths 2^k s_1 / |delta G|_2, k = -30..2, in one batched SVD, and
+    moves to the best while that lowers the p-norm by at least 0.1%.
+    ``min_found`` is the least |R| over every R evaluated, ``evaluations``
+    their number; an R with |R| <= 1e-8 |C|, 0 included, ends the search.
+    The verdict is "consistent" when nothing beats |C| - 1e-6. C must lie in
+    the kernel of the derivation: |SC - CT|_2 <= max(op.cutoff, 1e-12).
     """
     c = as_matrix(c)
     if hs_norm(op.apply(c)) > max(op.cutoff, 1e-12):
         raise HypothesisError("C is not in the kernel of the derivation")
-
-    def objective(x: np.ndarray) -> float:
-        return op_norm(op.apply(x) + c)
-
-    n = op.dim
-    scale = max(hs_norm(c), 1.0)
-    rng = np.random.default_rng(derive_seed(seed, 0xD15C))
-    samples = [np.zeros((n, n), dtype=np.complex128)]
-    for _ in range(trials):
-        samples.append(
-            scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        )
-    scored = sorted(((objective(x), k) for k, x in enumerate(samples)), key=lambda p: (p[0], p[1]))
-    evals = len(samples)
-    best = scored[0][0]
-    for _, k in scored[:5]:
-        val, _, used = _coordinate_descent(
-            objective, samples[k], step0=0.1 * scale, floor=1e-9 * scale
-        )
-        evals += used
-        best = min(best, val)
-    verdict = "consistent" if best >= op_norm(c) - 1e-6 else "violation-candidate"
+    r = c
+    c_norm = best = op_norm(c)
+    evals = 1
+    for p in _PROBE_EXPONENTS:
+        while best > 1e-8 * c_norm:
+            u, sv, vh = np.linalg.svd(r)  # sv[0] >= best > 0
+            w = (u * (sv / sv[0]) ** (p - 1)) @ vh
+            d = op.apply(op.S.conj().T @ w - w @ op.T.conj().T)  # delta G
+            d_norm = np.linalg.norm(d)
+            if d_norm == 0.0:
+                break
+            trial = r - (_PROBE_STEPS * sv[0] / d_norm)[:, None, None] * d
+            tsv = np.linalg.svd(trial, compute_uv=False)  # each below 5 sv[0]
+            evals += len(tsv)
+            best = min(best, float(tsv[:, 0].min()))
+            pnorms = np.sum((tsv / sv[0]) ** p, axis=1) ** (1.0 / p)  # in units of sv[0]
+            k = int(np.argmin(pnorms))
+            if not pnorms[k] < 0.999 * np.sum((sv / sv[0]) ** p) ** (1.0 / p):
+                break
+            r = trial[k]
+    verdict = "consistent" if best >= c_norm - 1e-6 else "violation-candidate"
     return ProbeResult(min_found=best, verdict=verdict, evaluations=evals)

@@ -148,13 +148,16 @@ def _number(convert, value, name: str):
 # generators
 
 
+def _complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n x n i.i.d. standard complex normal entries: the real parts drawn first."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+
+
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     if dim < 1:
         raise ShapeError("random_unitary requires dim >= 1")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(random_ginibre(dim, seed))
     d = np.diagonal(r)
     mag = np.abs(d)
     phases = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
@@ -165,8 +168,7 @@ def random_ginibre(dim: int, seed: int) -> np.ndarray:
     """Square complex matrix with i.i.d. standard complex normal entries."""
     if dim < 1:
         raise ShapeError("random_ginibre requires dim >= 1")
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    return _complex_gaussian(np.random.default_rng(seed), dim)
 
 
 def random_unit_vector(dim: int, seed: int) -> np.ndarray:
@@ -248,9 +250,7 @@ class GinibreFactor:
         return self.z
 
     def perturbed(self, scale: float, rng: np.random.Generator) -> "GinibreFactor":
-        n = self.z.shape[0]
-        noise = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        return GinibreFactor(self.z + scale * noise)
+        return GinibreFactor(self.z + scale * _complex_gaussian(rng, self.z.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,7 @@ def _perturb_band(
 
 def _unitary_step(dim: int, scale: float, rng: np.random.Generator) -> np.ndarray:
     """exp(K) for a random skew-Hermitian K with op_norm(K) <= scale."""
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    g = _complex_gaussian(rng, dim)
     k = (g - g.conj().T) / 2.0
     nk = op_norm(k)
     if nk > scale:

@@ -257,8 +257,7 @@ class TestOrthoCommand:
     def test_inner_pair_consistent(self, tmp_path):
         out = tmp_path / "ortho.json"
         code = run_cli(
-            "ortho", "--recipe", "inner-normal", "--dims", "3", "--seed", "4",
-            "--trials", "6", "--out", str(out),
+            "ortho", "--recipe", "inner-normal", "--dims", "3", "--seed", "4", "--out", str(out),
         )
         assert code == 0
         payload = read_json(out)
@@ -268,9 +267,7 @@ class TestOrthoCommand:
         assert payload["lift"] == "spectral"
         inst = make_instance(Recipe("inner-normal", 3), 4)
         op = derivations.lift_derivation(inst.S, inst.T)
-        probe = derivations.orthogonality_probe_opnorm(
-            op, derivations.kernel_basis(op)[0].C, trials=6, seed=4
-        )
+        probe = derivations.orthogonality_probe_opnorm(op, derivations.kernel_basis(op)[0].C)
         assert payload["probe_evaluations"] == probe.evaluations
 
     def test_trivial_kernel_is_vacuous(self, tmp_path):
@@ -298,7 +295,7 @@ class TestOrthoCommand:
         monkeypatch.setattr(cli, "lift_derivation", counting_lift)
         monkeypatch.setattr(derivations, "lift_derivation", counting_lift)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        assert run_cli("ortho", "--dims", "4", "--trials", "2", *argv) == 0
+        assert run_cli("ortho", "--dims", "4", *argv) == 0
         return counts
 
     def test_lifts_and_factors_once(self, monkeypatch, capsys):
@@ -309,6 +306,20 @@ class TestOrthoCommand:
         counts = self._count_lifts_and_svds(monkeypatch, "--recipe", "cartesian-psd")
         assert counts == {"lift": 1, "svd": 1}
         assert json.loads(capsys.readouterr().out)["lift"] == "kronecker"
+
+    def test_jordan_block_reaches_an_exact_zero(self, tmp_path, capsys):
+        # S = T = C = J_2: X = -diag(0, 1) gives SX - XT + C = 0 exactly
+        inst_path = tmp_path / "inst.json"
+        assert run_cli("gen", "--recipe", "inner-normal", "--dims", "2", "--out", str(inst_path)) == 0
+        jordan = {"rows": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        inst_path.write_text(json.dumps(read_json(inst_path) | {"S": jordan, "T": jordan, "C": jordan}))
+        assert run_cli("ortho", "--instance", str(inst_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["probe_min_found"] == 0.0
+        assert payload["probe_verdict"] == "violation-candidate"
+        assert payload["min_distance_hs"] == 0.0
 
 
 _SCHWARZ_BOUNDS = {k: 0.0 for k in ("a1", "b1", "c1", "d1", "c2", "d2")} | {"a2": 2.0, "b2": 4.0}
@@ -565,7 +576,7 @@ _FUZZ_ARGVS = (
     ("check", "--entry", "SCHWARZ_REVERSE"),
     ("check", "--entry", "THM_MAIN"),
     ("fp",),
-    ("ortho", "--trials", "2"),
+    ("ortho",),
 )
 _MATRICES = ("S", "T", "X", "Y")
 _BIG_LITERAL = "__1e400__"  # written into the JSON text as the literal 1e400

@@ -331,16 +331,30 @@ class TestProbe:
         s = random_normal_matrix(3, 2)
         op = lift_derivation(s, s)
         c = kernel_basis(op)[0].C
-        result = orthogonality_probe_opnorm(op, c, trials=4, seed=0)
+        result = orthogonality_probe_opnorm(op, c)
         assert result.min_found <= op_norm(c) + 1e-12
 
-    def test_trials_zero_descends_from_origin(self):
-        s = random_normal_matrix(2, 5)
-        op = lift_derivation(s, s)
-        c = kernel_basis(op)[0].C
-        result = orthogonality_probe_opnorm(op, c, trials=0, seed=0)
-        assert result.min_found <= op_norm(c) + 1e-12
-        assert result.verdict == "consistent"
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_finds_the_jordan_block_violation(self, n):
+        # S = T = C = J_n: delta(-diag(0, 1, ..., n-1)) = -J_n, so the infimum is 0
+        j = np.diag(np.ones(n - 1), 1).astype(complex)
+        result = orthogonality_probe_opnorm(lift_derivation(j, j), j)
+        assert result.verdict == "violation-candidate"
+        assert result.min_found <= 1e-6
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds, st.integers(2, 4), st.booleans())
+    def test_min_found_between_hs_bound_and_c_norm(self, seed, dim, normal):
+        # |R|_2 <= sqrt(n) |R| for every R, so min_distance_hs / sqrt(n) bounds min_found below
+        if normal:
+            inst = make_instance(Recipe("inner-normal", dim), seed)
+            op = lift_derivation(inst.S, inst.T)
+            c = kernel_basis(op)[0].C
+        else:
+            c = random_matrix(dim, seed)
+            op = lift_derivation(c, c)
+        result = orthogonality_probe_opnorm(op, c)
+        assert min_distance_hs(op, c) / np.sqrt(dim) - 1e-12 <= result.min_found <= op_norm(c) + 1e-12
 
     def test_rejects_non_kernel_c(self):
         s = np.diag([1.0, 2.0]).astype(complex)
@@ -353,7 +367,7 @@ class TestProbe:
         inst = make_instance(Recipe("inner-normal", 3), seed)
         op = lift_derivation(inst.S, inst.T)
         basis = kernel_basis(op)
-        result = orthogonality_probe_opnorm(op, basis[0].C, trials=8, seed=seed)
+        result = orthogonality_probe_opnorm(op, basis[0].C)
         assert result.verdict == "consistent"
         assert result.min_found >= op_norm(basis[0].C) - 1e-6
 

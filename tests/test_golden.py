@@ -7,7 +7,8 @@ hand-built instances that break every hypothesis code; per recipe family,
 the instances ``gen`` draws and the best instance ``search`` finds, so any
 change to the order of random draws shows; and the report artifacts: every
 entry's ``check --format csv``, ``sweep`` in JSON and CSV, and ``fp`` and
-``ortho`` per generated family and on an instance file that carries ``C``.
+``ortho`` per generated family and on an instance file that carries ``C``,
+and ``ortho`` on a Jordan block, where the probe finds a violation.
 
 The files under tests/golden/ are the program's own output. After an
 intended change, regenerate them with
@@ -53,6 +54,7 @@ SEARCH_CASES = tuple(
 ) + (("SCHWARZ_REVERSE", "equality-example", "2", "0"),)
 INSTANCE_KEYS = ("bounds", "S", "T", "X", "Y", "x", "n")
 WITH_C = "INSTANCE_WITH_C"  # stands for the path of _write_instance_with_c's file
+JORDAN = "INSTANCE_JORDAN"  # stands for the path of _write_jordan_instance's file
 SWEEP_CASES = (
     ("THM_MAIN", "--dims", "2,3", "--trials", "4"),
     ("FALSE_TEST", "--dims", "2,3", "--trials", "4"),
@@ -67,12 +69,12 @@ ARTIFACT_CASES = (
     }
     | {f"fp:{f}": ("fp", "--recipe", f, "--dims", "3", "--seed", "1") for f in GENERATED}
     | {
-        f"ortho:{f}": ("ortho", "--recipe", f, "--dims", "3", "--seed", "1", "--trials", "2")
-        for f in GENERATED
+        f"ortho:{f}": ("ortho", "--recipe", f, "--dims", "3", "--seed", "1") for f in GENERATED
     }
     | {
         "fp:instance-with-c": ("fp", "--instance", WITH_C),
-        "ortho:instance-with-c": ("ortho", "--instance", WITH_C, "--trials", "2"),
+        "ortho:instance-with-c": ("ortho", "--instance", WITH_C),
+        "ortho:jordan": ("ortho", "--instance", JORDAN),
         "check:csv:instance-with-c": (
             "check", "--entry", "THM_MAIN", "--instance", WITH_C, "--format", "csv"
         ),
@@ -157,13 +159,27 @@ def _write_instance_with_c(path: str) -> None:
         json.dump(blob, fh)
 
 
+def _write_jordan_instance(path: str) -> None:
+    """S = T = C = J_3, the 3 x 3 Jordan block, as instance JSON: C lies in
+    the kernel and in the range of the derivation, so the probe finds a
+    violation."""
+    blob = instance_to_json(make_instance(Recipe("inner-normal", 3), 0))
+    jordan = matrix_to_json(np.eye(3, k=1))
+    blob |= {"S": jordan, "T": jordan, "C": jordan}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(blob, fh)
+
+
+_WRITERS = {WITH_C: _write_instance_with_c, JORDAN: _write_jordan_instance}
+
+
 def _artifact_record(argv: tuple) -> dict:
     """Exit code and artifact; a CSV artifact is read into its cells."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/with_c.json"
-        if WITH_C in argv:
-            _write_instance_with_c(path)
-        rc, out = _run(*(path if a == WITH_C else a for a in argv))
+        path = f"{tmp}/instance.json"
+        for placeholder in set(argv) & set(_WRITERS):
+            _WRITERS[placeholder](path)
+        rc, out = _run(*(path if a in _WRITERS else a for a in argv))
     csv_out = "--format" in argv and argv[argv.index("--format") + 1] == "csv"
     return {"exit": rc, "artifact": _csv_cells(out) if csv_out else json.loads(out)}
 
