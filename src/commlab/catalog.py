@@ -46,6 +46,9 @@ __all__ = [
     "validate_hypotheses",
     "InequalityReport",
     "evaluate",
+    "formula_sides",
+    "checked_violations",
+    "make_report",
     "SweepConfig",
     "SweepReport",
     "sweep",
@@ -566,8 +569,48 @@ class InequalityReport:
         }
 
 
+def formula_sides(entry: CatalogEntry, inst: Instance) -> tuple:
+    """The entry's formula on ``inst``: ``(lhs, rhs, detail)``, hypotheses unchecked.
+
+    The fields ``entry.requires`` names must be present (``evaluate`` checks
+    them). Float overflow raises HypothesisError, as does an input the
+    formula cannot evaluate safely.
+    """
+    with overflow_is_hypothesis_error():
+        return entry.formula(inst)
+
+
+def checked_violations(entry: CatalogEntry, inst: Instance) -> tuple[str, ...]:
+    """``validate_hypotheses`` with float overflow raising HypothesisError."""
+    with overflow_is_hypothesis_error():
+        return tuple(validate_hypotheses(entry, inst))
+
+
+def make_report(
+    entry: CatalogEntry, inst: Instance, violations: tuple[str, ...], sides: tuple, tol: float
+) -> InequalityReport:
+    """The report of ``formula_sides`` and ``checked_violations`` for one instance."""
+    lhs, rhs, detail = sides
+    if entry.direction == "le":
+        margin = rhs - lhs
+    elif entry.direction == "ge":
+        margin = lhs - rhs
+    else:  # equality claim
+        margin = -abs(lhs - rhs)
+    if violations:
+        verdict, satisfied = "not-applicable", None
+    elif margin >= -tol * max(1.0, abs(rhs)):
+        verdict, satisfied = "satisfied", True
+    else:
+        verdict, satisfied = "violated", False
+    return InequalityReport(
+        entry.id, lhs, rhs, margin, verdict, satisfied, tol, violations,
+        inst.fingerprint(), detail,
+    )
+
+
 def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """Evaluate one entry on one instance.
+    """Evaluate one entry on one instance: validation, then the formula.
 
     Hypothesis violations detected by validation produce a "not-applicable"
     verdict. A missing required matrix raises InputError; an input the
@@ -580,24 +623,8 @@ def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL
     for req in sorted(entry.requires):
         if getattr(inst, req) is None:
             raise InputError(f"entry {entry.id} requires instance field {req!r}")
-    with overflow_is_hypothesis_error():
-        violations = tuple(validate_hypotheses(entry, inst))
-        lhs, rhs, detail = entry.formula(inst)
-    if entry.direction == "le":
-        margin = rhs - lhs
-    elif entry.direction == "ge":
-        margin = lhs - rhs
-    else:  # equality claim
-        margin = -abs(lhs - rhs)
-    ok = margin >= -tol * max(1.0, abs(rhs))
-    if violations:
-        verdict, satisfied = "not-applicable", None
-    else:
-        verdict, satisfied = ("satisfied", True) if ok else ("violated", False)
-    return InequalityReport(
-        entry.id, lhs, rhs, margin, verdict, satisfied, tol, violations,
-        inst.fingerprint(), detail,
-    )
+    violations = checked_violations(entry, inst)
+    return make_report(entry, inst, violations, formula_sides(entry, inst), tol)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,7 @@ def _cmd_sweep(args) -> tuple:
 
 
 def _cmd_search(args) -> tuple:
+    """Also returns a count of the work done, for ``main`` to print on stderr."""
     tol = _check_tol(args.tol)
     dims = _parse_dims(args.dims) if args.dims else (4,)
     if len(dims) != 1:
@@ -212,7 +213,10 @@ def _cmd_search(args) -> tuple:
         recipe=args.recipe,
         tol=tol,
     )
-    return search_state_to_json(state), 1 if state.best_report.verdict == "violated" else 0
+    code = 1 if state.best_report.verdict == "violated" else 0
+    return search_state_to_json(state), code, (
+        f"# search: {state.candidates} candidates, {state.accepted} accepted, {state.validated} validated"
+    )
 
 
 def _cmd_fp(args) -> tuple:

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-_NUMRAD_GRID = 64  # numerical_radius: angles of the one batched eigensolve,
+_NUMRAD_GRID = 64  # numerical_radius: grid angles, from one batched eigensolve over half,
 _NUMRAD_SUB = 4  # subdivided this many times over the best cells,
 _NUMRAD_WIDTH = 1e-8  # and refined no further than an interval this narrow
 _CLASSIFY_TOL = 1e-8  # classify's relative residual tolerance
@@ -145,7 +145,8 @@ def numerical_radius(m) -> float:
     """Numerical radius w(M) = max over unit x of |<Mx, x>|.
 
     w(M) is the largest h(t), the top eigenvalue of H(t) = cos t A - sin t C
-    (M = A + iC), taken on 64 angles in one batched eigensolve and, with
+    (M = A + iC), taken on 64 angles from one batched eigensolve over the 32
+    in [0, pi) (h(t + pi) is minus the bottom eigenvalue of H(t)) and, with
     h' = v*H'v, at a quarter of that spacing around the three best angles in
     another. h has upward kinks where eigenvalues cross, so every interval
     whose end slope points into it is refined: by steps to the peak of h's
@@ -171,9 +172,11 @@ def numerical_radius(m) -> float:
         step = np.arctan2(d, np.where(simple.all(axis=-1), h - 2.0 * curve, h))
         return h.tolist(), d.tolist(), step.tolist()
 
-    angles, cell = np.linspace(0.0, 2.0 * np.pi, _NUMRAD_GRID, endpoint=False, retstep=True)
+    angles, cell = np.linspace(0.0, np.pi, _NUMRAD_GRID // 2, endpoint=False, retstep=True)
     stack = np.cos(angles)[:, None, None] * a - np.sin(angles)[:, None, None] * c
-    vals = np.linalg.eigvalsh(stack)[:, -1]
+    # H(t + pi) = -H(t), so the top eigenvalue at t + pi is minus the bottom one at t
+    ev = np.linalg.eigvalsh(stack)
+    vals = np.concatenate([ev[:, -1], -ev[:, 0]])
     scale = float(np.abs(vals).max())
     tiny, flat = 1e-8 * scale, 1e-13 * scale  # a multiple top eigenvalue; |h'| at rounding level
     sub, n_sub = cell / _NUMRAD_SUB, _NUMRAD_SUB * _NUMRAD_GRID

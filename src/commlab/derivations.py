@@ -48,9 +48,11 @@ _FP_REL_TOL = 1e-7
 _LIFT_MAX_BYTES = 256 * 2**20  # one n^2 x n^2 complex lift; n = 64 is the largest that fits
 # S = A + iC is diagonalized through the Hermitian A + _GAMMA C. A weight with
 # no simple rational form keeps distinct eigenvalues of typical inputs from
-# meeting under lam -> Re lam + _GAMMA Im lam; a pair that does meet fails the
-# residual check and takes the Kronecker lift.
+# meeting under lam -> Re lam + _GAMMA Im lam. A pair that does meet fails the
+# residual check and gets one refinement step under a second such weight,
+# which parts it; a side that still fails takes the Kronecker lift.
 _GAMMA = np.pi / 7
+_REFINE_GAMMA = np.e / 5
 _EIGEN_REL_RESIDUAL = 1e-12
 # The probe's Schatten exponents, taken in turn, and the step lengths of its
 # line searches in units of |R| / |delta G|_2 (see orthogonality_probe_opnorm).
@@ -99,6 +101,23 @@ def _check_pair(s, t) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
+def _hermitian_part(m: np.ndarray, gamma: float) -> np.ndarray:
+    """A + gamma C for M = A + iC."""
+    w = (1 - 1j * gamma) / 2 * m
+    return w + w.conj().T
+
+
+def _checked_basis(s: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(U, lam) with lam the diagonal of U*SU, or None unless SU = U diag(lam) to the residual test."""
+    su = s @ u
+    lam = np.einsum("ij,ij->j", u.conj(), su)
+    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+    residual = np.linalg.norm((su - u * lam) / scale) if scale < np.inf else np.inf
+    if not residual <= _EIGEN_REL_RESIDUAL * np.sqrt(len(lam)):
+        return None
+    return u, lam
+
+
 def _eigenbasis(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(U, lam) with S U = U diag(lam) for unitary U, or None.
 
@@ -107,19 +126,20 @@ def _eigenbasis(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     max(1, max |lam_i|), which allows each of the n columns a residual of
     1e-12 |S| (|S| = max |lam_i| for normal S). The residual is scaled by
     max(1, max |lam_i|) before its norm squares it, so a large S cannot
-    overflow there. This rejects a non-normal S, a normal S whose distinct
-    eigenvalues meet under lam -> Re lam + gamma Im lam, and an S too large
-    for a finite scale.
+    overflow there. When that test fails, U is refined once by the eigenbasis
+    Q of the same form for the nearly diagonal U*SU, with the weight
+    _REFINE_GAMMA, and U Q is tested the same way. This rejects a non-normal
+    S, a normal S with distinct eigenvalues that meet under gamma and others
+    that meet under _REFINE_GAMMA, and an S too large for a finite scale.
     """
-    w = (1 - 1j * _GAMMA) / 2 * s
-    _, u = np.linalg.eigh(w + w.conj().T)  # A + gamma C
-    su = s @ u
-    lam = np.einsum("ij,ij->j", u.conj(), su)
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    residual = np.linalg.norm((su - u * lam) / scale) if scale < np.inf else np.inf
-    if not residual <= _EIGEN_REL_RESIDUAL * np.sqrt(len(lam)):
-        return None
-    return u, lam
+    u = np.linalg.eigh(_hermitian_part(s, _GAMMA))[1]
+    found = _checked_basis(s, u)
+    if found is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # a U*SU too large for floats stays rejected
+            h = _hermitian_part(u.conj().T @ s @ u, _REFINE_GAMMA)
+        if np.isfinite(h).all():
+            found = _checked_basis(s, u @ np.linalg.eigh(h)[1])
+    return found
 
 
 def _cutoff(smax: float, *parts: np.ndarray) -> float:

@@ -310,10 +310,8 @@ def _unitary_step(dim: int, scale: float, rng: np.random.Generator) -> np.ndarra
     nk = op_norm(k)
     if nk > scale:
         k *= scale / nk
-    # exp of skew-Hermitian via the Hermitian matrix H = -iK
-    h = -1j * k
-    h = (h + h.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(h)
+    # exp of skew-Hermitian via the Hermitian matrix H = -iK (K is exactly skew-Hermitian)
+    vals, vecs = np.linalg.eigh(-1j * k)
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 

@@ -3,8 +3,10 @@
 Hill climbing with hypothesis-preserving moves: eigenvalue parts are jittered
 inside their declared bands (endpoints re-pinned) and conjugating bases drift
 along random unitary steps, so every visited instance still satisfies the
-entry's hypotheses. Restarts draw fresh instances; the global best is merged
-deterministically.
+entry's hypotheses. A move is kept when its hypotheses hold and it improves
+the objective; the objective is computed first, and the hypotheses are
+checked only on the moves that improve it. Restarts draw fresh instances; the
+global best is merged deterministically.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from commlab.catalog import (
     DEFAULT_TOL,
     CatalogEntry,
     InequalityReport,
+    checked_violations,
     evaluate,
+    formula_sides,
     get_entry,
+    make_report,
 )
 from commlab.instances import (
     Instance,
@@ -34,21 +39,21 @@ _STEP_FLOOR = 1e-6
 _RATIO_DENOM_FLOOR = 1e-9
 
 
-def _objective(entry: CatalogEntry, report: InequalityReport) -> tuple[str, float]:
+def _objective(entry: CatalogEntry, lhs: float, rhs: float) -> tuple[str, float]:
     """Scalar to maximize: closeness to (or excess over) the bound.
 
     Ratio of the bounded side to the bounding side when the denominator is
     healthy; the raw signed violation otherwise (and for equality claims).
     """
     if entry.direction == "eq":
-        return "margin", -report.margin
+        return "margin", abs(lhs - rhs)
     if entry.direction == "ge":
-        if report.lhs >= _RATIO_DENOM_FLOOR:
-            return "ratio", report.rhs / report.lhs
-        return "margin", report.rhs - report.lhs
-    if report.rhs >= _RATIO_DENOM_FLOOR:
-        return "ratio", report.lhs / report.rhs
-    return "margin", report.lhs - report.rhs
+        if lhs >= _RATIO_DENOM_FLOOR:
+            return "ratio", rhs / lhs
+        return "margin", rhs - lhs
+    if rhs >= _RATIO_DENOM_FLOOR:
+        return "ratio", lhs / rhs
+    return "margin", lhs - rhs
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,10 @@ class SearchState:
     best_instance: Instance
     best_report: InequalityReport
     trace: tuple[tuple[int, float], ...]
+    # work done over all restarts; not part of the artifact
+    candidates: int  # perturbed proposals
+    accepted: int  # proposals kept
+    validated: int  # proposals whose hypotheses were checked: those that improve
 
 
 def maximize_ratio(
@@ -81,8 +90,10 @@ def maximize_ratio(
 
     Each restart draws a fresh instance, then proposes ``iterations``
     perturbed candidates, halving the step after 50 non-improving proposals
-    (floor 1e-6). Deterministic in all arguments; ties across restarts break
-    by fingerprint order.
+    (floor 1e-6). A candidate is kept when its objective beats the current
+    one and its hypotheses hold; they are checked only on such candidates.
+    Deterministic in all arguments; ties across restarts break by
+    fingerprint order.
     """
     if isinstance(entry, str):
         entry = get_entry(entry)
@@ -93,24 +104,27 @@ def maximize_ratio(
 
     best_global: tuple[float, tuple, Instance, InequalityReport, str] | None = None
     best_trace: tuple[tuple[int, float], ...] = ()
+    accepted = validated = 0
     for restart in range(restarts):
         recipe_obj = entry.recipe_for(recipe, dim)
         inst = make_instance(recipe_obj, derive_seed(master_seed, restart))
         report = evaluate(entry, inst, tol=tol)
-        kind, obj = _objective(entry, report)
+        kind, obj = _objective(entry, report.lhs, report.rhs)
         step = 0.2
         stagnation = 0
         trace = [(0, obj)]
         for it in range(1, iterations + 1):
             cand = perturb(inst, step, derive_seed(master_seed, restart, it))
-            cand_report = evaluate(entry, cand, tol=tol)
-            if cand_report.hypothesis_violations:
-                accept = False  # moves should preserve hypotheses; stay put if not
-            else:
-                cand_kind, cand_obj = _objective(entry, cand_report)
-                accept = cand_kind == kind and cand_obj > obj
+            sides = formula_sides(entry, cand)
+            cand_kind, cand_obj = _objective(entry, sides[0], sides[1])
+            accept = cand_kind == kind and cand_obj > obj
             if accept:
-                inst, report, obj = cand, cand_report, cand_obj
+                validated += 1
+                # moves should preserve hypotheses; stay put if not
+                accept = not checked_violations(entry, cand)
+            if accept:
+                inst, report, obj = cand, make_report(entry, cand, (), sides, tol), cand_obj
+                accepted += 1
                 stagnation = 0
             else:
                 stagnation += 1
@@ -142,6 +156,9 @@ def maximize_ratio(
         best_instance=inst,
         best_report=report,
         trace=best_trace,
+        candidates=restarts * iterations,
+        accepted=accepted,
+        validated=validated,
     )
 
 

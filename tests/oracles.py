@@ -3,12 +3,17 @@
 These deliberately avoid the code paths they check: the sampling
 numerical-radius oracle maximizes over unit vectors with matrix-vector products
 only (no eigensolver), the golden-section one takes one eigensolve per angle,
-and the random matrices come straight from numpy generators.
+the random matrices come straight from numpy generators, and the eager search
+evaluates every candidate in full, hypotheses first.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from commlab.catalog import evaluate, get_entry
+from commlab.instances import derive_seed, make_instance, perturb
+from commlab.search import SearchState
 
 
 def random_matrix(dim: int, seed: int) -> np.ndarray:
@@ -160,3 +165,59 @@ def brute_min_distance_hs(s: np.ndarray, t: np.ndarray, c: np.ndarray) -> float:
     cv = c.flatten(order="F")
     x, *_ = np.linalg.lstsq(lifted, -cv, rcond=1e-8)
     return float(np.linalg.norm(lifted @ x + cv))
+
+
+def eager_maximize_ratio(entry_id: str, dim: int, iterations: int, restarts: int, master_seed: int = 0):
+    """``search.maximize_ratio`` as first written: a full ``evaluate`` of every
+    candidate, hypotheses before the objective.
+
+    Returns the ``SearchState`` it finds; its ``validated`` counts every
+    candidate, since each one's hypotheses are checked.
+    """
+    entry = get_entry(entry_id)
+
+    def objective(report):
+        if entry.direction == "eq":
+            return "margin", -report.margin
+        if entry.direction == "ge":
+            if report.lhs >= 1e-9:
+                return "ratio", report.rhs / report.lhs
+            return "margin", report.rhs - report.lhs
+        if report.rhs >= 1e-9:
+            return "ratio", report.lhs / report.rhs
+        return "margin", report.lhs - report.rhs
+
+    best = None
+    accepted = 0
+    for restart in range(restarts):
+        inst = make_instance(entry.recipe_for(None, dim), derive_seed(master_seed, restart))
+        report = evaluate(entry, inst)
+        kind, obj = objective(report)
+        step, stagnation, trace = 0.2, 0, [(0, obj)]
+        for it in range(1, iterations + 1):
+            cand = perturb(inst, step, derive_seed(master_seed, restart, it))
+            cand_report = evaluate(entry, cand)
+            if cand_report.hypothesis_violations:
+                accept = False
+            else:
+                cand_kind, cand_obj = objective(cand_report)
+                accept = cand_kind == kind and cand_obj > obj
+            if accept:
+                inst, report, obj = cand, cand_report, cand_obj
+                accepted += 1
+                stagnation = 0
+            else:
+                stagnation += 1
+                if stagnation >= 50:
+                    step, stagnation = max(step / 2.0, 1e-6), 0
+            if it % 50 == 0:
+                trace.append((it, obj))
+        key = inst.fingerprint().sort_key()
+        if best is None or obj > best[0] or (obj == best[0] and key < best[1]):
+            best = (obj, key, inst, report, kind, tuple(trace))
+    obj, _, inst, report, kind, trace = best
+    return SearchState(
+        entry=entry.id, dim=dim, iterations=iterations, restarts=restarts, master_seed=master_seed,
+        objective_kind=kind, best_objective=obj, best_instance=inst, best_report=report, trace=trace,
+        candidates=restarts * iterations, accepted=accepted, validated=restarts * iterations,
+    )

@@ -220,6 +220,14 @@ class TestSearchCommand:
         assert payload["best_objective"] <= 1.0 + 1e-9
         assert payload["best_instance"]["S"]["rows"]
 
+    def test_work_counts_go_to_stderr(self, capsys):
+        args = ("search", "--entry", "THM_MAIN", "--dims", "2", "--iterations", "40", "--restarts", "2")
+        assert run_cli(*args) == 0
+        captured = capsys.readouterr()
+        counts = re.fullmatch(r"# search: 80 candidates, (\d+) accepted, (\d+) validated\n", captured.err)
+        assert counts and 0 < int(counts[1]) == int(counts[2])  # every improving move was kept
+        assert "candidates" not in captured.out
+
 
 class TestFpCommand:
     def test_inner_pair_holds(self, tmp_path):

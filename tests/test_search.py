@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab.catalog import evaluate, validate_hypotheses
+import commlab.catalog
+from commlab.catalog import HYPOTHESES, evaluate, validate_hypotheses
 from commlab.core import HypothesisError, InputError, hermitian_eig, op_norm
 from commlab.instances import Recipe, instance_from_json, instance_to_json, make_instance
 from commlab.search import maximize_ratio, perturb, search_state_to_json
+from oracles import eager_maximize_ratio
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -113,3 +116,52 @@ class TestMaximizeRatio:
             maximize_ratio("THM_MAIN", dim=2, iterations=0, restarts=1)
         with pytest.raises(InputError):
             maximize_ratio("THM_MAIN", dim=2, iterations=1, restarts=0)
+
+
+SUSPECT_ENTRIES = ("SJ_GENERAL", "SJ_MAX", "SQRT_PRODUCT", "NUMRAD_CLAIM", "COMMUTATOR_HS")
+
+
+def _artifact(state) -> str:
+    return json.dumps(search_state_to_json(state), sort_keys=True)
+
+
+class TestHypothesesOnImprovingMovesOnly:
+    """The search checks hypotheses only on the candidates that improve the
+    objective; it must find what a full evaluation of every candidate finds."""
+
+    @pytest.mark.parametrize("entry", (*SUSPECT_ENTRIES, "THM_MAIN", "SCHWARZ_REVERSE"))
+    @pytest.mark.parametrize("seed, dim", [(0, 3), (1, 4), (7, 2)])
+    def test_matches_eager_search(self, entry, seed, dim):
+        lazy = maximize_ratio(entry, dim=dim, iterations=60, restarts=2, master_seed=seed)
+        eager = eager_maximize_ratio(entry, dim, 60, 2, seed)
+        assert _artifact(lazy) == _artifact(eager)
+        assert lazy.candidates == eager.candidates == 120
+        assert lazy.accepted == eager.accepted
+
+    def test_rejected_improving_moves_stay_put(self, monkeypatch):
+        # a predicate that rejects about half of all instances, by a digest of S
+        def odd_digest(inst):
+            return ["S digest odd"] if hashlib.sha256(inst.S.tobytes()).digest()[0] % 2 else []
+
+        monkeypatch.setitem(HYPOTHESES, "normal:S", odd_digest)
+        for seed in (0, 1):
+            lazy = maximize_ratio("NUMRAD_CLAIM", dim=3, iterations=80, restarts=2, master_seed=seed)
+            eager = eager_maximize_ratio("NUMRAD_CLAIM", 3, 80, 2, seed)
+            assert _artifact(lazy) == _artifact(eager)
+            assert lazy.accepted == eager.accepted
+            assert lazy.validated > lazy.accepted > 0  # some improving moves were turned down
+
+    @pytest.mark.parametrize("entry", SUSPECT_ENTRIES)
+    def test_validates_each_start_and_each_improving_candidate_once(self, entry, monkeypatch):
+        calls = []
+        original = commlab.catalog.validate_hypotheses
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(commlab.catalog, "validate_hypotheses", counting)
+        state = maximize_ratio(entry, dim=4, iterations=100, restarts=2, master_seed=3)
+        assert len(calls) == 2 + state.validated
+        assert state.validated == state.accepted  # no candidate failed its hypotheses
+        assert state.candidates == 200
