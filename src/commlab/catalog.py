@@ -46,10 +46,6 @@ __all__ = [
     "validate_hypotheses",
     "InequalityReport",
     "evaluate",
-    "formula_sides",
-    "checked_violations",
-    "make_report",
-    "SweepConfig",
     "SweepReport",
     "sweep",
     "REPORT_CSV_FIELDS",
@@ -569,28 +565,23 @@ class InequalityReport:
         }
 
 
-def formula_sides(entry: CatalogEntry, inst: Instance) -> tuple:
-    """The entry's formula on ``inst``: ``(lhs, rhs, detail)``, hypotheses unchecked.
+def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityReport:
+    """Evaluate one entry on one instance: validation, then the formula.
 
-    The fields ``entry.requires`` names must be present (``evaluate`` checks
-    them). Float overflow raises HypothesisError, as does an input the
-    formula cannot evaluate safely.
+    Hypothesis violations detected by validation produce a "not-applicable"
+    verdict. A missing required matrix raises InputError; an input the
+    formula cannot evaluate safely (e.g. a numerically singular X), or whose
+    entries overflow float arithmetic in validation or the formula, raises
+    HypothesisError.
     """
+    if isinstance(entry, str):
+        entry = get_entry(entry)
+    for req in sorted(entry.requires):
+        if getattr(inst, req) is None:
+            raise InputError(f"entry {entry.id} requires instance field {req!r}")
     with overflow_is_hypothesis_error():
-        return entry.formula(inst)
-
-
-def checked_violations(entry: CatalogEntry, inst: Instance) -> tuple[str, ...]:
-    """``validate_hypotheses`` with float overflow raising HypothesisError."""
-    with overflow_is_hypothesis_error():
-        return tuple(validate_hypotheses(entry, inst))
-
-
-def make_report(
-    entry: CatalogEntry, inst: Instance, violations: tuple[str, ...], sides: tuple, tol: float
-) -> InequalityReport:
-    """The report of ``formula_sides`` and ``checked_violations`` for one instance."""
-    lhs, rhs, detail = sides
+        violations = tuple(validate_hypotheses(entry, inst))
+        lhs, rhs, detail = entry.formula(inst)
     if entry.direction == "le":
         margin = rhs - lhs
     elif entry.direction == "ge":
@@ -609,41 +600,6 @@ def make_report(
     )
 
 
-def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """Evaluate one entry on one instance: validation, then the formula.
-
-    Hypothesis violations detected by validation produce a "not-applicable"
-    verdict. A missing required matrix raises InputError; an input the
-    formula cannot evaluate safely (e.g. a numerically singular X), or whose
-    entries overflow float arithmetic in validation or the formula, raises
-    HypothesisError.
-    """
-    if isinstance(entry, str):
-        entry = get_entry(entry)
-    for req in sorted(entry.requires):
-        if getattr(inst, req) is None:
-            raise InputError(f"entry {entry.id} requires instance field {req!r}")
-    violations = checked_violations(entry, inst)
-    return make_report(entry, inst, violations, formula_sides(entry, inst), tol)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Randomized verification plan: trials per dim, all seeds derived."""
-
-    dims: tuple[int, ...]
-    trials: int
-    master_seed: int = 0
-    recipe: str | None = None  # family override; None uses the entry default
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if self.trials < 0:
-            raise InputError("trials must be >= 0")
-        if not self.dims:
-            raise InputError("at least one dim is required")
-
-
 @dataclass(frozen=True)
 class SweepReport:
     entry: str
@@ -659,10 +615,11 @@ class SweepReport:
     recipe: str
     tol: float
     wall_time_s: float
+    unsafe: int  # not-applicable trials whose evaluate raised HypothesisError
 
     def to_json(self) -> dict:
         # wall time stays out of the artifact so that equal configurations
-        # serialize byte-identically
+        # serialize byte-identically; the unsafe count is a stderr note
         return {
             "entry": self.entry,
             "trials": self.trials,
@@ -679,8 +636,16 @@ class SweepReport:
         }
 
 
-def sweep(entry: CatalogEntry | str, config: SweepConfig) -> SweepReport:
-    """Run seeded random trials of one entry; violations are recorded, not raised.
+def sweep(
+    entry: CatalogEntry | str,
+    dims: tuple[int, ...],
+    trials: int,
+    master_seed: int = 0,
+    recipe: str | None = None,
+    tol: float = DEFAULT_TOL,
+) -> SweepReport:
+    """Run ``trials`` seeded random trials of one entry at each of ``dims``
+    (``recipe`` overrides its family); violations are recorded, not raised.
 
     Determinism: the trial at (dim, index) always sees the seed
     ``derive_seed(master_seed, dim, index)``, so results do not depend on
@@ -690,18 +655,22 @@ def sweep(entry: CatalogEntry | str, config: SweepConfig) -> SweepReport:
     """
     if isinstance(entry, str):
         entry = get_entry(entry)
+    if trials < 0:
+        raise InputError("trials must be >= 0")
+    if not dims:
+        raise InputError("at least one dim is required")
     start = time.perf_counter()
-    passes = failures = not_applicable = 0
+    passes = failures = not_applicable = unsafe = 0
     worst: tuple[float, float, Fingerprint] | None = None  # score, margin, fingerprint
-    for dim in config.dims:
-        recipe = entry.recipe_for(config.recipe, dim)
-        for trial in range(config.trials):
-            seed = derive_seed(config.master_seed, dim, trial)
-            inst = make_instance(recipe, seed)
+    for dim in dims:
+        recipe_obj = entry.recipe_for(recipe, dim)
+        for trial in range(trials):
+            inst = make_instance(recipe_obj, derive_seed(master_seed, dim, trial))
             try:
-                report = evaluate(entry, inst, tol=config.tol)
+                report = evaluate(entry, inst, tol=tol)
             except HypothesisError:
                 not_applicable += 1
+                unsafe += 1
                 continue
             if report.verdict == "not-applicable":
                 not_applicable += 1
@@ -713,19 +682,19 @@ def sweep(entry: CatalogEntry | str, config: SweepConfig) -> SweepReport:
             score = report.margin / max(1.0, abs(report.rhs))
             if worst is None or score < worst[0]:
                 worst = (score, report.margin, report.fingerprint)
-    total = len(config.dims) * config.trials
     return SweepReport(
         entry=entry.id,
-        trials=total,
+        trials=len(dims) * trials,
         passes=passes,
         failures=failures,
         not_applicable=not_applicable,
         worst_margin=worst[1] if worst else None,
         worst_fingerprint=worst[2] if worst else None,
-        dims=tuple(config.dims),
-        trials_per_dim=config.trials,
-        master_seed=config.master_seed,
-        recipe=config.recipe or entry.default_family,
-        tol=config.tol,
+        dims=tuple(dims),
+        trials_per_dim=trials,
+        master_seed=master_seed,
+        recipe=recipe or entry.default_family,
+        tol=tol,
         wall_time_s=time.perf_counter() - start,
+        unsafe=unsafe,
     )

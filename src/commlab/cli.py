@@ -24,7 +24,6 @@ from commlab.catalog import (
     DEFAULT_TOL,
     REPORT_CSV_FIELDS,
     SWEEP_CSV_FIELDS,
-    SweepConfig,
     evaluate,
     get_entry,
     sweep,
@@ -185,17 +184,18 @@ def _cmd_check(args) -> tuple:
 
 
 def _cmd_sweep(args) -> tuple:
-    """Also returns the wall time, for ``main`` to print on stderr after the artifact."""
+    """Also returns the wall time and why trials did not apply, for ``main``'s stderr."""
     entry = get_entry(args.entry)
     tol = _check_tol(args.tol)
     dims = _parse_dims(args.dims) if args.dims else (4,)
-    config = SweepConfig(
-        dims=dims, trials=args.trials, master_seed=args.seed, recipe=args.recipe, tol=tol
-    )
-    report = sweep(entry, config)
+    report = sweep(entry, dims, args.trials, master_seed=args.seed, recipe=args.recipe, tol=tol)
     blob = report.to_json()
     artifact = _csv_text(SWEEP_CSV_FIELDS, [blob], " ") if args.format == "csv" else blob
-    return artifact, 1 if report.failures > 0 else 0, f"# sweep wall time: {report.wall_time_s:.3f}s"
+    code = 1 if report.failures > 0 else 0
+    return artifact, code, f"# sweep wall time: {report.wall_time_s:.3f}s", (
+        f"# sweep not applicable: {report.not_applicable - report.unsafe} hypotheses failed, "
+        f"{report.unsafe} unsafe to evaluate"
+    )
 
 
 def _cmd_search(args) -> tuple:

@@ -6,23 +6,21 @@ along random unitary steps, so every visited instance still satisfies the
 entry's hypotheses. A move is kept when its hypotheses hold and it improves
 the objective; the objective is computed first, and the hypotheses are
 checked only on the moves that improve it. Restarts draw fresh instances; the
-global best is merged deterministically.
+global best is merged deterministically and evaluated once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from commlab.core import InputError
+from commlab.core import InputError, overflow_is_hypothesis_error
 from commlab.catalog import (
     DEFAULT_TOL,
     CatalogEntry,
     InequalityReport,
-    checked_violations,
     evaluate,
-    formula_sides,
     get_entry,
-    make_report,
+    validate_hypotheses,
 )
 from commlab.instances import (
     Instance,
@@ -88,10 +86,11 @@ def maximize_ratio(
     """Hill-climb the entry's tightness objective over hypothesis-satisfying
     instances.
 
-    Each restart draws a fresh instance, then proposes ``iterations``
+    Each restart evaluates a fresh instance, then proposes ``iterations``
     perturbed candidates, halving the step after 50 non-improving proposals
     (floor 1e-6). A candidate is kept when its objective beats the current
     one and its hypotheses hold; they are checked only on such candidates.
+    The best instance is evaluated once more for ``best_report``.
     Deterministic in all arguments; ties across restarts break by
     fingerprint order.
     """
@@ -102,49 +101,48 @@ def maximize_ratio(
     if restarts < 1:
         raise InputError("restarts must be >= 1")
 
-    best_global: tuple[float, tuple, Instance, InequalityReport, str] | None = None
+    best_global: tuple[float, tuple, Instance, str] | None = None
     best_trace: tuple[tuple[int, float], ...] = ()
     accepted = validated = 0
-    for restart in range(restarts):
-        recipe_obj = entry.recipe_for(recipe, dim)
-        inst = make_instance(recipe_obj, derive_seed(master_seed, restart))
-        report = evaluate(entry, inst, tol=tol)
-        kind, obj = _objective(entry, report.lhs, report.rhs)
-        step = 0.2
-        stagnation = 0
-        trace = [(0, obj)]
-        for it in range(1, iterations + 1):
-            cand = perturb(inst, step, derive_seed(master_seed, restart, it))
-            sides = formula_sides(entry, cand)
-            cand_kind, cand_obj = _objective(entry, sides[0], sides[1])
-            accept = cand_kind == kind and cand_obj > obj
-            if accept:
-                validated += 1
-                # moves should preserve hypotheses; stay put if not
-                accept = not checked_violations(entry, cand)
-            if accept:
-                inst, report, obj = cand, make_report(entry, cand, (), sides, tol), cand_obj
-                accepted += 1
-                stagnation = 0
-            else:
-                stagnation += 1
-                if stagnation >= _STAGNATION_LIMIT:
-                    step = max(step / 2.0, _STEP_FLOOR)
+    with overflow_is_hypothesis_error():
+        for restart in range(restarts):
+            inst = make_instance(entry.recipe_for(recipe, dim), derive_seed(master_seed, restart))
+            report = evaluate(entry, inst, tol=tol)
+            kind, obj = _objective(entry, report.lhs, report.rhs)
+            step = 0.2
+            stagnation = 0
+            trace = [(0, obj)]
+            for it in range(1, iterations + 1):
+                cand = perturb(inst, step, derive_seed(master_seed, restart, it))
+                lhs, rhs, _ = entry.formula(cand)
+                cand_kind, cand_obj = _objective(entry, lhs, rhs)
+                accept = cand_kind == kind and cand_obj > obj
+                if accept:
+                    validated += 1
+                    # moves should preserve hypotheses; stay put if not
+                    accept = not validate_hypotheses(entry, cand)
+                if accept:
+                    inst, obj = cand, cand_obj
+                    accepted += 1
                     stagnation = 0
-            if it % 50 == 0:
-                trace.append((it, obj))
-        key = inst.fingerprint().sort_key()
-        candidate = (obj, key, inst, report, kind)
-        if (
-            best_global is None
-            or obj > best_global[0]
-            or (obj == best_global[0] and key < best_global[1])
-        ):
-            best_global = candidate
-            best_trace = tuple(trace)
+                else:
+                    stagnation += 1
+                    if stagnation >= _STAGNATION_LIMIT:
+                        step = max(step / 2.0, _STEP_FLOOR)
+                        stagnation = 0
+                if it % 50 == 0:
+                    trace.append((it, obj))
+            key = inst.fingerprint().sort_key()
+            if (
+                best_global is None
+                or obj > best_global[0]
+                or (obj == best_global[0] and key < best_global[1])
+            ):
+                best_global = (obj, key, inst, kind)
+                best_trace = tuple(trace)
 
     assert best_global is not None
-    obj, _, inst, report, kind = best_global
+    obj, _, inst, kind = best_global
     return SearchState(
         entry=entry.id,
         dim=dim,
@@ -154,7 +152,7 @@ def maximize_ratio(
         objective_kind=kind,
         best_objective=obj,
         best_instance=inst,
-        best_report=report,
+        best_report=evaluate(entry, inst, tol=tol),
         trace=best_trace,
         candidates=restarts * iterations,
         accepted=accepted,

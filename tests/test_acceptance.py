@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from commlab.catalog import SweepConfig, evaluate, get_entry, sweep
+from commlab.catalog import evaluate, get_entry, sweep
 from commlab.cli import main as cli_main
 from commlab.core import commutator, hs_norm, numerical_radius, op_norm
 from commlab.derivations import check_fp_pair, kernel_basis, lift_derivation, min_distance_hs, orthogonality_probe_opnorm
@@ -22,7 +22,7 @@ def _verdict(num: int, label: str, ok: bool):
 
 
 def test_criterion_01_main_bound_sweep():
-    rep = sweep("THM_MAIN", SweepConfig(dims=(2, 4, 8, 16), trials=1000, master_seed=20260811))
+    rep = sweep("THM_MAIN", dims=(2, 4, 8, 16), trials=1000, master_seed=20260811)
     worst_rhs = 0.0
     if rep.worst_fingerprint is not None:
         fp = rep.worst_fingerprint
@@ -46,7 +46,7 @@ def test_criterion_01_main_bound_sweep():
 def test_criterion_02_proof_chain_sweeps():
     results = {}
     for entry_id in ("STEP_CENTERED", "STEP_CARTESIAN", "STEP_HALF_BAND"):
-        rep = sweep(entry_id, SweepConfig(dims=(8,), trials=1000, master_seed=777))
+        rep = sweep(entry_id, dims=(8,), trials=1000, master_seed=777)
         results[entry_id] = (rep.failures, rep.not_applicable)
     ok = all(f == 0 and na == 0 for f, na in results.values())
     _verdict(2, f"proof chain at dim 8: failures/NA per step {results}", ok)
@@ -195,7 +195,7 @@ def test_criterion_09_violation_pipeline(tmp_path):
     suspects_ok = True
     detail = {}
     for entry_id in ("SJ_MAX", "NUMRAD_CLAIM", "SQRT_PRODUCT", "COMMUTATOR_HS"):
-        rep = sweep(entry_id, SweepConfig(dims=(4,), trials=1000, master_seed=909))
+        rep = sweep(entry_id, dims=(4,), trials=1000, master_seed=909)
         detail[entry_id] = rep.failures
         if rep.passes + rep.failures + rep.not_applicable != rep.trials:
             suspects_ok = False

@@ -10,7 +10,6 @@ from commlab.catalog import (
     CATALOG,
     EXPLORATORY,
     HYPOTHESES,
-    SweepConfig,
     entry_ids,
     evaluate,
     get_entry,
@@ -226,27 +225,27 @@ PROVEN_DEFAULTS_HOLD = (
 
 class TestSweep:
     def test_zero_trials(self):
-        rep = sweep("THM_MAIN", SweepConfig(dims=(4,), trials=0))
+        rep = sweep("THM_MAIN", dims=(4,), trials=0)
         assert rep.trials == rep.passes == rep.failures == rep.not_applicable == 0
         assert rep.worst_margin is None and rep.worst_fingerprint is None
 
     def test_deterministic(self):
-        cfg = SweepConfig(dims=(2, 4), trials=25, master_seed=17)
-        a = sweep("THM_MAIN", cfg)
-        b = sweep("THM_MAIN", cfg)
+        cfg = dict(dims=(2, 4), trials=25, master_seed=17)
+        a = sweep("THM_MAIN", **cfg)
+        b = sweep("THM_MAIN", **cfg)
         assert a.to_json() == b.to_json()
 
     def test_false_test_counts(self):
-        rep = sweep("FALSE_TEST", SweepConfig(dims=(4,), trials=10, master_seed=0))
+        rep = sweep("FALSE_TEST", dims=(4,), trials=10, master_seed=0)
         assert rep.failures == 10 and rep.passes == 0 and rep.not_applicable == 0
         assert rep.trials == 10
 
     def test_counts_add_up(self):
-        rep = sweep("SCHWARZ_REVERSE", SweepConfig(dims=(3,), trials=40, master_seed=2))
+        rep = sweep("SCHWARZ_REVERSE", dims=(3,), trials=40, master_seed=2)
         assert rep.passes + rep.failures + rep.not_applicable == rep.trials
 
     def test_worst_fingerprint_replays(self):
-        rep = sweep("FALSE_TEST", SweepConfig(dims=(4,), trials=10, master_seed=0))
+        rep = sweep("FALSE_TEST", dims=(4,), trials=10, master_seed=0)
         fp = rep.worst_fingerprint
         entry = get_entry("FALSE_TEST")
         inst = make_instance(entry.recipe_for(fp.recipe, fp.dim), fp.seed)
@@ -255,13 +254,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("entry_id", PROVEN_DEFAULTS_HOLD)
     def test_proven_entries_hold_on_default_recipes(self, entry_id):
-        rep = sweep(entry_id, SweepConfig(dims=(2, 5), trials=60, master_seed=23))
+        rep = sweep(entry_id, dims=(2, 5), trials=60, master_seed=23)
         assert rep.failures == 0, f"{entry_id} violated: worst {rep.worst_margin}"
 
     def test_sj_single_violations_are_recorded_findings(self):
         # the printed per-index bound fails on generic draws; the harness
         # must record a replayable fingerprint instead of crashing
-        rep = sweep("SJ_SINGLE", SweepConfig(dims=(4,), trials=60, master_seed=5))
+        rep = sweep("SJ_SINGLE", dims=(4,), trials=60, master_seed=5)
         assert rep.passes + rep.failures == rep.trials
         if rep.failures:
             fp = rep.worst_fingerprint
@@ -269,14 +268,14 @@ class TestSweep:
             assert evaluate("SJ_SINGLE", inst).margin == rep.worst_margin
 
     def test_recipe_override(self):
-        rep = sweep("HS_PRODUCT", SweepConfig(dims=(4,), trials=20, master_seed=1, recipe="commuting-normal"))
+        rep = sweep("HS_PRODUCT", dims=(4,), trials=20, master_seed=1, recipe="commuting-normal")
         assert rep.not_applicable == 0 and rep.failures == 0
 
     def test_bad_config(self):
-        with pytest.raises(InputError):
-            SweepConfig(dims=(4,), trials=-1)
-        with pytest.raises(InputError):
-            SweepConfig(dims=(), trials=1)
+        with pytest.raises(InputError, match="trials must be >= 0"):
+            sweep("THM_MAIN", dims=(4,), trials=-1)
+        with pytest.raises(InputError, match="at least one dim is required"):
+            sweep("THM_MAIN", dims=(), trials=1)
 
 
 class TestChainConsistency:

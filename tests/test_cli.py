@@ -181,7 +181,27 @@ class TestSweep:
 
     def test_wall_time_goes_to_stderr(self, capsys):
         assert run_cli("sweep", "--entry", "THM_MAIN", "--trials", "1") == 0
-        assert re.fullmatch(r"# sweep wall time: \d+\.\d{3}s\n", capsys.readouterr().err)
+        assert re.fullmatch(
+            r"# sweep wall time: \d+\.\d{3}s\n"
+            r"# sweep not applicable: 0 hypotheses failed, 0 unsafe to evaluate\n",
+            capsys.readouterr().err,
+        )
+
+    @pytest.mark.parametrize(
+        "entry, recipe, failed, unsafe",
+        [
+            ("SCHWARZ_REVERSE", "inner-normal", 0, 100),  # draws n = 0, so the bound cannot be formed
+            ("THM_MAIN", "cartesian-psd", 100, 0),  # draws non-normal S
+        ],
+    )
+    def test_not_applicable_kinds_go_to_stderr(self, capsys, entry, recipe, failed, unsafe):
+        args = ("sweep", "--entry", entry, "--recipe", recipe, "--dims", "2,4", "--trials", "50")
+        assert run_cli(*args) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["not_applicable"] == 100
+        assert captured.err.splitlines()[1] == (
+            f"# sweep not applicable: {failed} hypotheses failed, {unsafe} unsafe to evaluate"
+        )
 
     def test_unwritable_out_prints_only_the_error(self, tmp_path, capsys):
         # the wall time follows the artifact, so a failed write leaves it out
@@ -227,6 +247,14 @@ class TestSearchCommand:
         counts = re.fullmatch(r"# search: 80 candidates, (\d+) accepted, (\d+) validated\n", captured.err)
         assert counts and 0 < int(counts[1]) == int(counts[2])  # every improving move was kept
         assert "candidates" not in captured.out
+
+    def test_start_instance_missing_a_required_field_is_an_input_error(self, capsys):
+        # each start instance is evaluated in full, so the requires check runs first
+        args = ("search", "--entry", "SJ_GENERAL", "--recipe", "equality-example", "--dims", "2")
+        assert run_cli(*args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: entry SJ_GENERAL requires instance field 'X'\n"
 
 
 class TestFpCommand:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import commlab.catalog
+import commlab.search
 from commlab.catalog import HYPOTHESES, evaluate, validate_hypotheses
 from commlab.core import HypothesisError, InputError, hermitian_eig, op_norm
 from commlab.instances import Recipe, instance_from_json, instance_to_json, make_instance
@@ -160,8 +161,10 @@ class TestHypothesesOnImprovingMovesOnly:
             calls.append(1)
             return original(*args)
 
+        # evaluate validates through catalog's name, the search loop through its own
         monkeypatch.setattr(commlab.catalog, "validate_hypotheses", counting)
+        monkeypatch.setattr(commlab.search, "validate_hypotheses", counting)
         state = maximize_ratio(entry, dim=4, iterations=100, restarts=2, master_seed=3)
-        assert len(calls) == 2 + state.validated
+        assert len(calls) == 2 + state.validated + 1  # the final evaluate of the best instance
         assert state.validated == state.accepted  # no candidate failed its hypotheses
         assert state.candidates == 200
