@@ -94,16 +94,26 @@ def _csv_text(fields, rows, sep: str) -> str:
     return buf.getvalue()
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _dims(args) -> tuple[int, ...]:
+    """--dims as integers; by default 2 for the fixed equality-example, else 4."""
+    if not args.dims:
+        return (2,) if args.recipe == "equality-example" else (4,)
     try:
-        dims = tuple(int(part) for part in text.split(",") if part.strip())
+        dims = tuple(int(part) for part in args.dims.split(",") if part.strip())
     except ValueError as exc:
-        raise InputError(f"--dims expects integers, got {text!r}") from exc
+        raise InputError(f"--dims expects integers, got {args.dims!r}") from exc
     if not dims:
         raise InputError("--dims expects at least one dimension")
     if max(dims) > _DIM_MAX:
         raise InputError(f"--dims must not exceed {_DIM_MAX}")
     return dims
+
+
+def _dim(args) -> int:
+    dims = _dims(args)
+    if len(dims) != 1:
+        raise InputError("this command takes a single dimension")
+    return dims[0]
 
 
 def _check_tol(tol: float) -> float:
@@ -114,19 +124,11 @@ def _check_tol(tol: float) -> float:
 
 def _generate_instance(args, entry):
     """Instance generated from --recipe/--dims/--seed, with the pieces ``entry`` needs."""
-    default_dim = 2 if args.recipe == "equality-example" else 4
-    dims = _parse_dims(args.dims) if args.dims else (default_dim,)
-    if len(dims) != 1:
-        raise InputError("this command takes a single dimension")
-    try:
-        if entry is not None:
-            recipe = entry.recipe_for(args.recipe, dims[0])
-        else:
-            recipe = Recipe(family=args.recipe or "normal", dim=dims[0])
-        return make_instance(recipe, args.seed)
-    except HypothesisError as exc:
-        # an unbuildable generation request is a config problem, not a finding
-        raise InputError(str(exc)) from exc
+    if entry is not None:
+        recipe = entry.recipe_for(args.recipe, _dim(args))
+    else:
+        recipe = Recipe(family=args.recipe or "normal", dim=_dim(args))
+    return make_instance(recipe, args.seed)
 
 
 def _resolve_instance(args, entry=None):
@@ -187,8 +189,7 @@ def _cmd_sweep(args) -> tuple:
     """Also returns the wall time and why trials did not apply, for ``main``'s stderr."""
     entry = get_entry(args.entry)
     tol = _check_tol(args.tol)
-    dims = _parse_dims(args.dims) if args.dims else (4,)
-    report = sweep(entry, dims, args.trials, master_seed=args.seed, recipe=args.recipe, tol=tol)
+    report = sweep(entry, _dims(args), args.trials, master_seed=args.seed, recipe=args.recipe, tol=tol)
     blob = report.to_json()
     artifact = _csv_text(SWEEP_CSV_FIELDS, [blob], " ") if args.format == "csv" else blob
     code = 1 if report.failures > 0 else 0
@@ -201,12 +202,9 @@ def _cmd_sweep(args) -> tuple:
 def _cmd_search(args) -> tuple:
     """Also returns a count of the work done, for ``main`` to print on stderr."""
     tol = _check_tol(args.tol)
-    dims = _parse_dims(args.dims) if args.dims else (4,)
-    if len(dims) != 1:
-        raise InputError("search takes a single dimension")
     state = maximize_ratio(
         args.entry,
-        dim=dims[0],
+        dim=_dim(args),
         iterations=args.iterations,
         restarts=args.restarts,
         master_seed=args.seed,
@@ -297,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in extra:
             p.add_argument(flag, **flags[flag])
         p.add_argument("--recipe", choices=RECIPE_FAMILIES, help="generation recipe family")
-        p.add_argument("--dims", help="dimension, or comma list for sweep (default 4)")
+        p.add_argument(
+            "--dims",
+            help="dimension, or comma list for sweep (default 2 for equality-example, else 4)",
+        )
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", help="write the report here instead of stdout")
 

@@ -181,8 +181,9 @@ def random_unit_vector(dim: int, seed: int) -> np.ndarray:
 
 def _banded_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -> np.ndarray:
     """dim values in [lo, hi] with both endpoints attained (at indices 0, 1)."""
-    inner = rng.uniform(lo, hi, size=dim - 2) if dim > 2 else np.empty(0)
-    return np.concatenate([[lo, hi], inner])
+    if dim < 2:
+        raise ShapeError("banded generation requires dim >= 2 so both endpoints are attained")
+    return np.concatenate([[lo, hi], rng.uniform(lo, hi, size=dim - 2)])
 
 
 @dataclass(frozen=True)
@@ -194,14 +195,13 @@ class NormalFactor:
     im: np.ndarray
     re_band: tuple[float, float]
     im_band: tuple[float, float]
-    re_pins: tuple[int, int]
-    im_pins: tuple[int, int]
+    im_pins: tuple[int, int]  # re's endpoints sit at indices 0, 1
 
     def build(self) -> np.ndarray:
         return (self.u * (self.re + 1j * self.im)) @ self.u.conj().T
 
     def perturbed(self, scale: float, rng: np.random.Generator) -> "NormalFactor":
-        re = _perturb_band(self.re, self.re_band, self.re_pins, scale, rng)
+        re = _perturb_band(self.re, self.re_band, (0, 1), scale, rng)
         im = _perturb_band(self.im, self.im_band, self.im_pins, scale, rng)
         u = self.u @ _unitary_step(self.u.shape[0], scale, rng)
         return replace(self, u=u, re=re, im=im)
@@ -306,12 +306,12 @@ def _perturb_band(
 def _unitary_step(dim: int, scale: float, rng: np.random.Generator) -> np.ndarray:
     """exp(K) for a random skew-Hermitian K with op_norm(K) <= scale."""
     g = _complex_gaussian(rng, dim)
-    k = (g - g.conj().T) / 2.0
-    nk = op_norm(k)
+    # K = (g - g*)/2 is exactly skew-Hermitian: factor the Hermitian H = -iK,
+    # whose eigenvalues give op_norm(K) = max |vals| and exp(K) = exp(iH)
+    vals, vecs = np.linalg.eigh(-0.5j * (g - g.conj().T))
+    nk = np.max(np.abs(vals))
     if nk > scale:
-        k *= scale / nk
-    # exp of skew-Hermitian via the Hermitian matrix H = -iK (K is exactly skew-Hermitian)
-    vals, vecs = np.linalg.eigh(-1j * k)
+        vals *= scale / nk
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
@@ -321,8 +321,6 @@ def _normal_factor(
     im_band: tuple[float, float],
     seed: int,
 ) -> NormalFactor:
-    if dim < 2:
-        raise ShapeError("banded generation requires dim >= 2 so both endpoints are attained")
     rng = np.random.default_rng(derive_seed(seed, 0))
     re = _banded_spectrum(rng, dim, *re_band)
     im_base = _banded_spectrum(rng, dim, *im_band)
@@ -336,7 +334,6 @@ def _normal_factor(
         im=im,
         re_band=re_band,
         im_band=im_band,
-        re_pins=(0, 1),
         im_pins=(int(perm[0]), int(perm[1])),
     )
 
@@ -514,6 +511,8 @@ class Recipe:
             raise InputError(f"unknown recipe family {self.family!r}; known: {RECIPE_FAMILIES}")
         if self.dim < 1:
             raise ShapeError("recipe dim must be >= 1")
+        if self.family == "equality-example" and self.dim != 2:
+            raise InputError("equality-example is a fixed 2x2 instance")
         if self.x_kind not in ("ginibre", "pd"):
             raise InputError("x_kind must be 'ginibre' or 'pd'")
 
@@ -539,14 +538,13 @@ def equality_example() -> Instance:
     )
 
 
-def _assemble(
-    factors: dict, bounds: SpectralBounds, seed: int, dim: int, recipe: str, had_n: bool
-) -> Instance:
-    """Materialize matrices from factors and wrap them in an Instance."""
+def _assemble(factors: dict, bounds: SpectralBounds, seed: int, dim: int, recipe: str) -> Instance:
+    """Materialize matrices from factors and wrap them in an Instance; a
+    vector x brings n = |ST - TS| with it."""
     pair = factors.get("pair")  # a commuting pair builds S and T from one factor
     s, t = pair.build() if pair else (factors["S"].build(), factors["T"].build())
     built = {name: factors[name].build() for name in ("X", "Y", "x") if name in factors}
-    n = op_norm(commutator(s, t)) if had_n else None
+    n = op_norm(commutator(s, t)) if "x" in factors else None
     return Instance(
         S=s, T=t, bounds=bounds, seed=seed, dim=dim, recipe=recipe, n=n, internals=factors, **built
     )
@@ -556,8 +554,6 @@ def make_instance(recipe: Recipe, seed: int) -> Instance:
     """Deterministically build an Instance satisfying the recipe's structure."""
     family = _FAMILIES.get(recipe.family)
     if family is None:  # the fixed equality example
-        if recipe.dim != 2:
-            raise HypothesisError("equality-example is a fixed 2x2 instance")
         return equality_example()
     rng = np.random.default_rng(derive_seed(seed, 100))
     a, b = family.ab(rng), family.ab(rng)
@@ -576,7 +572,7 @@ def make_instance(recipe: Recipe, seed: int) -> Instance:
         factors["Y"] = GinibreFactor(random_ginibre(recipe.dim, derive_seed(seed, 6)))
     if recipe.with_vector:
         factors["x"] = VectorFactor(random_unit_vector(recipe.dim, derive_seed(seed, 7)))
-    return _assemble(factors, bounds, seed, recipe.dim, recipe.family, had_n=recipe.with_vector)
+    return _assemble(factors, bounds, seed, recipe.dim, recipe.family)
 
 
 def perturb(inst: Instance, scale: float, seed: int) -> Instance:
@@ -598,7 +594,7 @@ def perturb(inst: Instance, scale: float, seed: int) -> Instance:
             factors["T"] = factors["S"]  # keep a tied pair tied
             continue
         factors[name] = factor.perturbed(scale, rng)
-    return _assemble(factors, inst.bounds, seed, inst.dim, inst.recipe, had_n=inst.n is not None)
+    return _assemble(factors, inst.bounds, seed, inst.dim, inst.recipe)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from commlab import cli, derivations
 from commlab.cli import main
 from commlab.catalog import REPORT_CSV_FIELDS, SWEEP_CSV_FIELDS
-from commlab.instances import Recipe, derive_seed, instance_from_json, instance_to_json, make_instance
+from commlab.instances import (
+    RECIPE_FAMILIES,
+    Recipe,
+    derive_seed,
+    instance_from_json,
+    instance_to_json,
+    make_instance,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -530,6 +537,35 @@ def test_oversized_dims_refused_before_allocating(argv, monkeypatch):
 
 def test_usage_error_exit_code():
     assert run_cli("unknown-command") == 2
+
+
+_GENERATING_COMMANDS = (
+    "gen",
+    "check --entry THM_MAIN",
+    "check --entry THREE_TERM",
+    "sweep --entry THM_MAIN --trials 2",
+    "search --entry SCHWARZ_REVERSE --iterations 3 --restarts 1",
+    "fp",
+    "ortho",
+)
+
+
+@pytest.mark.parametrize("command", _GENERATING_COMMANDS)
+@pytest.mark.parametrize("family", RECIPE_FAMILIES)
+def test_every_recipe_and_dim_exits_with_a_documented_code(command, family, capsys):
+    """An unbuildable recipe is an input error in every command, never a
+    traceback or a finding; equality-example runs at its fixed dim 2 by default."""
+    for dims in (None, "1", "2", "3"):
+        argv = [*command.split(), "--recipe", family] + (["--dims", dims] if dims else [])
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if family == "commuting-normal" and dims == "1":
+            assert code == 2 and "banded generation requires dim >= 2" in err, argv
+        if family == "equality-example" and dims in ("1", "3"):
+            assert code == 2 and "equality-example is a fixed 2x2 instance" in err, argv
+        if family == "equality-example" and dims is None and command.split()[0] in ("sweep", "search"):
+            assert code == 0 and err.startswith("#"), argv
 
 
 def _flat_cells(blob: dict, sep: str) -> dict:

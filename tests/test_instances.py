@@ -194,8 +194,8 @@ class TestMakeInstance:
             Recipe("weird", 4)
 
     def test_equality_example_dim_guard(self):
-        with pytest.raises(HypothesisError):
-            make_instance(Recipe("equality-example", 3), 0)
+        with pytest.raises(InputError):
+            Recipe("equality-example", 3)
 
 
 class TestInstanceValidation:

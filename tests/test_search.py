@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import commlab.catalog
 import commlab.search
-from commlab.catalog import HYPOTHESES, evaluate, validate_hypotheses
+from commlab.catalog import HYPOTHESES, evaluate, get_entry, validate_hypotheses
 from commlab.core import HypothesisError, InputError, hermitian_eig, op_norm
 from commlab.instances import Recipe, instance_from_json, instance_to_json, make_instance
+from commlab.instances import _complex_gaussian, _unitary_step
 from commlab.search import maximize_ratio, perturb, search_state_to_json
 from oracles import eager_maximize_ratio
 
@@ -63,6 +64,26 @@ class TestPerturb:
         inst = make_instance(Recipe("inner-normal", 3), 2)
         moved = perturb(inst, 0.3, 4)
         assert np.array_equal(moved.S, moved.T)
+
+    @pytest.mark.parametrize("scale_over_norm", [0.1, 0.9, 1.5])
+    def test_unitary_step_is_exp_of_a_bounded_k(self, scale_over_norm):
+        # the K that _unitary_step draws from this generator; |K| < pi, so
+        # the eigenphases of exp(K) are the eigenvalues of -iK
+        g = _complex_gaussian(np.random.default_rng(1), 4)
+        nk = op_norm((g - g.conj().T) / 2)
+        scale = scale_over_norm * nk
+        u = _unitary_step(4, scale, np.random.default_rng(1))
+        assert op_norm(u.conj().T @ u - np.eye(4)) <= 1e-12
+        phases = np.abs(np.angle(np.linalg.eigvals(u)))
+        assert phases.max() <= scale + 1e-12
+        # K is scaled down to |K| = scale only when it is larger
+        assert phases.max() == pytest.approx(min(scale, nk), abs=1e-12)
+
+    def test_move_takes_no_svd(self, linalg_calls):
+        inst = make_instance(get_entry("SJ_GENERAL").recipe_for("normal", 4), 3)
+        linalg_calls.update(svd=0, eigvalsh=0)
+        perturb(inst, 0.2, 5)
+        assert linalg_calls["svd"] == 0
 
 
 class TestMaximizeRatio:
