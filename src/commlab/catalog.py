@@ -2,10 +2,12 @@
 
 Each entry evaluates one printed bound to an LHS/RHS pair with a signed
 margin, normalized so that "satisfied" always means
-``margin >= -tol * max(1, |rhs|)``. Entries whose recorded derivation has a
-questionable step carry status "suspect-step"; sweeps treat their verdicts
-as findings, never as errors. FALSE_TEST is a deliberately false control
-entry that exercises the violation-reporting path.
+``margin >= -tol * max(1, |rhs|)``. The status says whether a bound holds as
+encoded: ``commlab search --entry ID --dims 2 --iterations 200 --restarts 3
+--seed 1`` (and at dim 3) violates exactly the "refuted" entries, among them
+FALSE_TEST, a deliberately false control; "suspect-step" marks a bound that
+survives with a questionable step in its recorded derivation. Sweeps treat
+verdicts as findings, never as errors.
 
 An entry is one ``CatalogEntry``: its formula is a field, and its hypothesis
 codes name predicates in ``HYPOTHESES``.
@@ -39,10 +41,8 @@ from commlab.instances import Fingerprint, Instance, Recipe, SpectralBounds, der
 __all__ = [
     "CatalogEntry",
     "CATALOG",
-    "EXPLORATORY",
     "HYPOTHESES",
     "get_entry",
-    "entry_ids",
     "validate_hypotheses",
     "InequalityReport",
     "evaluate",
@@ -63,7 +63,7 @@ class CatalogEntry:
 
     id: str
     description: str
-    status: str  # "proven" | "suspect-step" | "synthetic-false"
+    status: str  # "proven" | "suspect-step" | "refuted" (see the module docstring)
     direction: str  # "le" (lhs <= rhs), "ge" (lhs >= rhs), "eq" (lhs == rhs)
     formula: Callable[[Instance], tuple]  # inst -> (lhs, rhs, JSON-ready detail or None)
     hypotheses: tuple[str, ...] = ()
@@ -281,7 +281,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             description=(
                 "s_j(SX-YT) <= (max(b2-a1, a2-b1) + max(d2-c1, c2-d1)) s_j(X (+) Y) for all j"
             ),
-            status="suspect-step",
+            status="refuted",
             direction="le",
             formula=_sj_general,
             hypotheses=("normal:S", "normal:T", "band:S", "band:T"),
@@ -291,7 +291,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
         CatalogEntry(
             id="SJ_MAX",
             description="s_j(SX-YT) <= max(|A|, |B|) s_j(X (+) Y) for all j",
-            status="suspect-step",
+            status="refuted",
             direction="le",
             formula=lambda i: _sj_eval(
                 i,
@@ -305,7 +305,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
         CatalogEntry(
             id="SJ_SINGLE",
             description="s_j(SX-YS) <= sqrt((a2-a1)^2+(c2-c1)^2) s_j(X (+) Y) for all j",
-            status="proven",
+            status="refuted",
             direction="le",
             formula=lambda i: _sj_eval(i, i.S, _s_width(i.bounds)),
             hypotheses=("normal:S", "band:S"),
@@ -336,7 +336,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
         CatalogEntry(
             id="NUMRAD_CLAIM",
             description="w(ST) = |TS| for normal S, T (equality claim, checked both ways)",
-            status="suspect-step",
+            status="refuted",
             direction="eq",
             formula=lambda i: (numerical_radius(i.S @ i.T), op_norm(i.T @ i.S), None),
             hypotheses=("normal:S", "normal:T"),
@@ -375,7 +375,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
                 "|STx|^2 >= (1/n^2)(|STx|^4 - |<(ST)^2 x, x>|^2) "
                 "for self-adjoint S, T, unit x, and n >= |ST-TS|"
             ),
-            status="proven",
+            status="refuted",
             direction="ge",
             formula=_schwarz_reverse,
             hypotheses=("hermitian:S", "hermitian:T", "unit:x", "n-bound"),
@@ -385,9 +385,22 @@ def _entries() -> tuple[CatalogEntry, ...]:
         CatalogEntry(
             id="FALSE_TEST",
             description="|ST-TS| <= 0: deliberately false control for the violation path",
-            status="synthetic-false",
+            status="refuted",
             direction="le",
             formula=lambda i: (_comm_norm(i), 0.0, None),
+            default_family="normal",
+        ),
+        CatalogEntry(
+            id="THREE_TERM_STATED",
+            description=(
+                "|S-T|_2^2 <= |SX-XT|_2^2 |X^-1 S - T X^-1|_2^2 "
+                "for normal S, T and positive definite X"
+            ),
+            status="refuted",
+            direction="le",
+            formula=lambda i: _three_term(i, squared=True),
+            hypotheses=("normal:S", "normal:T", "pd:X"),
+            requires=frozenset({"X"}),
             default_family="normal",
         ),
     )
@@ -395,36 +408,11 @@ def _entries() -> tuple[CatalogEntry, ...]:
 
 CATALOG: dict[str, CatalogEntry] = {e.id: e for e in _entries()}
 
-# Variant of THREE_TERM with both right-hand factors squared and the looser
-# normality hypothesis; evaluable for empirical comparison, not listed.
-EXPLORATORY: dict[str, CatalogEntry] = {
-    "THREE_TERM_STATED": CatalogEntry(
-        id="THREE_TERM_STATED",
-        description=(
-            "|S-T|_2^2 <= |SX-XT|_2^2 |X^-1 S - T X^-1|_2^2 "
-            "for normal S, T and positive definite X"
-        ),
-        status="suspect-step",
-        direction="le",
-        formula=lambda i: _three_term(i, squared=True),
-        hypotheses=("normal:S", "normal:T", "pd:X"),
-        requires=frozenset({"X"}),
-        default_family="normal",
-    )
-}
-
-
-def entry_ids() -> tuple[str, ...]:
-    """Catalog ids, then exploratory ids."""
-    return tuple(CATALOG) + tuple(EXPLORATORY)
-
 
 def get_entry(entry_id: str) -> CatalogEntry:
     if entry_id in CATALOG:
         return CATALOG[entry_id]
-    if entry_id in EXPLORATORY:
-        return EXPLORATORY[entry_id]
-    raise InputError(f"unknown entry {entry_id!r}; known: {', '.join(entry_ids())}")
+    raise InputError(f"unknown entry {entry_id!r}; known: {', '.join(CATALOG)}")
 
 
 # ---------------------------------------------------------------------------

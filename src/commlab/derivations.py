@@ -263,8 +263,6 @@ def check_reduction(s, c) -> ReductionReport:
     n = s.shape[0]
     u, svals, _ = np.linalg.svd(c)
     smax = float(svals[0]) if svals.size else 0.0
-    if smax == 0.0:
-        return ReductionReport(True, True, {"invariance": 0.0, "co_invariance": 0.0, "normality": 0.0})
     q = u[:, svals > _RANGE_REL_CUTOFF * smax]
     proj = q @ q.conj().T
     comp = np.eye(n) - proj

@@ -513,6 +513,8 @@ class Recipe:
             raise ShapeError("recipe dim must be >= 1")
         if self.family == "equality-example" and self.dim != 2:
             raise InputError("equality-example is a fixed 2x2 instance")
+        if self.family == "equality-example" and (self.with_x or self.with_y):
+            raise InputError("equality-example has no X or Y")
         if self.x_kind not in ("ginibre", "pd"):
             raise InputError("x_kind must be 'ginibre' or 'pd'")
 

@@ -35,6 +35,7 @@ __all__ = ["perturb", "SearchState", "maximize_ratio", "search_state_to_json"]
 _STAGNATION_LIMIT = 50
 _STEP_FLOOR = 1e-6
 _RATIO_DENOM_FLOOR = 1e-9
+_MIN_GAIN = 1e-12
 
 
 def _objective(entry: CatalogEntry, lhs: float, rhs: float) -> tuple[str, float]:
@@ -89,7 +90,8 @@ def maximize_ratio(
     Each restart evaluates a fresh instance, then proposes ``iterations``
     perturbed candidates, halving the step after 50 non-improving proposals
     (floor 1e-6). A candidate is kept when its objective beats the current
-    one and its hypotheses hold; they are checked only on such candidates.
+    one by more than rounding noise, ``1e-12 * max(1, |objective|)``, and its
+    hypotheses hold; they are checked only on such candidates.
     The best instance is evaluated once more for ``best_report``.
     Deterministic in all arguments; ties across restarts break by
     fingerprint order.
@@ -116,7 +118,7 @@ def maximize_ratio(
                 cand = perturb(inst, step, derive_seed(master_seed, restart, it))
                 lhs, rhs, _ = entry.formula(cand)
                 cand_kind, cand_obj = _objective(entry, lhs, rhs)
-                accept = cand_kind == kind and cand_obj > obj
+                accept = cand_kind == kind and cand_obj > obj + _MIN_GAIN * max(1.0, abs(obj))
                 if accept:
                     validated += 1
                     # moves should preserve hypotheses; stay put if not

@@ -168,8 +168,9 @@ def brute_min_distance_hs(s: np.ndarray, t: np.ndarray, c: np.ndarray) -> float:
 
 
 def eager_maximize_ratio(entry_id: str, dim: int, iterations: int, restarts: int, master_seed: int = 0):
-    """``search.maximize_ratio`` as first written: a full ``evaluate`` of every
-    candidate, hypotheses before the objective.
+    """``search.maximize_ratio`` as first written, with its keep rule (gain over
+    1e-12 relative): a full ``evaluate`` of every candidate, hypotheses before
+    the objective.
 
     Returns the ``SearchState`` it finds; its ``validated`` counts every
     candidate, since each one's hypotheses are checked.
@@ -201,7 +202,7 @@ def eager_maximize_ratio(entry_id: str, dim: int, iterations: int, restarts: int
                 accept = False
             else:
                 cand_kind, cand_obj = objective(cand_report)
-                accept = cand_kind == kind and cand_obj > obj
+                accept = cand_kind == kind and cand_obj > obj + 1e-12 * max(1.0, abs(obj))
             if accept:
                 inst, report, obj = cand, cand_report, cand_obj
                 accepted += 1

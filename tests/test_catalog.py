@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from commlab.catalog import (
     CATALOG,
-    EXPLORATORY,
     HYPOTHESES,
-    entry_ids,
     evaluate,
     get_entry,
     sweep,
@@ -38,32 +36,46 @@ def _bare_instance(s, t, bounds=None, **kw):
 
 
 class TestCatalogShape:
-    def test_seventeen_entries(self):
-        assert len(CATALOG) == 17
+    def test_eighteen_entries(self):
+        assert len(CATALOG) == 18
 
-    def test_ids_unique_and_exploratory_separate(self):
-        assert len(set(entry_ids())) == len(entry_ids())
-        assert "THREE_TERM_STATED" in EXPLORATORY and "THREE_TERM_STATED" not in CATALOG
+    def test_ids_unique_and_three_term_stated_listed(self):
+        # each row is keyed by its own id, and the last row keeps every other id in place
+        assert [e.id for e in CATALOG.values()] == list(CATALOG)
+        assert list(CATALOG)[-1] == "THREE_TERM_STATED"
 
     def test_every_hypothesis_code_has_a_predicate(self):
-        used = {code for e in (*CATALOG.values(), *EXPLORATORY.values()) for code in e.hypotheses}
+        used = {code for e in CATALOG.values() for code in e.hypotheses}
         assert used <= set(HYPOTHESES)
 
     def test_statuses(self):
-        assert {e.status for e in CATALOG.values()} == {"proven", "suspect-step", "synthetic-false"}
-        assert CATALOG["FALSE_TEST"].status == "synthetic-false"
+        assert {e.status for e in CATALOG.values()} == {"proven", "suspect-step", "refuted"}
         suspect = {i for i, e in CATALOG.items() if e.status == "suspect-step"}
-        assert suspect == {"SJ_GENERAL", "SJ_MAX", "SQRT_PRODUCT", "NUMRAD_CLAIM", "COMMUTATOR_HS"}
+        assert suspect == {"SQRT_PRODUCT", "COMMUTATOR_HS"}
 
     def test_unknown_entry(self):
         with pytest.raises(InputError):
             get_entry("NOPE")
 
 
+@pytest.mark.parametrize("entry_id", CATALOG)
+def test_status_follows_the_search_gate(entry_id, capsys):
+    """An entry is refuted exactly when one deterministic search violates it,
+    at dims 2 and 3, so each refuted entry's counterexample replays from its
+    argv alone."""
+    refuted = CATALOG[entry_id].status == "refuted"
+    for dim in ("2", "3"):
+        argv = ["search", "--entry", entry_id, "--dims", dim, "--iterations", "200"]
+        code = main([*argv, "--restarts", "3", "--seed", "1"])
+        verdict = json.loads(capsys.readouterr().out)["best_report"]["verdict"]
+        assert (verdict == "violated") == refuted, (dim, verdict)
+        assert code == (1 if refuted else 0)
+
+
 class TestEntryRecipe:
     """An entry's recipe draws exactly the pieces it requires."""
 
-    @pytest.mark.parametrize("entry_id", entry_ids())
+    @pytest.mark.parametrize("entry_id", CATALOG)
     def test_pieces_follow_requires(self, entry_id):
         entry = get_entry(entry_id)
         inst = make_instance(entry.recipe_for(None, 3), 0)
@@ -210,17 +222,7 @@ class TestEvaluate:
         assert json.loads(capsys.readouterr().out) == blob
 
 
-PROVEN_DEFAULTS_HOLD = (
-    "THM_MAIN",
-    "STEP_CENTERED",
-    "STEP_CARTESIAN",
-    "STEP_HALF_BAND",
-    "COR_NORMBOUND",
-    "REMARK_POSITIVE",
-    "COR_SELF_COMMUTATOR",
-    "HS_PRODUCT",
-    "THREE_TERM",
-)
+PROVEN_DEFAULTS_HOLD = tuple(i for i, e in CATALOG.items() if e.status != "refuted")
 
 
 class TestSweep:
@@ -256,16 +258,6 @@ class TestSweep:
     def test_proven_entries_hold_on_default_recipes(self, entry_id):
         rep = sweep(entry_id, dims=(2, 5), trials=60, master_seed=23)
         assert rep.failures == 0, f"{entry_id} violated: worst {rep.worst_margin}"
-
-    def test_sj_single_violations_are_recorded_findings(self):
-        # the printed per-index bound fails on generic draws; the harness
-        # must record a replayable fingerprint instead of crashing
-        rep = sweep("SJ_SINGLE", dims=(4,), trials=60, master_seed=5)
-        assert rep.passes + rep.failures == rep.trials
-        if rep.failures:
-            fp = rep.worst_fingerprint
-            inst = make_instance(get_entry("SJ_SINGLE").recipe_for(fp.recipe, fp.dim), fp.seed)
-            assert evaluate("SJ_SINGLE", inst).margin == rep.worst_margin
 
     def test_recipe_override(self):
         rep = sweep("HS_PRODUCT", dims=(4,), trials=20, master_seed=1, recipe="commuting-normal")

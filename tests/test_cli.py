@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from commlab import cli, derivations
 from commlab.cli import main
-from commlab.catalog import REPORT_CSV_FIELDS, SWEEP_CSV_FIELDS
+from commlab.catalog import REPORT_CSV_FIELDS, SWEEP_CSV_FIELDS, get_entry
 from commlab.instances import (
     RECIPE_FAMILIES,
     Recipe,
@@ -41,14 +41,14 @@ class TestList:
     def test_text_lists_all_entries(self, capsys):
         assert run_cli("list") == 0
         out = capsys.readouterr().out
-        assert out.startswith("17 catalog entries")
+        assert out.startswith("18 catalog entries")
         for eid in ("THM_MAIN", "FALSE_TEST", "SCHWARZ_REVERSE"):
             assert eid in out
 
     def test_json_format(self, capsys):
         assert run_cli("list", "--format", "json") == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload) == 17
+        assert len(payload) == 18
         assert {"id", "status", "description"} <= set(payload[0])
 
     def test_csv_documents_report_columns(self, capsys):
@@ -256,12 +256,12 @@ class TestSearchCommand:
         assert "candidates" not in captured.out
 
     def test_start_instance_missing_a_required_field_is_an_input_error(self, capsys):
-        # each start instance is evaluated in full, so the requires check runs first
+        # the recipe refuses to build a start instance without the X the entry requires
         args = ("search", "--entry", "SJ_GENERAL", "--recipe", "equality-example", "--dims", "2")
         assert run_cli(*args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: entry SJ_GENERAL requires instance field 'X'\n"
+        assert captured.err == "error: equality-example has no X or Y\n"
 
 
 class TestFpCommand:
@@ -541,6 +541,7 @@ def test_usage_error_exit_code():
 
 _GENERATING_COMMANDS = (
     "gen",
+    "gen --entry SJ_GENERAL",
     "check --entry THM_MAIN",
     "check --entry THREE_TERM",
     "sweep --entry THM_MAIN --trials 2",
@@ -554,7 +555,11 @@ _GENERATING_COMMANDS = (
 @pytest.mark.parametrize("family", RECIPE_FAMILIES)
 def test_every_recipe_and_dim_exits_with_a_documented_code(command, family, capsys):
     """An unbuildable recipe is an input error in every command, never a
-    traceback or a finding; equality-example runs at its fixed dim 2 by default."""
+    traceback or a finding; equality-example runs at its fixed dim 2 by default,
+    and has no X or Y for an entry that requires one."""
+    words = command.split()
+    entry = get_entry(words[words.index("--entry") + 1]) if "--entry" in words else None
+    needs_matrix = entry is not None and bool({"X", "Y"} & entry.requires)
     for dims in (None, "1", "2", "3"):
         argv = [*command.split(), "--recipe", family] + (["--dims", dims] if dims else [])
         code = main(argv)
@@ -566,6 +571,8 @@ def test_every_recipe_and_dim_exits_with_a_documented_code(command, family, caps
             assert code == 2 and "equality-example is a fixed 2x2 instance" in err, argv
         if family == "equality-example" and dims is None and command.split()[0] in ("sweep", "search"):
             assert code == 0 and err.startswith("#"), argv
+        if family == "equality-example" and dims in (None, "2") and needs_matrix:
+            assert code == 2 and "equality-example has no X or Y" in err, argv
 
 
 def _flat_cells(blob: dict, sep: str) -> dict:

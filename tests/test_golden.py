@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commlab.catalog import CATALOG, EXPLORATORY, validate_hypotheses
+from commlab.catalog import CATALOG, validate_hypotheses
 from commlab.cli import main
 from commlab.instances import (
     RECIPE_FAMILIES,
@@ -41,7 +41,7 @@ from commlab.instances import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
-ENTRY_IDS = tuple(CATALOG) + tuple(EXPLORATORY)
+ENTRY_IDS = tuple(CATALOG)
 # (seed, recipe override); None keeps the entry's default recipe
 CHECK_CASES = ((0, None), (1, None), (2, None), (0, "cartesian-psd"), (0, "unitary"))
 REL = 1e-12
