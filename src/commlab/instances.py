@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +38,8 @@ __all__ = [
     "random_unit_vector",
     "equality_example",
     "make_instance",
+    "Moves",
+    "draw_moves",
     "perturb",
     "matrix_to_json",
     "matrix_from_json",
@@ -148,9 +151,20 @@ def _number(convert, value, name: str):
 # generators
 
 
-def _complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n x n i.i.d. standard complex normal entries: the real parts drawn first."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def _complex_gaussians(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+    """One n x n matrix of i.i.d. standard complex normal entries per generator,
+    stacked; each generator draws its real parts first."""
+    pairs = np.stack([rng.standard_normal((2, n, n)) for rng in rngs])
+    return (pairs[:, 0] + 1j * pairs[:, 1]) / np.sqrt(2.0)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _conjugated(u: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """U diag(eigenvalues) U*, over any leading axes."""
+    return (u * eigenvalues[..., None, :]) @ _adjoint(u)
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
@@ -168,7 +182,7 @@ def random_ginibre(dim: int, seed: int) -> np.ndarray:
     """Square complex matrix with i.i.d. standard complex normal entries."""
     if dim < 1:
         raise ShapeError("random_ginibre requires dim >= 1")
-    return _complex_gaussian(np.random.default_rng(seed), dim)
+    return _complex_gaussians([np.random.default_rng(seed)], dim)[0]
 
 
 def random_unit_vector(dim: int, seed: int) -> np.ndarray:
@@ -186,8 +200,26 @@ def _banded_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -
     return np.concatenate([[lo, hi], rng.uniform(lo, hi, size=dim - 2)])
 
 
+class _Factor:
+    """One generated piece of an instance; its arrays are read-only once it
+    is built, and may be views into a stacked block of moves, never copied.
+
+    ``draw(scale, rngs)`` takes the random part of a move from each
+    generator, stacked on a leading axis (one row per move); it depends on
+    the factor's structure only. ``apply(noise)`` composes those rows with
+    the factor's values and returns a factor whose arrays carry the leading
+    axis, which ``build()`` keeps; ``at(k)`` is move k's factor.
+    """
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+
+
 @dataclass(frozen=True)
-class NormalFactor:
+class NormalFactor(_Factor):
     """U diag(re + i im) U* with banded, endpoint-pinned eigenvalue parts."""
 
     u: np.ndarray
@@ -198,17 +230,28 @@ class NormalFactor:
     im_pins: tuple[int, int]  # re's endpoints sit at indices 0, 1
 
     def build(self) -> np.ndarray:
-        return (self.u * (self.re + 1j * self.im)) @ self.u.conj().T
+        return _conjugated(self.u, self.re + 1j * self.im)
 
-    def perturbed(self, scale: float, rng: np.random.Generator) -> "NormalFactor":
-        re = _perturb_band(self.re, self.re_band, (0, 1), scale, rng)
-        im = _perturb_band(self.im, self.im_band, self.im_pins, scale, rng)
-        u = self.u @ _unitary_step(self.u.shape[0], scale, rng)
-        return replace(self, u=u, re=re, im=im)
+    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> tuple:
+        n = self.u.shape[-1]
+        # re's band noise, then im's, then the step: perturb's order for each generator
+        return _band_noise(rngs, scale, (2, n)), _unitary_steps(rngs, n, scale)
+
+    def apply(self, noise: tuple) -> "NormalFactor":
+        bands, steps = noise
+        return replace(
+            self,
+            u=self.u @ steps,
+            re=_moved_band(self.re, bands[:, 0], self.re_band, (0, 1)),
+            im=_moved_band(self.im, bands[:, 1], self.im_band, self.im_pins),
+        )
+
+    def at(self, k: int) -> "NormalFactor":
+        return replace(self, u=self.u[k], re=self.re[k], im=self.im[k])
 
 
 @dataclass(frozen=True)
-class CartesianFactor:
+class CartesianFactor(_Factor):
     """re + i im for two Hermitian factors, so each cartesian part has its own band."""
 
     re: NormalFactor
@@ -217,13 +260,20 @@ class CartesianFactor:
     def build(self) -> np.ndarray:
         return self.re.build() + 1j * self.im.build()
 
-    def perturbed(self, scale: float, rng: np.random.Generator) -> "CartesianFactor":
-        im = self.im.perturbed(scale, rng)  # im draws first; replay depends on the order
-        return CartesianFactor(self.re.perturbed(scale, rng), im)
+    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> tuple:
+        # im draws first; replay depends on the order
+        return self.im.draw(scale, rngs), self.re.draw(scale, rngs)
+
+    def apply(self, noise: tuple) -> "CartesianFactor":
+        im, re = noise
+        return CartesianFactor(self.re.apply(re), self.im.apply(im))
+
+    def at(self, k: int) -> "CartesianFactor":
+        return CartesianFactor(self.re.at(k), self.im.at(k))
 
 
 @dataclass(frozen=True)
-class CommutingPairFactor:
+class CommutingPairFactor(_Factor):
     """Two normal matrices sharing one eigenbasis, so they commute exactly."""
 
     u: np.ndarray
@@ -232,87 +282,124 @@ class CommutingPairFactor:
 
     def build(self) -> tuple[np.ndarray, np.ndarray]:
         a, c, b, d = self.parts
-        s = (self.u * (a + 1j * c)) @ self.u.conj().T
-        return s, (self.u * (b + 1j * d)) @ self.u.conj().T
+        return _conjugated(self.u, a + 1j * c), _conjugated(self.u, b + 1j * d)
 
-    def perturbed(self, scale: float, rng: np.random.Generator) -> "CommutingPairFactor":
-        bands = (self.bounds.band(k) for k in "acbd")
-        parts = tuple(_perturb_band(v, band, (0, 1), scale, rng) for v, band in zip(self.parts, bands))
-        u = self.u @ _unitary_step(self.u.shape[0], scale, rng)
-        return replace(self, u=u, parts=parts)
+    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> tuple:
+        n = self.u.shape[-1]
+        return _band_noise(rngs, scale, (len(self.parts), n)), _unitary_steps(rngs, n, scale)
+
+    def apply(self, noise: tuple) -> "CommutingPairFactor":
+        bands, steps = noise
+        parts = zip(self.parts, np.moveaxis(bands, 1, 0), "acbd")
+        return replace(
+            self,
+            u=self.u @ steps,
+            parts=tuple(_moved_band(v, dv, self.bounds.band(k), (0, 1)) for v, dv, k in parts),
+        )
+
+    def at(self, k: int) -> "CommutingPairFactor":
+        return replace(self, u=self.u[k], parts=tuple(v[k] for v in self.parts))
 
 
 @dataclass(frozen=True)
-class GinibreFactor:
+class GinibreFactor(_Factor):
     z: np.ndarray
 
     def build(self) -> np.ndarray:
         return self.z
 
-    def perturbed(self, scale: float, rng: np.random.Generator) -> "GinibreFactor":
-        return GinibreFactor(self.z + scale * _complex_gaussian(rng, self.z.shape[0]))
+    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        return scale * _complex_gaussians(rngs, self.z.shape[-1])
+
+    def apply(self, noise: np.ndarray) -> "GinibreFactor":
+        return GinibreFactor(self.z + noise)
+
+    def at(self, k: int) -> "GinibreFactor":
+        return GinibreFactor(self.z[k])
 
 
 @dataclass(frozen=True)
-class UnitaryFactor:
+class UnitaryFactor(_Factor):
     u: np.ndarray
 
     def build(self) -> np.ndarray:
         return self.u
 
-    def perturbed(self, scale: float, rng: np.random.Generator) -> "UnitaryFactor":
-        return UnitaryFactor(self.u @ _unitary_step(self.u.shape[0], scale, rng))
+    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        return _unitary_steps(rngs, self.u.shape[-1], scale)
+
+    def apply(self, noise: np.ndarray) -> "UnitaryFactor":
+        return UnitaryFactor(self.u @ noise)
+
+    def at(self, k: int) -> "UnitaryFactor":
+        return UnitaryFactor(self.u[k])
 
 
 @dataclass(frozen=True)
-class FixedFactor:
+class FixedFactor(_Factor):
     m: np.ndarray
 
     def build(self) -> np.ndarray:
         return self.m
 
-    def perturbed(self, scale: float, rng: np.random.Generator) -> "FixedFactor":
-        return self
+    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        return np.empty((len(rngs), 0))  # nothing is drawn: an empty row per move
+
+    def apply(self, noise: np.ndarray) -> "FixedFactor":
+        return FixedFactor(np.broadcast_to(self.m, (len(noise), *self.m.shape)))
+
+    def at(self, k: int) -> "FixedFactor":
+        return FixedFactor(self.m[k])
 
 
 @dataclass(frozen=True)
-class VectorFactor:
+class VectorFactor(_Factor):
     v: np.ndarray
 
     def build(self) -> np.ndarray:
         return self.v
 
-    def perturbed(self, scale: float, rng: np.random.Generator) -> "VectorFactor":
-        n = self.v.shape[0]
-        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = self.v + scale * noise
-        return VectorFactor(v / np.linalg.norm(v))
+    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        pairs = np.stack([rng.standard_normal((2, self.v.shape[-1])) for rng in rngs])
+        return scale * (pairs[:, 0] + 1j * pairs[:, 1])
+
+    def apply(self, noise: np.ndarray) -> "VectorFactor":
+        v = self.v + noise
+        # each row by its own 1-d norm: a norm along an axis sums in another order
+        return VectorFactor(v / np.array([np.linalg.norm(w) for w in v])[:, None])
+
+    def at(self, k: int) -> "VectorFactor":
+        return VectorFactor(self.v[k])
 
 
-def _perturb_band(
+def _band_noise(rngs: Sequence[np.random.Generator], scale: float, shape: tuple) -> np.ndarray:
+    """Uniform noise in [-scale, scale) for each generator: a row per band."""
+    return np.stack([rng.uniform(-scale, scale, size=shape) for rng in rngs])
+
+
+def _moved_band(
     values: np.ndarray,
+    noise: np.ndarray,
     band: tuple[float, float],
     pins: tuple[int, int],
-    scale: float,
-    rng: np.random.Generator,
 ) -> np.ndarray:
+    """values plus each row of noise, clamped to the band with its endpoints re-pinned."""
     lo, hi = band
-    out = np.clip(values + rng.uniform(-scale, scale, size=values.shape), lo, hi)
-    out[pins[0]] = lo
-    out[pins[1]] = hi
+    out = np.clip(values + noise, lo, hi)
+    out[..., pins[0]] = lo
+    out[..., pins[1]] = hi
     return out
 
 
-def _unitary_step(dim: int, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """exp(K) for a random skew-Hermitian K with op_norm(K) <= scale."""
-    g = _complex_gaussian(rng, dim)
+def _unitary_steps(rngs: Sequence[np.random.Generator], n: int, scale: float) -> np.ndarray:
+    """exp(K) for each generator's random skew-Hermitian K, scaled down to
+    op_norm(K) = scale where it is larger."""
+    g = _complex_gaussians(rngs, n)
     # K = (g - g*)/2 is exactly skew-Hermitian: factor the Hermitian H = -iK,
     # whose eigenvalues give op_norm(K) = max |vals| and exp(K) = exp(iH)
-    vals, vecs = np.linalg.eigh(-0.5j * (g - g.conj().T))
-    nk = np.max(np.abs(vals))
-    if nk > scale:
-        vals *= scale / nk
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    vals, vecs = np.linalg.eigh(-0.5j * (g - _adjoint(g)))
+    vals = vals * np.minimum(1.0, scale / np.max(np.abs(vals), axis=-1))[:, None]
+    return _conjugated(vecs, np.exp(1j * vals))
 
 
 def _normal_factor(
@@ -378,12 +465,15 @@ class Instance:
     C: np.ndarray | None = None
     x: np.ndarray | None = None
     n: float | None = None
-    internals: dict | None = field(default=None, repr=False, compare=False)  # factors, by name
+    # factors, by name, in a read-only mapping; their arrays are read-only too
+    internals: Mapping | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # fields are frozen and arrays are stored as read-only copies, so an
         # instance (and the fingerprint that replays it) cannot drift after
         # construction or skip the checks below
+        if self.internals is not None:
+            object.__setattr__(self, "internals", MappingProxyType(dict(self.internals)))
         object.__setattr__(self, "S", _frozen(as_matrix(self.S)))
         object.__setattr__(self, "T", _frozen(as_matrix(self.T)))
         if self.S.shape != (self.dim, self.dim) or self.T.shape != (self.dim, self.dim):
@@ -443,8 +533,9 @@ def _fixed(lo: float, hi: float) -> _BandSource:
 
 def _normal_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
     s = _normal_factor(dim, b.band("a"), b.band("c"), derive_seed(seed, 1))
-    t = s if tie else _normal_factor(dim, b.band("b"), b.band("d"), derive_seed(seed, 2))
-    return {"S": s, "T": t}
+    if tie:
+        return {"S": s}  # T is S, built from the same factor
+    return {"S": s, "T": _normal_factor(dim, b.band("b"), b.band("d"), derive_seed(seed, 2))}
 
 
 def _cartesian_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
@@ -540,16 +631,24 @@ def equality_example() -> Instance:
     )
 
 
-def _assemble(factors: dict, bounds: SpectralBounds, seed: int, dim: int, recipe: str) -> Instance:
-    """Materialize matrices from factors and wrap them in an Instance; a
-    vector x brings n = |ST - TS| with it."""
-    pair = factors.get("pair")  # a commuting pair builds S and T from one factor
-    s, t = pair.build() if pair else (factors["S"].build(), factors["T"].build())
-    built = {name: factors[name].build() for name in ("X", "Y", "x") if name in factors}
-    n = op_norm(commutator(s, t)) if "x" in factors else None
-    return Instance(
-        S=s, T=t, bounds=bounds, seed=seed, dim=dim, recipe=recipe, n=n, internals=factors, **built
-    )
+def _build(factors: Mapping) -> dict:
+    """The arrays that factors stand for, by Instance field: a commuting pair
+    builds S and T from one factor, and a tied pair has no T factor."""
+    if "pair" in factors:
+        s, t = factors["pair"].build()
+    else:
+        s = factors["S"].build()
+        t = factors["T"].build() if "T" in factors else s
+    extras = {name: factors[name].build() for name in ("X", "Y", "x") if name in factors}
+    return {"S": s, "T": t, **extras}
+
+
+def _assemble(
+    factors: Mapping, built: dict, bounds: SpectralBounds, seed: int, dim: int, recipe: str
+) -> Instance:
+    """Wrap built arrays in an Instance; a vector x brings n = |ST - TS| with it."""
+    n = op_norm(commutator(built["S"], built["T"])) if "x" in built else None
+    return Instance(bounds=bounds, seed=seed, dim=dim, recipe=recipe, n=n, internals=factors, **built)
 
 
 def make_instance(recipe: Recipe, seed: int) -> Instance:
@@ -574,7 +673,60 @@ def make_instance(recipe: Recipe, seed: int) -> Instance:
         factors["Y"] = GinibreFactor(random_ginibre(recipe.dim, derive_seed(seed, 6)))
     if recipe.with_vector:
         factors["x"] = VectorFactor(random_unit_vector(recipe.dim, derive_seed(seed, 7)))
-    return _assemble(factors, bounds, seed, recipe.dim, recipe.family)
+    return _assemble(factors, _build(factors), bounds, seed, recipe.dim, recipe.family)
+
+
+@dataclass(frozen=True)
+class Moves:
+    """The random part of ``perturb(inst, scale, seed)`` for each of a run of
+    seeds, drawn at once by ``draw_moves``.
+
+    That part depends on the seed, the scale and the factor structure of the
+    instance, never on its values, so one run of moves applies to any instance
+    of that structure: to the one it was drawn from, and to any move of it.
+    """
+
+    seeds: tuple[int, ...]
+    noise: dict  # factor name -> its noise: stacked arrays, one row per seed
+
+    def apply(self, inst: Instance, start: int = 0) -> Iterator[Instance]:
+        """``perturb(inst, scale, seed)`` for each seed from index ``start`` on,
+        in order and bit for bit: every move is composed with ``inst`` in
+        stacked arrays on the first ``next``, and each Instance is made only
+        when it is reached."""
+        factors = inst.internals
+        moved = {name: factors[name].apply(_rows(noise, start)) for name, noise in self.noise.items()}
+        built = _build(moved)
+        for k, seed in enumerate(self.seeds[start:]):
+            yield _assemble(
+                {name: f.at(k) for name, f in moved.items()},
+                {name: a[k] for name, a in built.items()},
+                inst.bounds,
+                seed,
+                inst.dim,
+                inst.recipe,
+            )
+
+
+def _rows(noise, start: int):
+    """A factor's noise from row ``start`` on."""
+    return tuple(_rows(part, start) for part in noise) if isinstance(noise, tuple) else noise[start:]
+
+
+def draw_moves(inst: Instance, scale: float, seeds: Sequence[int]) -> Moves:
+    """Draw the moves ``perturb(inst, scale, seed)`` makes for each seed.
+
+    Each seed keeps its own generator, and each generator is read in
+    ``perturb``'s order: factors by name, each factor's draws in turn. One
+    stacked eigendecomposition builds every unitary step.
+    """
+    if scale <= 0:
+        raise HypothesisError("perturb requires scale > 0")
+    if inst.internals is None:
+        raise HypothesisError("instance carries no generator internals; regenerate it via a recipe")
+    rngs = [np.random.default_rng(derive_seed(seed, 0x9E27)) for seed in seeds]
+    noise = {name: factor.draw(scale, rngs) for name, factor in sorted(inst.internals.items())}
+    return Moves(tuple(seeds), noise)
 
 
 def perturb(inst: Instance, scale: float, seed: int) -> Instance:
@@ -584,19 +736,7 @@ def perturb(inst: Instance, scale: float, seed: int) -> Instance:
     with endpoints re-pinned; bases multiply by exp(K) for random
     skew-Hermitian K with |K| <= scale. Deterministic in (inst, scale, seed).
     """
-    if scale <= 0:
-        raise HypothesisError("perturb requires scale > 0")
-    if inst.internals is None:
-        raise HypothesisError("instance carries no generator internals; regenerate it via a recipe")
-    rng = np.random.default_rng(derive_seed(seed, 0x9E27))
-    old = inst.internals
-    factors = {}
-    for name, factor in sorted(old.items()):
-        if name == "T" and old.get("S") is factor:
-            factors["T"] = factors["S"]  # keep a tied pair tied
-            continue
-        factors[name] = factor.perturbed(scale, rng)
-    return _assemble(factors, inst.bounds, seed, inst.dim, inst.recipe)
+    return next(draw_moves(inst, scale, (seed,)).apply(inst))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from commlab.catalog import (
 from commlab.instances import (
     Instance,
     derive_seed,
+    draw_moves,
     instance_to_json,
     make_instance,
     perturb,
@@ -36,6 +37,14 @@ _STAGNATION_LIMIT = 50
 _STEP_FLOOR = 1e-6
 _RATIO_DENOM_FLOOR = 1e-9
 _MIN_GAIN = 1e-12
+# the most bytes one stacked n x n complex array of a block of moves may take
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_cap(dim: int) -> int:
+    """The most moves one block draws at ``dim``: at least one, and no more
+    than keep a stacked n x n complex array within ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (16 * dim * dim))
 
 
 def _objective(entry: CatalogEntry, lhs: float, rhs: float) -> tuple[str, float]:
@@ -92,6 +101,9 @@ def maximize_ratio(
     (floor 1e-6). A candidate is kept when its objective beats the current
     one by more than rounding noise, ``1e-12 * max(1, |objective|)``, and its
     hypotheses hold; they are checked only on such candidates.
+    Candidates are drawn a block at a time: the step cannot change before
+    the stagnation count could reach 50, so a block ends there, and a kept
+    move leaves the rest of the block's noise valid for the new instance.
     The best instance is evaluated once more for ``best_report``.
     Deterministic in all arguments; ties across restarts break by
     fingerprint order.
@@ -114,26 +126,34 @@ def maximize_ratio(
             step = 0.2
             stagnation = 0
             trace = [(0, obj)]
-            for it in range(1, iterations + 1):
-                cand = perturb(inst, step, derive_seed(master_seed, restart, it))
-                lhs, rhs, _ = entry.formula(cand)
-                cand_kind, cand_obj = _objective(entry, lhs, rhs)
-                accept = cand_kind == kind and cand_obj > obj + _MIN_GAIN * max(1.0, abs(obj))
-                if accept:
-                    validated += 1
-                    # moves should preserve hypotheses; stay put if not
-                    accept = not validate_hypotheses(entry, cand)
-                if accept:
-                    inst, obj = cand, cand_obj
-                    accepted += 1
-                    stagnation = 0
-                else:
-                    stagnation += 1
-                    if stagnation >= _STAGNATION_LIMIT:
-                        step = max(step / 2.0, _STEP_FLOOR)
+            it = 1  # the next move's iteration
+            while it <= iterations:
+                count = min(iterations + 1 - it, _STAGNATION_LIMIT - stagnation, _block_cap(dim))
+                seeds = [derive_seed(master_seed, restart, i) for i in range(it, it + count)]
+                moves = draw_moves(inst, step, seeds)
+                candidates = moves.apply(inst)
+                for k in range(count):
+                    cand = next(candidates)
+                    lhs, rhs, _ = entry.formula(cand)
+                    cand_kind, cand_obj = _objective(entry, lhs, rhs)
+                    accept = cand_kind == kind and cand_obj > obj + _MIN_GAIN * max(1.0, abs(obj))
+                    if accept:
+                        validated += 1
+                        # moves should preserve hypotheses; stay put if not
+                        accept = not validate_hypotheses(entry, cand)
+                    if accept:
+                        inst, obj = cand, cand_obj
+                        accepted += 1
                         stagnation = 0
-                if it % 50 == 0:
-                    trace.append((it, obj))
+                        candidates = moves.apply(inst, k + 1)
+                    else:
+                        stagnation += 1
+                    if it % 50 == 0:
+                        trace.append((it, obj))
+                    it += 1
+                if stagnation >= _STAGNATION_LIMIT:
+                    step = max(step / 2.0, _STEP_FLOOR)
+                    stagnation = 0
             key = inst.fingerprint().sort_key()
             if (
                 best_global is None

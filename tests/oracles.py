@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: the sampling
 numerical-radius oracle maximizes over unit vectors with matrix-vector products
 only (no eigensolver), the golden-section one takes one eigensolve per angle,
-the random matrices come straight from numpy generators, and the eager search
-evaluates every candidate in full, hypotheses first.
+the random matrices come straight from numpy generators, the eager search
+evaluates every candidate in full, hypotheses first, and the sequential move
+perturbs one factor and one matrix at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +13,18 @@ from __future__ import annotations
 import numpy as np
 
 from commlab.catalog import evaluate, get_entry
-from commlab.instances import derive_seed, make_instance, perturb
+from commlab.instances import (
+    CartesianFactor,
+    CommutingPairFactor,
+    FixedFactor,
+    GinibreFactor,
+    NormalFactor,
+    UnitaryFactor,
+    VectorFactor,
+    derive_seed,
+    make_instance,
+    perturb,
+)
 from commlab.search import SearchState
 
 
@@ -167,7 +179,63 @@ def brute_min_distance_hs(s: np.ndarray, t: np.ndarray, c: np.ndarray) -> float:
     return float(np.linalg.norm(lifted @ x + cv))
 
 
-def eager_maximize_ratio(entry_id: str, dim: int, iterations: int, restarts: int, master_seed: int = 0):
+def sequential_perturb(inst, scale: float, seed: int) -> dict:
+    """The arrays of ``perturb(inst, scale, seed)`` by name (S, T and any of X,
+    Y, x), computed as ``perturb`` was first written: one generator read
+    factor by factor in name order, and one ``eigh`` per unitary step."""
+    rng = np.random.default_rng(derive_seed(seed, 0x9E27))
+
+    def gaussian(n):
+        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+
+    def band(values, lo_hi, pins):
+        lo, hi = lo_hi
+        out = np.clip(values + rng.uniform(-scale, scale, size=values.shape), lo, hi)
+        out[pins[0]], out[pins[1]] = lo, hi
+        return out
+
+    def stepped(u):
+        g = gaussian(u.shape[0])
+        vals, vecs = np.linalg.eigh(-0.5j * (g - g.conj().T))
+        nk = np.max(np.abs(vals))
+        if nk > scale:
+            vals *= scale / nk
+        return u @ ((vecs * np.exp(1j * vals)) @ vecs.conj().T)
+
+    def normal(f):
+        re, im = band(f.re, f.re_band, (0, 1)), band(f.im, f.im_band, f.im_pins)
+        u = stepped(f.u)
+        return (u * (re + 1j * im)) @ u.conj().T
+
+    out = {}
+    for name, f in sorted(inst.internals.items()):
+        if isinstance(f, NormalFactor):
+            out[name] = normal(f)
+        elif isinstance(f, CartesianFactor):
+            im = normal(f.im)  # the imaginary part draws first
+            out[name] = normal(f.re) + 1j * im
+        elif isinstance(f, CommutingPairFactor):
+            a, c, b, d = [band(v, f.bounds.band(k), (0, 1)) for v, k in zip(f.parts, "acbd")]
+            u = stepped(f.u)
+            out["S"], out["T"] = (u * (a + 1j * c)) @ u.conj().T, (u * (b + 1j * d)) @ u.conj().T
+        elif isinstance(f, GinibreFactor):
+            out[name] = f.z + scale * gaussian(f.z.shape[0])
+        elif isinstance(f, UnitaryFactor):
+            out[name] = stepped(f.u)
+        elif isinstance(f, FixedFactor):
+            out[name] = f.m
+        else:
+            assert isinstance(f, VectorFactor)
+            n = f.v.shape[0]
+            v = f.v + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            out[name] = v / np.linalg.norm(v)
+    out.setdefault("T", out["S"])  # a tied pair moves S alone
+    return out
+
+
+def eager_maximize_ratio(
+    entry_id: str, dim: int, iterations: int, restarts: int, master_seed: int = 0, recipe: str | None = None
+):
     """``search.maximize_ratio`` as first written, with its keep rule (gain over
     1e-12 relative): a full ``evaluate`` of every candidate, hypotheses before
     the objective.
@@ -191,7 +259,7 @@ def eager_maximize_ratio(entry_id: str, dim: int, iterations: int, restarts: int
     best = None
     accepted = 0
     for restart in range(restarts):
-        inst = make_instance(entry.recipe_for(None, dim), derive_seed(master_seed, restart))
+        inst = make_instance(entry.recipe_for(recipe, dim), derive_seed(master_seed, restart))
         report = evaluate(entry, inst)
         kind, obj = objective(report)
         step, stagnation, trace = 0.2, 0, [(0, obj)]

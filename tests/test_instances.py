@@ -245,6 +245,69 @@ class TestImmutability:
         with pytest.raises(dataclasses.FrozenInstanceError):
             inst.n = 0.0
 
+    @pytest.mark.parametrize("source", ["make_instance", "perturb"])
+    def test_internals_are_read_only(self, source):
+        inst = _instance_from(source)
+        with pytest.raises(ValueError):
+            inst.internals["S"].u[0, 0] = 7
+        with pytest.raises(TypeError):
+            inst.internals["X"] = 1
+
+    @pytest.mark.parametrize("family", RECIPE_FAMILIES)
+    def test_every_factor_array_is_read_only(self, family):
+        with_xy = family != "equality-example"
+        recipe = Recipe(family, 2 if family == "equality-example" else 3, with_x=with_xy, with_y=with_xy)
+        inst = make_instance(recipe, 1)
+        for moved in (inst, perturb(inst, 0.1, 2)):
+            arrays = _arrays_in(list(moved.internals.values()))
+            assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def _arrays_in(value) -> list:
+    """Every numpy array held by a factor, its fields, or a sequence of them."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _arrays_in(v)]
+    if dataclasses.is_dataclass(value):
+        return _arrays_in([getattr(value, f.name) for f in dataclasses.fields(value)])
+    return []
+
+
+# matrix sizes at which the stacked linear algebra of a block of moves must
+# slice to exactly the per-matrix results
+STACK_DIMS = (2, 3, 4, 8, 16)
+
+
+class TestStackedLinearAlgebraIsBitIdentical:
+    """A block of moves relies on stacked ``eigh`` and ``@`` giving, slice by
+    slice, the bits of one call per matrix; a BLAS or LAPACK build where that
+    fails would change search artifacts. Reductions (such as a norm along an
+    axis) sum in another order and are kept per vector instead."""
+
+    @staticmethod
+    def _stack(n: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+
+    @pytest.mark.parametrize("n", STACK_DIMS)
+    def test_eigh(self, n):
+        g = self._stack(n, n)
+        h = g + g.conj().swapaxes(-1, -2)
+        vals, vecs = np.linalg.eigh(h)
+        for k in range(len(h)):
+            one_vals, one_vecs = np.linalg.eigh(h[k].copy())
+            assert np.array_equal(vals[k], one_vals) and np.array_equal(vecs[k], one_vecs)
+
+    @pytest.mark.parametrize("n", STACK_DIMS)
+    def test_stacked_and_broadcast_matmul(self, n):
+        a, b = self._stack(n, n), self._stack(n, n + 100)
+        stacked = a @ b.conj().swapaxes(-1, -2)
+        broadcast = a[0] @ b
+        for k in range(len(a)):
+            assert np.array_equal(stacked[k], a[k].copy() @ b[k].copy().conj().T)
+            assert np.array_equal(broadcast[k], a[0].copy() @ b[k].copy())
+
 
 class TestJsonInterchange:
     def test_round_trip(self):

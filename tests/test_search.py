@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +13,20 @@ import commlab.catalog
 import commlab.search
 from commlab.catalog import HYPOTHESES, evaluate, get_entry, validate_hypotheses
 from commlab.core import HypothesisError, InputError, hermitian_eig, op_norm
-from commlab.instances import Recipe, instance_from_json, instance_to_json, make_instance
-from commlab.instances import _complex_gaussian, _unitary_step
-from commlab.search import maximize_ratio, perturb, search_state_to_json
-from oracles import eager_maximize_ratio
+from commlab.cli import main
+from commlab.instances import (
+    RECIPE_FAMILIES,
+    Moves,
+    Recipe,
+    derive_seed,
+    draw_moves,
+    instance_from_json,
+    instance_to_json,
+    make_instance,
+)
+from commlab.instances import _complex_gaussians, _unitary_steps
+from commlab.search import _block_cap, maximize_ratio, perturb, search_state_to_json
+from oracles import eager_maximize_ratio, sequential_perturb
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -67,12 +80,12 @@ class TestPerturb:
 
     @pytest.mark.parametrize("scale_over_norm", [0.1, 0.9, 1.5])
     def test_unitary_step_is_exp_of_a_bounded_k(self, scale_over_norm):
-        # the K that _unitary_step draws from this generator; |K| < pi, so
+        # the K that _unitary_steps draws from this generator; |K| < pi, so
         # the eigenphases of exp(K) are the eigenvalues of -iK
-        g = _complex_gaussian(np.random.default_rng(1), 4)
+        g = _complex_gaussians([np.random.default_rng(1)], 4)[0]
         nk = op_norm((g - g.conj().T) / 2)
         scale = scale_over_norm * nk
-        u = _unitary_step(4, scale, np.random.default_rng(1))
+        u = _unitary_steps([np.random.default_rng(1)], 4, scale)[0]
         assert op_norm(u.conj().T @ u - np.eye(4)) <= 1e-12
         phases = np.abs(np.angle(np.linalg.eigvals(u)))
         assert phases.max() <= scale + 1e-12
@@ -84,6 +97,63 @@ class TestPerturb:
         linalg_calls.update(svd=0, eigvalsh=0)
         perturb(inst, 0.2, 5)
         assert linalg_calls["svd"] == 0
+
+
+# one recipe per generator path: a tied pair, cartesian parts, a commuting
+# pair, a unitary pair, the fixed example with its vector, a positive definite
+# X, and Ginibre X and Y with a vector
+BLOCK_RECIPES = (
+    ("inner-normal", {}),
+    ("cartesian-psd", {}),
+    ("commuting-normal", {}),
+    ("unitary", {}),
+    ("equality-example", {}),
+    ("normal", {"with_x": True, "x_kind": "pd"}),
+    ("hermitian", {"with_x": True, "with_y": True, "with_vector": True}),
+)
+BLOCK_CASES = [
+    (family, extras, dim)
+    for family, extras in BLOCK_RECIPES
+    for dim in ((2,) if family == "equality-example" else (2, 3, 4, 5))
+]
+FIELDS = ("S", "T", "X", "Y", "x")
+
+
+def _assert_same_instance(a, b):
+    assert a.seed == b.seed and a.n == b.n and a.bounds == b.bounds
+    for name in FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+
+
+def _assert_matches_oracle(inst, arrays):
+    assert {name for name in FIELDS if getattr(inst, name) is not None} == set(arrays)
+    for name, want in arrays.items():
+        assert np.array_equal(getattr(inst, name), want), name
+
+
+class TestBlockMoves:
+    """A block of moves applies, bit for bit, what one ``perturb`` at a time
+    does, from the block's start instance and after a move kept mid-block."""
+
+    @pytest.mark.parametrize("family, extras, dim", BLOCK_CASES)
+    def test_block_matches_one_move_at_a_time(self, family, extras, dim):
+        inst = make_instance(Recipe(family, dim, **extras), dim)
+        scale = 0.3
+        seeds = [derive_seed(dim, i) for i in range(6)]
+        moves = draw_moves(inst, scale, seeds)
+        block = list(moves.apply(inst))
+        assert len(block) == len(seeds)
+        for cand, seed in zip(block, seeds):
+            _assert_same_instance(cand, perturb(inst, scale, seed))
+            _assert_matches_oracle(cand, sequential_perturb(inst, scale, seed))
+        kept = block[2]  # the rest of the block, applied to a kept move
+        for cand, seed in zip(moves.apply(kept, 3), seeds[3:], strict=True):
+            _assert_same_instance(cand, perturb(kept, scale, seed))
+            _assert_matches_oracle(cand, sequential_perturb(kept, scale, seed))
+        # a block candidate carries the factors of a single move, views or not
+        again = perturb(perturb(inst, scale, seeds[2]), scale, 5)
+        _assert_same_instance(perturb(kept, scale, 5), again)
 
 
 class TestMaximizeRatio:
@@ -168,6 +238,38 @@ class TestHypothesesOnImprovingMovesOnly:
         assert lazy.candidates == eager.candidates == 120
         assert lazy.accepted == eager.accepted
 
+    @pytest.mark.parametrize("recipe", RECIPE_FAMILIES)
+    def test_matches_eager_search_over_recipes(self, recipe):
+        # SCHWARZ_REVERSE moves the fixed example's vector; n = 0 on a tied pair
+        entry = "SCHWARZ_REVERSE" if recipe == "equality-example" else "SJ_GENERAL"
+        dim = 2 if recipe == "equality-example" else 3
+        lazy = maximize_ratio(entry, dim=dim, iterations=60, restarts=2, master_seed=2, recipe=recipe)
+        eager = eager_maximize_ratio(entry, dim, 60, 2, 2, recipe=recipe)
+        assert _artifact(lazy) == _artifact(eager)
+        assert lazy.accepted == eager.accepted
+
+    def test_block_ends_match_eager_search(self, monkeypatch):
+        blocks, kept_mid_block = [], []
+        draw, apply = commlab.search.draw_moves, Moves.apply
+
+        def recording_draw(inst, step, seeds):
+            blocks.append((step, len(seeds)))
+            return draw(inst, step, seeds)
+
+        def recording_apply(moves, inst, start=0):
+            if 0 < start < len(moves.seeds):
+                kept_mid_block.append(start)
+            return apply(moves, inst, start)
+
+        monkeypatch.setattr(commlab.search, "draw_moves", recording_draw)
+        monkeypatch.setattr(Moves, "apply", recording_apply)
+        lazy = maximize_ratio("THM_MAIN", dim=3, iterations=160, restarts=1, master_seed=4)
+        assert _artifact(lazy) == _artifact(eager_maximize_ratio("THM_MAIN", 3, 160, 1, 4))
+        assert kept_mid_block
+        # the 50th rejection in a row ends a block, and the next block takes half the step
+        assert any(b[0] == a[0] / 2 for a, b in zip(blocks, blocks[1:]))
+        assert sum(count for _, count in blocks) == 160
+
     def test_rejected_improving_moves_stay_put(self, monkeypatch):
         # a predicate that rejects about half of all instances, by a digest of S
         def odd_digest(inst):
@@ -197,3 +299,30 @@ class TestHypothesesOnImprovingMovesOnly:
         assert len(calls) == 2 + state.validated + 1  # the final evaluate of the best instance
         assert state.validated == state.accepted  # no candidate failed its hypotheses
         assert state.candidates == 200
+
+
+class TestBlockMemory:
+    def test_block_cap_at_dim_1024_is_one_move(self):
+        tracemalloc.start()
+        try:
+            cap = _block_cap(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cap == 1
+        assert peak < 2**16  # one 1024 x 1024 complex matrix takes 16 MiB
+
+    def test_search_at_dim_128_stays_within_its_block_budget(self):
+        # blocks of 4 moves at dim 128 peak at 15.7 MiB, as one move at a time
+        # does; 12 moves stacked in one block would take 29 MiB
+        argv = ["search", "--entry", "THM_MAIN", "--dims", "128", "--iterations", "12", "--restarts", "1"]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert _block_cap(128) == 4
+        assert peak < 20 * 2**20
