@@ -647,6 +647,8 @@ def sweep(
         raise InputError("trials must be >= 0")
     if not dims:
         raise InputError("at least one dim is required")
+    if len(set(dims)) != len(dims):
+        raise InputError("dims must not repeat: a repeated dim reruns the same trials")
     start = time.perf_counter()
     passes = failures = not_applicable = unsafe = 0
     worst: tuple[float, float, Fingerprint] | None = None  # score, margin, fingerprint

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -201,14 +201,12 @@ def _banded_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -
 
 
 class _Factor:
-    """One generated piece of an instance; its arrays are read-only once it
-    is built, and may be views into a stacked block of moves, never copied.
+    """One generated piece of an instance; its arrays are read-only once it is built.
 
     ``draw(scale, rngs)`` takes the random part of a move from each
     generator, stacked on a leading axis (one row per move); it depends on
-    the factor's structure only. ``apply(noise)`` composes those rows with
-    the factor's values and returns a factor whose arrays carry the leading
-    axis, which ``build()`` keeps; ``at(k)`` is move k's factor.
+    the factor's structure only. ``apply(noise, k)`` composes row k of that
+    noise with the factor's values and returns the moved factor.
     """
 
     def __post_init__(self):
@@ -237,17 +235,14 @@ class NormalFactor(_Factor):
         # re's band noise, then im's, then the step: perturb's order for each generator
         return _band_noise(rngs, scale, (2, n)), _unitary_steps(rngs, n, scale)
 
-    def apply(self, noise: tuple) -> "NormalFactor":
+    def apply(self, noise: tuple, k: int) -> "NormalFactor":
         bands, steps = noise
-        return replace(
-            self,
-            u=self.u @ steps,
-            re=_moved_band(self.re, bands[:, 0], self.re_band, (0, 1)),
-            im=_moved_band(self.im, bands[:, 1], self.im_band, self.im_pins),
+        return NormalFactor(
+            self.u @ steps[k],
+            _moved_band(self.re, bands[k, 0], self.re_band, (0, 1)),
+            _moved_band(self.im, bands[k, 1], self.im_band, self.im_pins),
+            self.re_band, self.im_band, self.im_pins,
         )
-
-    def at(self, k: int) -> "NormalFactor":
-        return replace(self, u=self.u[k], re=self.re[k], im=self.im[k])
 
 
 @dataclass(frozen=True)
@@ -264,12 +259,9 @@ class CartesianFactor(_Factor):
         # im draws first; replay depends on the order
         return self.im.draw(scale, rngs), self.re.draw(scale, rngs)
 
-    def apply(self, noise: tuple) -> "CartesianFactor":
+    def apply(self, noise: tuple, k: int) -> "CartesianFactor":
         im, re = noise
-        return CartesianFactor(self.re.apply(re), self.im.apply(im))
-
-    def at(self, k: int) -> "CartesianFactor":
-        return CartesianFactor(self.re.at(k), self.im.at(k))
+        return CartesianFactor(self.re.apply(re, k), self.im.apply(im, k))
 
 
 @dataclass(frozen=True)
@@ -288,17 +280,14 @@ class CommutingPairFactor(_Factor):
         n = self.u.shape[-1]
         return _band_noise(rngs, scale, (len(self.parts), n)), _unitary_steps(rngs, n, scale)
 
-    def apply(self, noise: tuple) -> "CommutingPairFactor":
+    def apply(self, noise: tuple, k: int) -> "CommutingPairFactor":
         bands, steps = noise
-        parts = zip(self.parts, np.moveaxis(bands, 1, 0), "acbd")
-        return replace(
-            self,
-            u=self.u @ steps,
-            parts=tuple(_moved_band(v, dv, self.bounds.band(k), (0, 1)) for v, dv, k in parts),
+        parts = zip(self.parts, bands[k], "acbd")
+        return CommutingPairFactor(
+            self.u @ steps[k],
+            tuple(_moved_band(v, dv, self.bounds.band(b), (0, 1)) for v, dv, b in parts),
+            self.bounds,
         )
-
-    def at(self, k: int) -> "CommutingPairFactor":
-        return replace(self, u=self.u[k], parts=tuple(v[k] for v in self.parts))
 
 
 @dataclass(frozen=True)
@@ -311,11 +300,8 @@ class GinibreFactor(_Factor):
     def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         return scale * _complex_gaussians(rngs, self.z.shape[-1])
 
-    def apply(self, noise: np.ndarray) -> "GinibreFactor":
-        return GinibreFactor(self.z + noise)
-
-    def at(self, k: int) -> "GinibreFactor":
-        return GinibreFactor(self.z[k])
+    def apply(self, noise: np.ndarray, k: int) -> "GinibreFactor":
+        return GinibreFactor(self.z + noise[k])
 
 
 @dataclass(frozen=True)
@@ -328,11 +314,8 @@ class UnitaryFactor(_Factor):
     def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         return _unitary_steps(rngs, self.u.shape[-1], scale)
 
-    def apply(self, noise: np.ndarray) -> "UnitaryFactor":
-        return UnitaryFactor(self.u @ noise)
-
-    def at(self, k: int) -> "UnitaryFactor":
-        return UnitaryFactor(self.u[k])
+    def apply(self, noise: np.ndarray, k: int) -> "UnitaryFactor":
+        return UnitaryFactor(self.u @ noise[k])
 
 
 @dataclass(frozen=True)
@@ -342,14 +325,11 @@ class FixedFactor(_Factor):
     def build(self) -> np.ndarray:
         return self.m
 
-    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        return np.empty((len(rngs), 0))  # nothing is drawn: an empty row per move
+    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> None:
+        return None  # nothing is drawn
 
-    def apply(self, noise: np.ndarray) -> "FixedFactor":
-        return FixedFactor(np.broadcast_to(self.m, (len(noise), *self.m.shape)))
-
-    def at(self, k: int) -> "FixedFactor":
-        return FixedFactor(self.m[k])
+    def apply(self, noise: None, k: int) -> "FixedFactor":
+        return self
 
 
 @dataclass(frozen=True)
@@ -363,17 +343,13 @@ class VectorFactor(_Factor):
         pairs = np.stack([rng.standard_normal((2, self.v.shape[-1])) for rng in rngs])
         return scale * (pairs[:, 0] + 1j * pairs[:, 1])
 
-    def apply(self, noise: np.ndarray) -> "VectorFactor":
-        v = self.v + noise
-        # each row by its own 1-d norm: a norm along an axis sums in another order
-        return VectorFactor(v / np.array([np.linalg.norm(w) for w in v])[:, None])
-
-    def at(self, k: int) -> "VectorFactor":
-        return VectorFactor(self.v[k])
+    def apply(self, noise: np.ndarray, k: int) -> "VectorFactor":
+        v = self.v + noise[k]
+        return VectorFactor(v / np.linalg.norm(v))
 
 
 def _band_noise(rngs: Sequence[np.random.Generator], scale: float, shape: tuple) -> np.ndarray:
-    """Uniform noise in [-scale, scale) for each generator: a row per band."""
+    """Uniform noise in [-scale, scale) of ``shape`` from each generator, one row per move."""
     return np.stack([rng.uniform(-scale, scale, size=shape) for rng in rngs])
 
 
@@ -383,11 +359,12 @@ def _moved_band(
     band: tuple[float, float],
     pins: tuple[int, int],
 ) -> np.ndarray:
-    """values plus each row of noise, clamped to the band with its endpoints re-pinned."""
+    """values plus noise, clamped to the band with its endpoints re-pinned."""
     lo, hi = band
-    out = np.clip(values + noise, lo, hi)
-    out[..., pins[0]] = lo
-    out[..., pins[1]] = hi
+    # np.clip's result, without its per-call overhead on short arrays
+    out = np.minimum(np.maximum(values + noise, lo), hi)
+    out[pins[0]] = lo
+    out[pins[1]] = hi
     return out
 
 
@@ -431,7 +408,10 @@ def _normal_factor(
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Replay coordinates of one instance: regenerate and re-check exactly."""
+    """Coordinates of one instance: a generated one (a sweep trial, a search's
+    start) regenerates from them exactly. A searched one does not, as it keeps
+    its recipe and takes its last move's seed: ``check --instance`` on the
+    search artifact's ``best_instance`` replays it."""
 
     seed: int
     dim: int
@@ -631,24 +611,20 @@ def equality_example() -> Instance:
     )
 
 
-def _build(factors: Mapping) -> dict:
-    """The arrays that factors stand for, by Instance field: a commuting pair
-    builds S and T from one factor, and a tied pair has no T factor."""
+def _assemble(factors: Mapping, bounds: SpectralBounds, seed: int, dim: int, recipe: str) -> Instance:
+    """Build the arrays that factors stand for and wrap them in an Instance: a
+    commuting pair builds S and T from one factor, a tied pair has no T
+    factor, and a vector x brings n = |ST - TS| with it."""
     if "pair" in factors:
         s, t = factors["pair"].build()
     else:
         s = factors["S"].build()
         t = factors["T"].build() if "T" in factors else s
     extras = {name: factors[name].build() for name in ("X", "Y", "x") if name in factors}
-    return {"S": s, "T": t, **extras}
-
-
-def _assemble(
-    factors: Mapping, built: dict, bounds: SpectralBounds, seed: int, dim: int, recipe: str
-) -> Instance:
-    """Wrap built arrays in an Instance; a vector x brings n = |ST - TS| with it."""
-    n = op_norm(commutator(built["S"], built["T"])) if "x" in built else None
-    return Instance(bounds=bounds, seed=seed, dim=dim, recipe=recipe, n=n, internals=factors, **built)
+    n = op_norm(commutator(s, t)) if "x" in factors else None
+    return Instance(
+        S=s, T=t, bounds=bounds, seed=seed, dim=dim, recipe=recipe, n=n, internals=factors, **extras
+    )
 
 
 def make_instance(recipe: Recipe, seed: int) -> Instance:
@@ -673,7 +649,7 @@ def make_instance(recipe: Recipe, seed: int) -> Instance:
         factors["Y"] = GinibreFactor(random_ginibre(recipe.dim, derive_seed(seed, 6)))
     if recipe.with_vector:
         factors["x"] = VectorFactor(random_unit_vector(recipe.dim, derive_seed(seed, 7)))
-    return _assemble(factors, _build(factors), bounds, seed, recipe.dim, recipe.family)
+    return _assemble(factors, bounds, seed, recipe.dim, recipe.family)
 
 
 @dataclass(frozen=True)
@@ -682,35 +658,18 @@ class Moves:
     seeds, drawn at once by ``draw_moves``.
 
     That part depends on the seed, the scale and the factor structure of the
-    instance, never on its values, so one run of moves applies to any instance
-    of that structure: to the one it was drawn from, and to any move of it.
+    instance, never on its values, so each move applies to any instance of
+    that structure: to the one the run was drawn from, and to any move of it.
     """
 
     seeds: tuple[int, ...]
-    noise: dict  # factor name -> its noise: stacked arrays, one row per seed
+    noise: dict  # factor name -> its noise: stacked arrays, one row per seed (None if fixed)
 
-    def apply(self, inst: Instance, start: int = 0) -> Iterator[Instance]:
-        """``perturb(inst, scale, seed)`` for each seed from index ``start`` on,
-        in order and bit for bit: every move is composed with ``inst`` in
-        stacked arrays on the first ``next``, and each Instance is made only
-        when it is reached."""
-        factors = inst.internals
-        moved = {name: factors[name].apply(_rows(noise, start)) for name, noise in self.noise.items()}
-        built = _build(moved)
-        for k, seed in enumerate(self.seeds[start:]):
-            yield _assemble(
-                {name: f.at(k) for name, f in moved.items()},
-                {name: a[k] for name, a in built.items()},
-                inst.bounds,
-                seed,
-                inst.dim,
-                inst.recipe,
-            )
-
-
-def _rows(noise, start: int):
-    """A factor's noise from row ``start`` on."""
-    return tuple(_rows(part, start) for part in noise) if isinstance(noise, tuple) else noise[start:]
+    def apply(self, inst: Instance, k: int) -> Instance:
+        """``perturb(inst, scale, seeds[k])``, bit for bit: row k of the noise
+        composed with the factors of ``inst``."""
+        moved = {name: inst.internals[name].apply(noise, k) for name, noise in self.noise.items()}
+        return _assemble(moved, inst.bounds, self.seeds[k], inst.dim, inst.recipe)
 
 
 def draw_moves(inst: Instance, scale: float, seeds: Sequence[int]) -> Moves:
@@ -718,7 +677,8 @@ def draw_moves(inst: Instance, scale: float, seeds: Sequence[int]) -> Moves:
 
     Each seed keeps its own generator, and each generator is read in
     ``perturb``'s order: factors by name, each factor's draws in turn. One
-    stacked eigendecomposition builds every unitary step.
+    stacked eigendecomposition per factor with a basis builds the unitary
+    steps of every move.
     """
     if scale <= 0:
         raise HypothesisError("perturb requires scale > 0")
@@ -736,7 +696,7 @@ def perturb(inst: Instance, scale: float, seed: int) -> Instance:
     with endpoints re-pinned; bases multiply by exp(K) for random
     skew-Hermitian K with |K| <= scale. Deterministic in (inst, scale, seed).
     """
-    return next(draw_moves(inst, scale, (seed,)).apply(inst))
+    return draw_moves(inst, scale, (seed,)).apply(inst, 0)
 
 
 # ---------------------------------------------------------------------------

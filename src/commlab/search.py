@@ -101,9 +101,9 @@ def maximize_ratio(
     (floor 1e-6). A candidate is kept when its objective beats the current
     one by more than rounding noise, ``1e-12 * max(1, |objective|)``, and its
     hypotheses hold; they are checked only on such candidates.
-    Candidates are drawn a block at a time: the step cannot change before
-    the stagnation count could reach 50, so a block ends there, and a kept
-    move leaves the rest of the block's noise valid for the new instance.
+    Moves are drawn a block at a time, which ends where the stagnation count
+    could reach 50 and halve the step; a move's noise does not depend on the
+    instance, so each move applies to whichever instance is current.
     The best instance is evaluated once more for ``best_report``.
     Deterministic in all arguments; ties across restarts break by
     fingerprint order.
@@ -131,9 +131,8 @@ def maximize_ratio(
                 count = min(iterations + 1 - it, _STAGNATION_LIMIT - stagnation, _block_cap(dim))
                 seeds = [derive_seed(master_seed, restart, i) for i in range(it, it + count)]
                 moves = draw_moves(inst, step, seeds)
-                candidates = moves.apply(inst)
                 for k in range(count):
-                    cand = next(candidates)
+                    cand = moves.apply(inst, k)
                     lhs, rhs, _ = entry.formula(cand)
                     cand_kind, cand_obj = _objective(entry, lhs, rhs)
                     accept = cand_kind == kind and cand_obj > obj + _MIN_GAIN * max(1.0, abs(obj))
@@ -145,7 +144,6 @@ def maximize_ratio(
                         inst, obj = cand, cand_obj
                         accepted += 1
                         stagnation = 0
-                        candidates = moves.apply(inst, k + 1)
                     else:
                         stagnation += 1
                     if it % 50 == 0:

@@ -186,6 +186,12 @@ class TestSweep:
     def test_bad_dims(self):
         assert run_cli("sweep", "--entry", "THM_MAIN", "--dims", "x,y", "--trials", "1") == 2
 
+    def test_repeated_dim_is_an_input_error(self, capsys):
+        # a repeated dim would count the same seeded trials twice
+        assert run_cli("sweep", "--entry", "THM_MAIN", "--dims", "2,3,2", "--trials", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: dims must not repeat")
+
     def test_wall_time_goes_to_stderr(self, capsys):
         assert run_cli("sweep", "--entry", "THM_MAIN", "--trials", "1") == 0
         assert re.fullmatch(
@@ -262,6 +268,20 @@ class TestSearchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: equality-example has no X or Y\n"
+
+    def test_best_instance_replays_the_best_report(self, tmp_path):
+        # a searched instance's fingerprint names its recipe and last move's
+        # seed, which do not regenerate it; its best_instance replays it
+        search_path, inst_path, check_path = (tmp_path / f"{n}.json" for n in ("search", "best", "check"))
+        args = ("--dims", "2", "--iterations", "200", "--restarts", "3", "--seed", "1")
+        assert run_cli("search", "--entry", "SJ_GENERAL", *args, "--out", str(search_path)) == 1
+        search = read_json(search_path)
+        inst_path.write_text(json.dumps(search["best_instance"]))
+        check = ("check", "--entry", "SJ_GENERAL", "--instance", str(inst_path), "--out", str(check_path))
+        assert run_cli(*check) == 1
+        report = read_json(check_path)
+        assert report["margin"] == search["best_report"]["margin"] == -2.0949373511722857
+        assert report == search["best_report"]
 
 
 class TestFpCommand:
@@ -708,3 +728,38 @@ def test_mutated_instance_exits_with_a_documented_code(tmp_path_factory, text):
     for argv in _FUZZ_ARGVS:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert run_cli(*argv, "--instance", str(inst_path)) in (0, 1, 2)
+
+
+# (command, whether it takes --tol); THM_MAIN holds, so an accepted run exits 0 or 1
+_FLAG_FUZZ_COMMANDS = (
+    ("check --entry THM_MAIN", True),
+    ("sweep --entry THM_MAIN --trials 2", True),
+    ("search --entry THM_MAIN --iterations 3 --restarts 1", True),
+    ("gen --recipe normal", False),
+    ("fp", False),
+    ("ortho", False),
+)
+_TOLS = ("nan", "inf", "-1", "0", "1e-15", "1e-14", "1e-3", "2e-3")
+_GOOD_TOLS = ("1e-14", "1e-3")  # the bounds of [1e-14, 1e-3]
+# every value is refused before anything is allocated, but "2,,3" in sweep,
+# which runs dims 2 and 3
+_DIMS = ("0", "-2", "1e3", ",", "2,,3", "1025", str(10**30), "2,2")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_FLAG_FUZZ_COMMANDS),
+    st.none() | st.sampled_from(_TOLS),
+    st.none() | st.sampled_from(_DIMS),
+)
+def test_tol_and_dims_exit_with_a_documented_code(command_case, tol, dims):
+    command, takes_tol = command_case
+    argv = command.split() + ([f"--tol={tol}"] if tol else []) + ([f"--dims={dims}"] if dims else [])
+    refused = (tol is not None and not (takes_tol and tol in _GOOD_TOLS)) or (
+        dims is not None and not (dims == "2,,3" and argv[0] == "sweep")
+    )
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 if refused else code in (0, 1), argv
+    assert "Traceback" not in err.getvalue()

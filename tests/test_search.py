@@ -101,19 +101,20 @@ class TestPerturb:
 
 # one recipe per generator path: a tied pair, cartesian parts, a commuting
 # pair, a unitary pair, the fixed example with its vector, a positive definite
-# X, and Ginibre X and Y with a vector
+# X, and Ginibre X and Y with a vector; each with the number of factors in it
+# that carry a basis, so each move takes that many unitary steps
 BLOCK_RECIPES = (
-    ("inner-normal", {}),
-    ("cartesian-psd", {}),
-    ("commuting-normal", {}),
-    ("unitary", {}),
-    ("equality-example", {}),
-    ("normal", {"with_x": True, "x_kind": "pd"}),
-    ("hermitian", {"with_x": True, "with_y": True, "with_vector": True}),
+    ("inner-normal", {}, 1),
+    ("cartesian-psd", {}, 4),
+    ("commuting-normal", {}, 1),
+    ("unitary", {}, 2),
+    ("equality-example", {}, 0),
+    ("normal", {"with_x": True, "x_kind": "pd"}, 3),
+    ("hermitian", {"with_x": True, "with_y": True, "with_vector": True}, 2),
 )
 BLOCK_CASES = [
     (family, extras, dim)
-    for family, extras in BLOCK_RECIPES
+    for family, extras, _ in BLOCK_RECIPES
     for dim in ((2,) if family == "equality-example" else (2, 3, 4, 5))
 ]
 FIELDS = ("S", "T", "X", "Y", "x")
@@ -133,8 +134,8 @@ def _assert_matches_oracle(inst, arrays):
 
 
 class TestBlockMoves:
-    """A block of moves applies, bit for bit, what one ``perturb`` at a time
-    does, from the block's start instance and after a move kept mid-block."""
+    """Each row of a block of moves applies, bit for bit, what one ``perturb``
+    does, to the block's start instance and to a move kept mid-block."""
 
     @pytest.mark.parametrize("family, extras, dim", BLOCK_CASES)
     def test_block_matches_one_move_at_a_time(self, family, extras, dim):
@@ -142,18 +143,30 @@ class TestBlockMoves:
         scale = 0.3
         seeds = [derive_seed(dim, i) for i in range(6)]
         moves = draw_moves(inst, scale, seeds)
-        block = list(moves.apply(inst))
-        assert len(block) == len(seeds)
-        for cand, seed in zip(block, seeds):
+        for k, seed in enumerate(seeds):
+            cand = moves.apply(inst, k)
             _assert_same_instance(cand, perturb(inst, scale, seed))
             _assert_matches_oracle(cand, sequential_perturb(inst, scale, seed))
-        kept = block[2]  # the rest of the block, applied to a kept move
-        for cand, seed in zip(moves.apply(kept, 3), seeds[3:], strict=True):
-            _assert_same_instance(cand, perturb(kept, scale, seed))
-            _assert_matches_oracle(cand, sequential_perturb(kept, scale, seed))
-        # a block candidate carries the factors of a single move, views or not
+        kept = moves.apply(inst, 2)  # the rest of the block, applied to a kept move
+        for k in range(3, len(seeds)):
+            cand = moves.apply(kept, k)
+            _assert_same_instance(cand, perturb(kept, scale, seeds[k]))
+            _assert_matches_oracle(cand, sequential_perturb(kept, scale, seeds[k]))
         again = perturb(perturb(inst, scale, seeds[2]), scale, 5)
         _assert_same_instance(perturb(kept, scale, 5), again)
+
+    @pytest.mark.parametrize("family, extras, bases", BLOCK_RECIPES)
+    def test_a_block_takes_one_eigh_per_basis_and_a_move_none(self, family, extras, bases, count_linalg):
+        inst = make_instance(Recipe(family, 2 if family == "equality-example" else 3, **extras), 1)
+        counts = count_linalg("eigh", "svd")
+        for length in (1, 7, 50):
+            counts.update(eigh=0, svd=0)
+            moves = draw_moves(inst, 0.2, [derive_seed(length, i) for i in range(length)])
+            assert counts == {"eigh": bases, "svd": 0}, length
+            for k in range(length):
+                moves.apply(inst, k)
+            # a vector's move brings n = |ST - TS| with it: one SVD, in op_norm
+            assert counts == {"eigh": bases, "svd": length * (inst.x is not None)}, length
 
 
 class TestMaximizeRatio:
@@ -249,23 +262,30 @@ class TestHypothesesOnImprovingMovesOnly:
         assert lazy.accepted == eager.accepted
 
     def test_block_ends_match_eager_search(self, monkeypatch):
-        blocks, kept_mid_block = [], []
+        eager = _artifact(eager_maximize_ratio("THM_MAIN", 3, 160, 1, 4))
+        blocks, applied = [], []
         draw, apply = commlab.search.draw_moves, Moves.apply
 
         def recording_draw(inst, step, seeds):
             blocks.append((step, len(seeds)))
             return draw(inst, step, seeds)
 
-        def recording_apply(moves, inst, start=0):
-            if 0 < start < len(moves.seeds):
-                kept_mid_block.append(start)
-            return apply(moves, inst, start)
+        def recording_apply(moves, inst, k):
+            cand = apply(moves, inst, k)
+            applied.append((moves, k, inst, cand))
+            return cand
 
         monkeypatch.setattr(commlab.search, "draw_moves", recording_draw)
         monkeypatch.setattr(Moves, "apply", recording_apply)
         lazy = maximize_ratio("THM_MAIN", dim=3, iterations=160, restarts=1, master_seed=4)
-        assert _artifact(lazy) == _artifact(eager_maximize_ratio("THM_MAIN", 3, 160, 1, 4))
-        assert kept_mid_block
+        assert _artifact(lazy) == eager
+        # each block's rows are applied once, in order
+        assert [k for _, k, _, _ in applied] == [k for _, count in blocks for k in range(count)]
+        # within a block the instance changes, and only to the move just kept:
+        # (move, row, instance, candidate) -> (candidate, next row's instance)
+        pairs = zip(applied, applied[1:])
+        kept_mid_block = [(a[3], b[2]) for a, b in pairs if a[0] is b[0] and a[2] is not b[2]]
+        assert kept_mid_block and all(kept is now for kept, now in kept_mid_block)
         # the 50th rejection in a row ends a block, and the next block takes half the step
         assert any(b[0] == a[0] / 2 for a, b in zip(blocks, blocks[1:]))
         assert sum(count for _, count in blocks) == 160
