@@ -32,6 +32,7 @@ from commlab.core import (
     hs_norm,
     matrix_abs_sqrt,
     numerical_radius,
+    numerical_radius_bracket,
     op_norm,
     overflow_is_hypothesis_error,
     self_commutator,
@@ -59,7 +60,9 @@ _SJ_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One evaluable inequality: metadata, hypothesis codes and formula."""
+    """One evaluable inequality: metadata, hypothesis codes and formula, and
+    optionally a cheap ``bracket`` of the formula, ``inst -> (lhs_lo, lhs_hi,
+    rhs)`` with lhs in [lhs_lo, lhs_hi] and rhs exact, which only search reads."""
 
     id: str
     description: str
@@ -70,6 +73,7 @@ class CatalogEntry:
     requires: frozenset = frozenset()
     default_family: str = "normal"
     tie_t_to_s: bool = False
+    bracket: Callable[[Instance], tuple] | None = None
 
     def recipe_for(self, family: str | None, dim: int) -> Recipe:
         """Recipe drawing the pieces the entry requires (x brings n with it)."""
@@ -341,6 +345,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             formula=lambda i: (numerical_radius(i.S @ i.T), op_norm(i.T @ i.S), None),
             hypotheses=("normal:S", "normal:T"),
             default_family="normal",
+            bracket=lambda i: (*numerical_radius_bracket(i.S @ i.T), op_norm(i.T @ i.S)),
         ),
         CatalogEntry(
             id="THREE_TERM",

@@ -128,12 +128,16 @@ def _generate_instance(args, entry):
         recipe = entry.recipe_for(args.recipe, _dim(args))
     else:
         recipe = Recipe(family=args.recipe or "normal", dim=_dim(args))
-    return make_instance(recipe, args.seed)
+    return make_instance(recipe, args.seed or 0)
 
 
 def _resolve_instance(args, entry=None):
-    """Instance from --instance, else generated from --recipe/--dims/--seed."""
+    """Instance from --instance, else generated from --recipe/--dims/--seed;
+    giving both is an input error."""
     if args.instance:
+        given = [f"--{f}" for f in ("recipe", "dims", "seed") if getattr(args, f) is not None]
+        if given:
+            raise InputError(f"--instance conflicts with {', '.join(given)}")
         with open(args.instance, "r", encoding="utf-8") as fh:
             return instance_from_json(json.load(fh))
     return _generate_instance(args, entry)
@@ -213,7 +217,8 @@ def _cmd_search(args) -> tuple:
     )
     code = 1 if state.best_report.verdict == "violated" else 0
     return search_state_to_json(state), code, (
-        f"# search: {state.candidates} candidates, {state.accepted} accepted, {state.validated} validated"
+        f"# search: {state.candidates} candidates, {state.screened} screened, "
+        f"{state.accepted} accepted, {state.validated} validated"
     )
 
 
@@ -299,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--dims",
             help="dimension, or comma list for sweep (default 2 for equality-example, else 4)",
         )
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        # no default where --instance can stand in, so that a given --seed shows
+        seed_default = None if "--instance" in extra else 0
+        p.add_argument("--seed", type=int, default=seed_default, help="master seed (default 0)")
         p.add_argument("--out", help="write the report here instead of stdout")
 
     p_list = sub.add_parser("list", help="print the catalog with statuses")

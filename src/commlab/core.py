@@ -28,6 +28,7 @@ __all__ = [
     "op_norm",
     "hs_norm",
     "numerical_radius",
+    "numerical_radius_bracket",
     "matrix_abs_sqrt",
     "OperatorFlags",
     "classify",
@@ -141,6 +142,30 @@ def hs_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
 
 
+def _radius_grid(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M's Cartesian parts (A, C) and h on the 64 grid angles (none for an empty M)."""
+    m = as_matrix(m)
+    _require_square(m, "numerical_radius")
+    a, c = cartesian_decomposition(m)
+    angles = np.linspace(0.0, np.pi, _NUMRAD_GRID // 2, endpoint=False)
+    stack = np.cos(angles)[:, None, None] * a - np.sin(angles)[:, None, None] * c
+    # H(t + pi) = -H(t), so the top eigenvalue at t + pi is minus the bottom one at t
+    ev = np.linalg.eigvalsh(stack)
+    return a, c, np.concatenate([ev[:, -1], -ev[:, 0]]) if m.size else np.zeros(0)
+
+
+def numerical_radius_bracket(m) -> tuple[float, float]:
+    """(lo, hi) around numerical_radius(m), from its grid alone: lo is the grid's
+    largest h, where ``numerical_radius`` starts, and h is the support function of
+    the convex W(M), so a point of W(M) of modulus R has R cos(pi/64) <= lo. The
+    1e-12 relative slack covers eigensolver rounding, about 1e-15 of the largest |h|."""
+    vals = _radius_grid(m)[2]
+    if not vals.size:
+        return 0.0, 0.0
+    lo = float(vals.max())
+    return lo, float(lo / np.cos(np.pi / _NUMRAD_GRID) + 1e-12 * np.abs(vals).max())
+
+
 def numerical_radius(m) -> float:
     """Numerical radius w(M) = max over unit x of |<Mx, x>|.
 
@@ -152,13 +177,14 @@ def numerical_radius(m) -> float:
     whose end slope points into it is refined: by steps to the peak of h's
     osculating circle there (exact for normal M, Newton-fast otherwise), or by
     bisection of a + to - bracket they miss, to a step of 1e-13 or a width of
-    1e-8. Returns the largest h evaluated, so it never overshoots w(M).
+    1e-8. Returns the largest h evaluated, so it never overshoots w(M). The
+    grid alone also bounds w(M) from above, by 1/cos(pi/64), about 1.0012,
+    times its largest h (``numerical_radius_bracket``); a certificate of
+    w(M) itself is still open.
     """
-    m = as_matrix(m)
-    _require_square(m, "numerical_radius")
-    if m.shape[0] == 0:
+    a, c, vals = _radius_grid(m)
+    if not vals.size:
         return 0.0
-    a, c = cartesian_decomposition(m)
 
     def probe(theta):
         """h, h' and the step to the peak of h's local model, at each angle in ``theta``."""
@@ -172,11 +198,7 @@ def numerical_radius(m) -> float:
         step = np.arctan2(d, np.where(simple.all(axis=-1), h - 2.0 * curve, h))
         return h.tolist(), d.tolist(), step.tolist()
 
-    angles, cell = np.linspace(0.0, np.pi, _NUMRAD_GRID // 2, endpoint=False, retstep=True)
-    stack = np.cos(angles)[:, None, None] * a - np.sin(angles)[:, None, None] * c
-    # H(t + pi) = -H(t), so the top eigenvalue at t + pi is minus the bottom one at t
-    ev = np.linalg.eigvalsh(stack)
-    vals = np.concatenate([ev[:, -1], -ev[:, 0]])
+    cell = np.pi / (_NUMRAD_GRID // 2)
     scale = float(np.abs(vals).max())
     tiny, flat = 1e-8 * scale, 1e-13 * scale  # a multiple top eigenvalue; |h'| at rounding level
     sub, n_sub = cell / _NUMRAD_SUB, _NUMRAD_SUB * _NUMRAD_GRID

@@ -64,6 +64,18 @@ def _objective(entry: CatalogEntry, lhs: float, rhs: float) -> tuple[str, float]
     return "margin", lhs - rhs
 
 
+def _cannot_gain(entry: CatalogEntry, cand: Instance, kind: str, floor: float) -> bool:
+    """Whether the entry's bracket shows the candidate's objective to be of
+    ``kind`` and at most ``floor``, so that the keep rule rejects it: for a
+    fixed rhs the objective is monotone ("le"; "ge", whose kind changes at one
+    lhs) or convex ("eq") in lhs, so its values at the bracket's ends bound it."""
+    if entry.bracket is None:
+        return False
+    lo, hi, rhs = entry.bracket(cand)
+    ends = (_objective(entry, lo, rhs), _objective(entry, hi, rhs))
+    return all(k == kind for k, _ in ends) and max(v for _, v in ends) <= floor
+
+
 @dataclass(frozen=True)
 class SearchState:
     """Best instance found for one entry, with enough context to replay."""
@@ -80,6 +92,7 @@ class SearchState:
     trace: tuple[tuple[int, float], ...]
     # work done over all restarts; not part of the artifact
     candidates: int  # perturbed proposals
+    screened: int  # proposals the entry's bracket rejected without the formula
     accepted: int  # proposals kept
     validated: int  # proposals whose hypotheses were checked: those that improve
 
@@ -100,7 +113,9 @@ def maximize_ratio(
     perturbed candidates, halving the step after 50 non-improving proposals
     (floor 1e-6). A candidate is kept when its objective beats the current
     one by more than rounding noise, ``1e-12 * max(1, |objective|)``, and its
-    hypotheses hold; they are checked only on such candidates.
+    hypotheses hold; they are checked only on such candidates. An entry with
+    a ``bracket`` skips the formula on a candidate whose bracket shows it
+    cannot gain.
     Moves are drawn a block at a time, which ends where the stagnation count
     could reach 50 and halve the step; a move's noise does not depend on the
     instance, so each move applies to whichever instance is current.
@@ -117,7 +132,7 @@ def maximize_ratio(
 
     best_global: tuple[float, tuple, Instance, str] | None = None
     best_trace: tuple[tuple[int, float], ...] = ()
-    accepted = validated = 0
+    screened = accepted = validated = 0
     with overflow_is_hypothesis_error():
         for restart in range(restarts):
             inst = make_instance(entry.recipe_for(recipe, dim), derive_seed(master_seed, restart))
@@ -133,9 +148,14 @@ def maximize_ratio(
                 moves = draw_moves(inst, step, seeds)
                 for k in range(count):
                     cand = moves.apply(inst, k)
-                    lhs, rhs, _ = entry.formula(cand)
-                    cand_kind, cand_obj = _objective(entry, lhs, rhs)
-                    accept = cand_kind == kind and cand_obj > obj + _MIN_GAIN * max(1.0, abs(obj))
+                    floor = obj + _MIN_GAIN * max(1.0, abs(obj))
+                    if _cannot_gain(entry, cand, kind, floor):
+                        screened += 1
+                        accept = False
+                    else:
+                        lhs, rhs, _ = entry.formula(cand)
+                        cand_kind, cand_obj = _objective(entry, lhs, rhs)
+                        accept = cand_kind == kind and cand_obj > floor
                     if accept:
                         validated += 1
                         # moves should preserve hypotheses; stay put if not
@@ -175,6 +195,7 @@ def maximize_ratio(
         best_report=evaluate(entry, inst, tol=tol),
         trace=best_trace,
         candidates=restarts * iterations,
+        screened=screened,
         accepted=accepted,
         validated=validated,
     )

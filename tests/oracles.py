@@ -241,7 +241,7 @@ def eager_maximize_ratio(
     the objective.
 
     Returns the ``SearchState`` it finds; its ``validated`` counts every
-    candidate, since each one's hypotheses are checked.
+    candidate, since each one's hypotheses are checked, and it screens none.
     """
     entry = get_entry(entry_id)
 
@@ -288,5 +288,5 @@ def eager_maximize_ratio(
     return SearchState(
         entry=entry.id, dim=dim, iterations=iterations, restarts=restarts, master_seed=master_seed,
         objective_kind=kind, best_objective=obj, best_instance=inst, best_report=report, trace=trace,
-        candidates=restarts * iterations, accepted=accepted, validated=restarts * iterations,
+        candidates=restarts * iterations, screened=0, accepted=accepted, validated=restarts * iterations,
     )

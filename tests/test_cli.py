@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from commlab import cli, derivations
 from commlab.cli import main
-from commlab.catalog import REPORT_CSV_FIELDS, SWEEP_CSV_FIELDS, get_entry
+from commlab.catalog import CATALOG, REPORT_CSV_FIELDS, SWEEP_CSV_FIELDS, get_entry
 from commlab.instances import (
     RECIPE_FAMILIES,
     Recipe,
@@ -257,9 +258,31 @@ class TestSearchCommand:
         args = ("search", "--entry", "THM_MAIN", "--dims", "2", "--iterations", "40", "--restarts", "2")
         assert run_cli(*args) == 0
         captured = capsys.readouterr()
-        counts = re.fullmatch(r"# search: 80 candidates, (\d+) accepted, (\d+) validated\n", captured.err)
-        assert counts and 0 < int(counts[1]) == int(counts[2])  # every improving move was kept
+        counts = re.fullmatch(
+            r"# search: 80 candidates, (\d+) screened, (\d+) accepted, (\d+) validated\n", captured.err
+        )
+        assert counts and int(counts[1]) == 0  # THM_MAIN has no bracket to screen by
+        assert 0 < int(counts[2]) == int(counts[3])  # every improving move was kept
         assert "candidates" not in captured.out
+
+    def test_screened_candidates_skip_the_formula(self, monkeypatch, capsys):
+        entry = get_entry("NUMRAD_CLAIM")
+        calls = []
+
+        def counting(inst):
+            calls.append(1)
+            return entry.formula(inst)
+
+        monkeypatch.setitem(CATALOG, entry.id, dataclasses.replace(entry, formula=counting))
+        args = ("search", "--entry", entry.id, "--dims", "4", "--iterations", "100", "--restarts", "2")
+        assert run_cli(*args) == 1
+        counts = re.fullmatch(
+            r"# search: 200 candidates, (\d+) screened, \d+ accepted, \d+ validated\n", capsys.readouterr().err
+        )
+        screened = int(counts[1])
+        assert screened > 0
+        # every candidate not screened, each restart's start and the final report
+        assert len(calls) == 200 - screened + 2 + 1
 
     def test_start_instance_missing_a_required_field_is_an_input_error(self, capsys):
         # the recipe refuses to build a start instance without the X the entry requires
@@ -593,6 +616,29 @@ def test_every_recipe_and_dim_exits_with_a_documented_code(command, family, caps
             assert code == 0 and err.startswith("#"), argv
         if family == "equality-example" and dims in (None, "2") and needs_matrix:
             assert code == 2 and "equality-example has no X or Y" in err, argv
+
+
+@pytest.mark.parametrize("command", ["check --entry THM_MAIN", "fp", "ortho"])
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--recipe", "unitary"), "--recipe"),
+        (("--dims", "7"), "--dims"),
+        (("--seed", "0"), "--seed"),  # even the default seed, given, conflicts
+        (("--dims", "7", "--seed", "99", "--recipe", "unitary"), "--recipe, --dims, --seed"),
+    ],
+)
+def test_instance_with_generation_flags_is_an_input_error(command, flags, named, tmp_path, capsys):
+    """--instance and the generation flags exclude each other, instead of the
+    flags being dropped without a word."""
+    inst_path = tmp_path / "g.json"
+    assert run_cli("gen", "--recipe", "normal", "--dims", "3", "--out", str(inst_path)) == 0
+    assert run_cli(*command.split(), "--instance", str(inst_path)) in (0, 1)
+    capsys.readouterr()
+    assert run_cli(*command.split(), "--instance", str(inst_path), *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --instance conflicts with {named}\n"
 
 
 def _flat_cells(blob: dict, sep: str) -> dict:

@@ -13,6 +13,7 @@ from commlab.core import (
     hs_norm,
     matrix_abs_sqrt,
     numerical_radius,
+    numerical_radius_bracket,
     op_norm,
 )
 from commlab.instances import random_unitary
@@ -258,6 +259,78 @@ class TestNumericalRadius:
             numerical_radius(m)
             assert counts["eigvalsh"] == 1
             assert counts["eigh"] <= 12
+
+
+def _grid(m) -> np.ndarray:
+    """h at the 64 grid angles, one eigensolve per angle in [0, pi) and h(t + pi)
+    read off its bottom eigenvalue."""
+    a, c = cartesian_decomposition(m)
+    ev = [np.linalg.eigvalsh(np.cos(t) * a - np.sin(t) * c) for t in np.arange(32) * (np.pi / 32)]
+    return np.array([e[-1] for e in ev] + [-e[0] for e in ev])
+
+
+def _clustered_normal(dim: int, seed: int) -> tuple[np.ndarray, float]:
+    """A normal matrix whose eigenvalues agree in modulus within 1e-3 and in
+    argument within 0.1 rad, and its exact radius max |lambda|."""
+    rng = np.random.default_rng(seed)
+    lam = (1.0 - 1e-3 * rng.random(dim)) * np.exp(1j * (rng.random() * 2 * np.pi + 0.1 * rng.random(dim)))
+    u = random_unitary(dim, seed)
+    return (u * lam) @ u.conj().T, float(np.abs(lam).max())
+
+
+def _assert_bracket(m, exact: float | None = None) -> None:
+    """lo is the grid's largest h, bit for bit; w(M), and ``exact`` when given,
+    lie in [lo, hi]; hi is at most lo's support-line bound plus its slack."""
+    lo, hi = numerical_radius_bracket(m)
+    vals = _grid(m)
+    assert lo == vals.max()
+    assert lo <= numerical_radius(m) <= hi
+    assert hi <= lo / np.cos(np.pi / 64) + 1e-12 * np.abs(vals).max()
+    if exact is not None:
+        assert exact <= hi, (exact, hi)
+
+
+class TestNumericalRadiusBracket:
+    @pytest.mark.parametrize("family", ["random", "hermitian", "normal"])
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_encloses_the_radius(self, family, dim):
+        for seed in range(8):
+            _assert_bracket(RADIUS_FAMILIES[family](dim, seed))
+
+    @pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 2.5, -2.0])
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_rotated_jordan_block(self, k, dim):
+        _assert_bracket(np.exp(1j * k) * np.eye(dim, k=1), np.cos(np.pi / (dim + 1)))
+
+    @pytest.mark.parametrize(
+        "m, exact",
+        [(NILPOTENT, 0.5), (np.zeros((3, 3)), 0.0), (np.array([[2.0 - 1.0j]]), abs(2.0 - 1.0j))],
+        ids=["nilpotent", "zero", "one-by-one"],
+    )
+    def test_small_cases(self, m, exact):
+        _assert_bracket(m, exact)
+
+    @pytest.mark.parametrize("dim", [0, 3])
+    def test_zero_and_empty_give_zero(self, dim):
+        assert numerical_radius_bracket(np.zeros((dim, dim))) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scale(self, scale):
+        for seed in range(4):
+            with np.errstate(over="raise", invalid="raise"):
+                _assert_bracket(scale * random_matrix(4, seed))
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_clustered_normal(self, dim):
+        # the family where numerical_radius can come out low; hi stays above
+        # the exact radius all the same
+        for seed in range(50):
+            _assert_bracket(*_clustered_normal(dim, seed))
+
+    def test_one_grid_eigensolve(self, count_linalg):
+        counts = count_linalg("eigh", "eigvalsh")
+        numerical_radius_bracket(random_matrix(4, 0))
+        assert counts == {"eigh": 0, "eigvalsh": 1}
 
 
 class TestMatrixAbsSqrt:

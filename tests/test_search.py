@@ -321,6 +321,34 @@ class TestHypothesesOnImprovingMovesOnly:
         assert state.candidates == 200
 
 
+class TestBracketScreen:
+    """A candidate the bracket screens out is one the keep rule would reject."""
+
+    def test_only_numrad_claim_has_a_bracket(self):
+        assert [e.id for e in commlab.catalog.CATALOG.values() if e.bracket] == ["NUMRAD_CLAIM"]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_screened_candidates_would_be_rejected(self, dim, seed, monkeypatch):
+        screen, outcomes = commlab.search._cannot_gain, []
+
+        def checked(entry, cand, kind, floor):
+            lo, hi, rhs = entry.bracket(cand)
+            lhs, formula_rhs, _ = entry.formula(cand)
+            assert lo <= lhs <= hi and rhs == formula_rhs
+            cand_kind, cand_obj = commlab.search._objective(entry, lhs, rhs)
+            screened = screen(entry, cand, kind, floor)
+            if screened:
+                assert cand_kind != kind or cand_obj <= floor
+            outcomes.append(screened)
+            return screened
+
+        monkeypatch.setattr(commlab.search, "_cannot_gain", checked)
+        state = maximize_ratio("NUMRAD_CLAIM", dim=dim, iterations=100, restarts=2, master_seed=seed)
+        assert len(outcomes) == state.candidates == 200
+        assert 0 < state.screened == sum(outcomes)
+
+
 class TestBlockMemory:
     def test_block_cap_at_dim_1024_is_one_move(self):
         tracemalloc.start()
