@@ -72,7 +72,6 @@ class CatalogEntry:
     hypotheses: tuple[str, ...] = ()
     requires: frozenset = frozenset()
     default_family: str = "normal"
-    tie_t_to_s: bool = False
     bracket: Callable[[Instance], tuple] | None = None
 
     def recipe_for(self, family: str | None, dim: int) -> Recipe:
@@ -84,8 +83,15 @@ class CatalogEntry:
             with_y="Y" in self.requires,
             x_kind="pd" if "pd:X" in self.hypotheses else "ginibre",
             with_vector="x" in self.requires,
-            tie_t_to_s=self.tie_t_to_s,
         )
+
+    def margin(self, lhs: float, rhs: float) -> float:
+        """rhs - lhs ("le"), lhs - rhs ("ge") or -|lhs - rhs| ("eq"): below 0 where the bound fails."""
+        if self.direction == "le":
+            return rhs - lhs
+        if self.direction == "ge":
+            return lhs - rhs
+        return -abs(lhs - rhs)  # equality claim
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +320,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
             formula=lambda i: _sj_eval(i, i.S, _s_width(i.bounds)),
             hypotheses=("normal:S", "band:S"),
             requires=frozenset({"X", "Y"}),
-            default_family="normal",
-            tie_t_to_s=True,
+            default_family="inner-normal",
         ),
         CatalogEntry(
             id="HS_PRODUCT",
@@ -575,12 +580,7 @@ def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL
     with overflow_is_hypothesis_error():
         violations = tuple(validate_hypotheses(entry, inst))
         lhs, rhs, detail = entry.formula(inst)
-    if entry.direction == "le":
-        margin = rhs - lhs
-    elif entry.direction == "ge":
-        margin = lhs - rhs
-    else:  # equality claim
-        margin = -abs(lhs - rhs)
+    margin = entry.margin(lhs, rhs)
     if violations:
         verdict, satisfied = "not-applicable", None
     elif margin >= -tol * max(1.0, abs(rhs)):

@@ -34,8 +34,6 @@ __all__ = [
     "Recipe",
     "RECIPE_FAMILIES",
     "random_unitary",
-    "random_ginibre",
-    "random_unit_vector",
     "equality_example",
     "make_instance",
     "Moves",
@@ -171,23 +169,19 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     if dim < 1:
         raise ShapeError("random_unitary requires dim >= 1")
-    q, r = np.linalg.qr(random_ginibre(dim, seed))
+    q, r = np.linalg.qr(_ginibre(dim, seed))
     d = np.diagonal(r)
     mag = np.abs(d)
     phases = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
     return q * phases
 
 
-def random_ginibre(dim: int, seed: int) -> np.ndarray:
+def _ginibre(dim: int, seed: int) -> np.ndarray:
     """Square complex matrix with i.i.d. standard complex normal entries."""
-    if dim < 1:
-        raise ShapeError("random_ginibre requires dim >= 1")
     return _complex_gaussians([np.random.default_rng(seed)], dim)[0]
 
 
-def random_unit_vector(dim: int, seed: int) -> np.ndarray:
-    if dim < 1:
-        raise ShapeError("random_unit_vector requires dim >= 1")
+def _unit_vector(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -511,14 +505,17 @@ def _fixed(lo: float, hi: float) -> _BandSource:
     return lambda rng: (lo, hi)
 
 
-def _normal_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
-    s = _normal_factor(dim, b.band("a"), b.band("c"), derive_seed(seed, 1))
-    if tie:
-        return {"S": s}  # T is S, built from the same factor
-    return {"S": s, "T": _normal_factor(dim, b.band("b"), b.band("d"), derive_seed(seed, 2))}
+def _tied_normal(dim: int, b: SpectralBounds, seed: int) -> dict:
+    """S alone: T is S, built from the same factor."""
+    return {"S": _normal_factor(dim, b.band("a"), b.band("c"), derive_seed(seed, 1))}
 
 
-def _cartesian_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
+def _normal_pair(dim: int, b: SpectralBounds, seed: int) -> dict:
+    t = _normal_factor(dim, b.band("b"), b.band("d"), derive_seed(seed, 2))
+    return _tied_normal(dim, b, seed) | {"T": t}
+
+
+def _cartesian_pair(dim: int, b: SpectralBounds, seed: int) -> dict:
     def part(band: str, k: int) -> NormalFactor:
         return _normal_factor(dim, b.band(band), (0.0, 0.0), derive_seed(seed, k))
 
@@ -526,12 +523,12 @@ def _cartesian_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
     return {"S": s, "T": CartesianFactor(part("b", 3), part("d", 4))}
 
 
-def _unitary_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
+def _unitary_pair(dim: int, b: SpectralBounds, seed: int) -> dict:
     s, t = (UnitaryFactor(random_unitary(dim, derive_seed(seed, k))) for k in (1, 2))
     return {"S": s, "T": t}
 
 
-def _commuting_pair(dim: int, b: SpectralBounds, seed: int, tie: bool) -> dict:
+def _commuting_pair(dim: int, b: SpectralBounds, seed: int) -> dict:
     rng = np.random.default_rng(derive_seed(seed, 3))
     parts = tuple(_banded_spectrum(rng, dim, *b.band(k)) for k in "acbd")
     return {"pair": CommutingPairFactor(random_unitary(dim, derive_seed(seed, 1)), parts, b)}
@@ -542,8 +539,8 @@ class _Family(NamedTuple):
 
     ab: _BandSource  # bands a of S and b of T (real parts)
     cd: _BandSource  # bands c of S and d of T (imaginary parts)
-    build: Callable[[int, SpectralBounds, int, bool], dict]  # (dim, bounds, seed, tie) -> factors
-    tied: bool = False  # T is S, with S's bands
+    build: Callable[[int, SpectralBounds, int], dict]  # (dim, bounds, seed) -> factors
+    tied: bool = False  # T is S, with S's bands: the only place that says so
 
 
 _SIGNED, _POSITIVE = _drawn(-1.0, 1.0), _drawn(0.0, 1.0)
@@ -558,7 +555,7 @@ _FAMILIES = {
     "cartesian-psd": _Family(_POSITIVE, _POSITIVE, _cartesian_pair),
     "unitary": _Family(_UNIT, _UNIT, _unitary_pair),
     "commuting-normal": _Family(_SIGNED, _SIGNED, _commuting_pair),
-    "inner-normal": _Family(_SIGNED, _SIGNED, _normal_pair, tied=True),
+    "inner-normal": _Family(_SIGNED, _SIGNED, _tied_normal, tied=True),
 }
 
 # the generated families, then the one fixed instance
@@ -575,7 +572,6 @@ class Recipe:
     with_y: bool = False
     x_kind: str = "ginibre"  # or "pd" for a positive definite X
     with_vector: bool = False
-    tie_t_to_s: bool = False
 
     def __post_init__(self):
         if self.family not in RECIPE_FAMILIES:
@@ -598,17 +594,8 @@ def equality_example() -> Instance:
     x = np.array([0.0, 1.0], dtype=np.complex128)
     r2 = float(np.sqrt(2.0))
     bounds = SpectralBounds(a1=-r2, a2=r2, b1=-1.0, b2=1.0, c1=0.0, c2=0.0, d1=0.0, d2=0.0)
-    return Instance(
-        S=s,
-        T=t,
-        bounds=bounds,
-        seed=0,
-        dim=2,
-        recipe="equality-example",
-        x=x,
-        n=2.0,
-        internals={"S": FixedFactor(s), "T": FixedFactor(t), "x": VectorFactor(x)},
-    )
+    factors = {"S": FixedFactor(s), "T": FixedFactor(t), "x": VectorFactor(x)}
+    return _assemble(factors, bounds, 0, 2, "equality-example")  # n = |ST - TS| = 2
 
 
 def _assemble(factors: Mapping, bounds: SpectralBounds, seed: int, dim: int, recipe: str) -> Instance:
@@ -635,20 +622,19 @@ def make_instance(recipe: Recipe, seed: int) -> Instance:
     rng = np.random.default_rng(derive_seed(seed, 100))
     a, b = family.ab(rng), family.ab(rng)
     c, d = family.cd(rng), family.cd(rng)
-    tie = recipe.tie_t_to_s or family.tied
-    if tie:
+    if family.tied:
         b, d = a, c
     bounds = SpectralBounds(a1=a[0], a2=a[1], b1=b[0], b2=b[1], c1=c[0], c2=c[1], d1=d[0], d2=d[1])
-    factors = family.build(recipe.dim, bounds, seed, tie)
+    factors = family.build(recipe.dim, bounds, seed)
     if recipe.with_x:
         if recipe.x_kind == "pd":
             factors["X"] = _normal_factor(recipe.dim, (0.5, 2.0), (0.0, 0.0), derive_seed(seed, 5))
         else:
-            factors["X"] = GinibreFactor(random_ginibre(recipe.dim, derive_seed(seed, 5)))
+            factors["X"] = GinibreFactor(_ginibre(recipe.dim, derive_seed(seed, 5)))
     if recipe.with_y:
-        factors["Y"] = GinibreFactor(random_ginibre(recipe.dim, derive_seed(seed, 6)))
+        factors["Y"] = GinibreFactor(_ginibre(recipe.dim, derive_seed(seed, 6)))
     if recipe.with_vector:
-        factors["x"] = VectorFactor(random_unit_vector(recipe.dim, derive_seed(seed, 7)))
+        factors["x"] = VectorFactor(_unit_vector(recipe.dim, derive_seed(seed, 7)))
     return _assemble(factors, bounds, seed, recipe.dim, recipe.family)
 
 

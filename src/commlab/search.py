@@ -53,15 +53,11 @@ def _objective(entry: CatalogEntry, lhs: float, rhs: float) -> tuple[str, float]
     Ratio of the bounded side to the bounding side when the denominator is
     healthy; the raw signed violation otherwise (and for equality claims).
     """
-    if entry.direction == "eq":
-        return "margin", abs(lhs - rhs)
-    if entry.direction == "ge":
-        if lhs >= _RATIO_DENOM_FLOOR:
-            return "ratio", rhs / lhs
-        return "margin", rhs - lhs
-    if rhs >= _RATIO_DENOM_FLOOR:
+    if entry.direction == "ge" and lhs >= _RATIO_DENOM_FLOOR:
+        return "ratio", rhs / lhs
+    if entry.direction == "le" and rhs >= _RATIO_DENOM_FLOOR:
         return "ratio", lhs / rhs
-    return "margin", lhs - rhs
+    return "margin", 0.0 - entry.margin(lhs, rhs)  # 0.0 - m, not -m, keeps a zero unsigned
 
 
 def _cannot_gain(entry: CatalogEntry, cand: Instance, kind: str, floor: float) -> bool:

@@ -185,6 +185,22 @@ class TestEvaluate:
         worst = min(p["margin"] / max(1.0, abs(p["rhs"])) for p in per_j)
         assert report.margin / max(1.0, abs(report.rhs)) == pytest.approx(worst)
 
+    @pytest.mark.parametrize("direction,margin", [("le", 1.0), ("ge", -1.0), ("eq", -1.0)])
+    def test_margin_by_direction(self, direction, margin):
+        entry = dataclasses.replace(get_entry("THM_MAIN"), direction=direction)
+        assert entry.margin(2.0, 3.0) == margin
+
+    def test_sj_single_reads_neither_t_nor_its_bands(self):
+        """SJ_SINGLE's report is the same whatever T and the bands b, d are,
+        so whether a recipe ties T to S cannot move its verdict."""
+        recipe = get_entry("SJ_SINGLE").recipe_for("normal", 3)
+        for seed in range(20):
+            inst, other = make_instance(recipe, seed), make_instance(recipe, seed + 100)
+            bd = {k: getattr(other.bounds, k) for k in ("b1", "b2", "d1", "d2")}
+            moved = dataclasses.replace(inst, T=other.T, bounds=dataclasses.replace(inst.bounds, **bd))
+            assert not np.array_equal(moved.T, inst.T) and moved.bounds.w != inst.bounds.w
+            assert evaluate("SJ_SINGLE", moved).to_json() == evaluate("SJ_SINGLE", inst).to_json()
+
     @pytest.mark.parametrize("zero_y", [False, True])
     @pytest.mark.parametrize("entry_id", ["SJ_GENERAL", "SJ_MAX", "SJ_SINGLE"])
     def test_sj_rhs_is_factor_times_direct_sum_singular_values(self, entry_id, zero_y):

@@ -13,7 +13,8 @@ and ``ortho`` on a Jordan block, where the probe finds a violation.
 The files under tests/golden/ are the program's own output. After an
 intended change, regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` and list the change in
-CHANGES.md.
+CHANGES.md; a record that still passes its test keeps its pinned text, so
+the diff shows only the records that changed.
 """
 
 import contextlib
@@ -200,6 +201,23 @@ def _assert_close(got, want, where: str) -> None:
         assert got == want, where
 
 
+def _kept(name: str, fresh: dict) -> dict:
+    """The fresh records, except that one which passes ``_assert_close``
+    against its pinned record keeps the pinned one, so that a regeneration
+    rewrites only the records that changed."""
+    path = GOLDEN / name
+    pinned = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+
+    def close(got, want) -> bool:
+        try:
+            _assert_close(got, want, name)
+        except (AssertionError, TypeError):
+            return False
+        return True
+
+    return {k: pinned[k] if k in pinned and close(v, pinned[k]) else v for k, v in fresh.items()}
+
+
 def _records_text(records: dict) -> str:
     """One record per line, so a changed record reads as one changed line."""
     lines = (f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in records.items())
@@ -290,10 +308,11 @@ if __name__ == "__main__":
         _check_key(e, s, r): _check_record(e, s, r) for e in ENTRY_IDS for s, r in CHECK_CASES
     }
     for name, records in (("checks.json", checks), ("violations.json", _violation_records())):
-        (GOLDEN / name).write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(_kept(name, records), indent=2) + "\n"
+        (GOLDEN / name).write_text(text, encoding="utf-8")
     gens = {f"{f}:{e}": _gen_record(f, e) for f in RECIPE_FAMILIES for e in GEN_ENTRIES}
     searches = {f"{c[0]}:{c[1]}": _search_record(*c) for c in SEARCH_CASES}
     artifacts = {k: _artifact_record(argv) for k, argv in ARTIFACT_CASES.items()}
     for name, records in (("gen.json", gens), ("search.json", searches), ("artifacts.json", artifacts)):
-        (GOLDEN / name).write_text(_records_text(records), encoding="utf-8")
+        (GOLDEN / name).write_text(_records_text(_kept(name, records)), encoding="utf-8")
     sys.exit(0)

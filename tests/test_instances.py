@@ -132,7 +132,14 @@ class TestEqualityExample:
         comm = commutator(inst.S, inst.T)
         np.testing.assert_allclose(comm, [[0, 2], [-2, 0]])
         assert op_norm(comm) == pytest.approx(2.0, abs=1e-12)
-        assert inst.n == pytest.approx(2.0)
+        assert inst.n == 2.0
+
+    def test_assembled_from_its_factors(self):
+        """Built like every generated instance: n comes from the factors."""
+        inst = equality_example()
+        assert set(inst.internals) == {"S", "T", "x"}
+        for name in ("S", "T", "x"):
+            np.testing.assert_array_equal(inst.internals[name].build(), getattr(inst, name))
 
 
 class TestMakeInstance:

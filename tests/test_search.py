@@ -321,6 +321,14 @@ class TestHypothesesOnImprovingMovesOnly:
         assert state.candidates == 200
 
 
+class TestObjective:
+    @pytest.mark.parametrize("entry_id", ["FALSE_TEST", "SCHWARZ_REVERSE", "NUMRAD_CLAIM"])
+    def test_margin_of_a_tie_is_an_unsigned_zero(self, entry_id):
+        """One entry per direction ("le", "ge", "eq"), each on its margin kind."""
+        kind, obj = commlab.search._objective(get_entry(entry_id), 0.0, 0.0)
+        assert kind == "margin" and obj == 0.0 and not np.signbit(obj)
+
+
 class TestBracketScreen:
     """A candidate the bracket screens out is one the keep rule would reject."""
 
