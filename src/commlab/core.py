@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "HypothesisError",
-    "NumericError",
     "InputError",
     "overflow_is_hypothesis_error",
     "as_matrix",
@@ -47,10 +46,6 @@ class ShapeError(ValueError):
 
 class HypothesisError(ValueError):
     """An input violates a precondition of the requested operation."""
-
-
-class NumericError(RuntimeError):
-    """A numerical routine failed to meet its accuracy contract."""
 
 
 class InputError(ValueError):
@@ -117,16 +112,12 @@ def hermitian_eig(m) -> np.ndarray:
     """Eigenvalues of the Hermitian part (M + M*)/2, real and descending.
 
     For a Hermitian M these are its eigenvalues; whether M is Hermitian is
-    ``classify``'s question. Raises NumericError when the eigensolver does not
-    converge.
+    ``classify``'s question. Should the eigensolver not converge, its
+    LinAlgError passes through, as from every SVD and eigensolver call here.
     """
     m = as_matrix(m)
     _require_square(m, "hermitian_eig")
-    h = (m + m.conj().T) / 2.0
-    try:
-        return np.linalg.eigvalsh(h)[::-1]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+    return np.linalg.eigvalsh((m + m.conj().T) / 2.0)[::-1]
 
 
 def op_norm(m) -> float:

@@ -200,43 +200,43 @@ class _Factor:
     ``draw(scale, rngs)`` takes the random part of a move from each
     generator, stacked on a leading axis (one row per move); it depends on
     the factor's structure only. ``apply(noise, k)`` composes row k of that
-    noise with the factor's values and returns the moved factor.
+    noise with the factor's values and returns the moved factor. A factor
+    holds arrays and other factors, never a container of arrays.
     """
 
     def __post_init__(self):
         for value in vars(self).values():
-            for a in value if isinstance(value, tuple) else (value,):
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class NormalFactor(_Factor):
-    """U diag(re + i im) U* with banded, endpoint-pinned eigenvalue parts."""
+class _BandedBasis(_Factor):
+    """Eigenvalue parts on one unitary basis U: row i of ``parts`` lies in the
+    band ``bands[i]`` and attains both its endpoints, the low one at the
+    flat index ``pins[2i]`` of ``parts`` and the high one at ``pins[2i + 1]``.
+    Subclasses say only how the parts build matrices."""
 
     u: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
-    re_band: tuple[float, float]
-    im_band: tuple[float, float]
-    im_pins: tuple[int, int]  # re's endpoints sit at indices 0, 1
-
-    def build(self) -> np.ndarray:
-        return _conjugated(self.u, self.re + 1j * self.im)
+    parts: np.ndarray  # (k, n)
+    bands: np.ndarray  # (k, 2): each row's (lo, hi)
+    pins: np.ndarray  # (2k,): flat indices into parts, in the order of bands' entries
 
     def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> tuple:
-        n = self.u.shape[-1]
-        # re's band noise, then im's, then the step: perturb's order for each generator
-        return _band_noise(rngs, scale, (2, n)), _unitary_steps(rngs, n, scale)
+        # the parts' band noise, row by row, then the step: perturb's order for each generator
+        return _band_noise(rngs, scale, self.parts.shape), _unitary_steps(rngs, self.u.shape[-1], scale)
 
-    def apply(self, noise: tuple, k: int) -> "NormalFactor":
+    def apply(self, noise: tuple, k: int) -> "_BandedBasis":
         bands, steps = noise
-        return NormalFactor(
-            self.u @ steps[k],
-            _moved_band(self.re, bands[k, 0], self.re_band, (0, 1)),
-            _moved_band(self.im, bands[k, 1], self.im_band, self.im_pins),
-            self.re_band, self.im_band, self.im_pins,
-        )
+        return type(self)(self.u @ steps[k], _moved_bands(self, bands[k]), self.bands, self.pins)
+
+
+class NormalFactor(_BandedBasis):
+    """U diag(re + i im) U*, from the parts (re, im)."""
+
+    def build(self) -> np.ndarray:
+        re, im = self.parts
+        return _conjugated(self.u, re + 1j * im)
 
 
 @dataclass(frozen=True)
@@ -258,30 +258,13 @@ class CartesianFactor(_Factor):
         return CartesianFactor(self.re.apply(re, k), self.im.apply(im, k))
 
 
-@dataclass(frozen=True)
-class CommutingPairFactor(_Factor):
-    """Two normal matrices sharing one eigenbasis, so they commute exactly."""
-
-    u: np.ndarray
-    parts: tuple[np.ndarray, ...]  # eigenvalue parts in band order a, c (of S), b, d (of T)
-    bounds: SpectralBounds
+class CommutingPairFactor(_BandedBasis):
+    """Two normal matrices sharing one eigenbasis, so they commute exactly:
+    U diag(a + i c) U* and U diag(b + i d) U*, from the parts (a, c, b, d)."""
 
     def build(self) -> tuple[np.ndarray, np.ndarray]:
         a, c, b, d = self.parts
         return _conjugated(self.u, a + 1j * c), _conjugated(self.u, b + 1j * d)
-
-    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> tuple:
-        n = self.u.shape[-1]
-        return _band_noise(rngs, scale, (len(self.parts), n)), _unitary_steps(rngs, n, scale)
-
-    def apply(self, noise: tuple, k: int) -> "CommutingPairFactor":
-        bands, steps = noise
-        parts = zip(self.parts, bands[k], "acbd")
-        return CommutingPairFactor(
-            self.u @ steps[k],
-            tuple(_moved_band(v, dv, self.bounds.band(b), (0, 1)) for v, dv, b in parts),
-            self.bounds,
-        )
 
 
 @dataclass(frozen=True)
@@ -347,18 +330,11 @@ def _band_noise(rngs: Sequence[np.random.Generator], scale: float, shape: tuple)
     return np.stack([rng.uniform(-scale, scale, size=shape) for rng in rngs])
 
 
-def _moved_band(
-    values: np.ndarray,
-    noise: np.ndarray,
-    band: tuple[float, float],
-    pins: tuple[int, int],
-) -> np.ndarray:
-    """values plus noise, clamped to the band with its endpoints re-pinned."""
-    lo, hi = band
+def _moved_bands(f: _BandedBasis, noise: np.ndarray) -> np.ndarray:
+    """f's parts plus noise, each row clamped to its band with its endpoints re-pinned."""
     # np.clip's result, without its per-call overhead on short arrays
-    out = np.minimum(np.maximum(values + noise, lo), hi)
-    out[pins[0]] = lo
-    out[pins[1]] = hi
+    out = np.minimum(np.maximum(f.parts + noise, f.bands[:, :1]), f.bands[:, 1:])
+    out.put(f.pins, f.bands)  # flat indices, each band's (lo, hi) in turn
     return out
 
 
@@ -386,14 +362,9 @@ def _normal_factor(
     im = np.empty(dim)
     im[perm] = im_base
     u = random_unitary(dim, derive_seed(seed, 1))
-    return NormalFactor(
-        u=u,
-        re=re,
-        im=im,
-        re_band=re_band,
-        im_band=im_band,
-        im_pins=(int(perm[0]), int(perm[1])),
-    )
+    # re's endpoints sit at its indices 0, 1 and im's where perm sent them
+    pins = np.array([0, 1, dim + perm[0], dim + perm[1]])
+    return NormalFactor(u, np.stack([re, im]), np.array([re_band, im_band]), pins)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +501,10 @@ def _unitary_pair(dim: int, b: SpectralBounds, seed: int) -> dict:
 
 def _commuting_pair(dim: int, b: SpectralBounds, seed: int) -> dict:
     rng = np.random.default_rng(derive_seed(seed, 3))
-    parts = tuple(_banded_spectrum(rng, dim, *b.band(k)) for k in "acbd")
-    return {"pair": CommutingPairFactor(random_unitary(dim, derive_seed(seed, 1)), parts, b)}
+    bands = np.array([b.band(k) for k in "acbd"])
+    parts = np.stack([_banded_spectrum(rng, dim, *band) for band in bands])
+    pins = (dim * np.arange(4)[:, None] + [0, 1]).ravel()  # each row's indices 0, 1
+    return {"pair": CommutingPairFactor(random_unitary(dim, derive_seed(seed, 1)), parts, bands, pins)}
 
 
 class _Family(NamedTuple):

@@ -194,6 +194,12 @@ def sequential_perturb(inst, scale: float, seed: int) -> dict:
         out[pins[0]], out[pins[1]] = lo, hi
         return out
 
+    def banded(f):
+        """f's parts, moved row by row, and its stepped basis."""
+        pins = f.pins.reshape(-1, 2) % f.u.shape[0]  # each row's endpoint positions
+        parts = [band(v, lo_hi, p) for v, lo_hi, p in zip(f.parts, f.bands, pins)]
+        return parts, stepped(f.u)
+
     def stepped(u):
         g = gaussian(u.shape[0])
         vals, vecs = np.linalg.eigh(-0.5j * (g - g.conj().T))
@@ -203,8 +209,7 @@ def sequential_perturb(inst, scale: float, seed: int) -> dict:
         return u @ ((vecs * np.exp(1j * vals)) @ vecs.conj().T)
 
     def normal(f):
-        re, im = band(f.re, f.re_band, (0, 1)), band(f.im, f.im_band, f.im_pins)
-        u = stepped(f.u)
+        (re, im), u = banded(f)
         return (u * (re + 1j * im)) @ u.conj().T
 
     out = {}
@@ -215,8 +220,7 @@ def sequential_perturb(inst, scale: float, seed: int) -> dict:
             im = normal(f.im)  # the imaginary part draws first
             out[name] = normal(f.re) + 1j * im
         elif isinstance(f, CommutingPairFactor):
-            a, c, b, d = [band(v, f.bounds.band(k), (0, 1)) for v, k in zip(f.parts, "acbd")]
-            u = stepped(f.u)
+            (a, c, b, d), u = banded(f)
             out["S"], out["T"] = (u * (a + 1j * c)) @ u.conj().T, (u * (b + 1j * d)) @ u.conj().T
         elif isinstance(f, GinibreFactor):
             out[name] = f.z + scale * gaussian(f.z.shape[0])

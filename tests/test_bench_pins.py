@@ -1,5 +1,5 @@
 """A slice of the benchmark's pinned argvs, replayed in-process: pool seed 0 of
-every group, and the seeds of SJ_GENERAL's pins that read violated. Each must
+every group, and the seeds of SJ_GENERAL's pins nearest its bound. Each must
 keep the exit code and verdict fields pinned in ``bench/expected.json``, so a
 verdict flip shows here before a benchmark run would count it as a failed op."""
 
@@ -30,17 +30,18 @@ ARGVS = [
     for group in workload.groups
     for template in dict.fromkeys(group.templates)  # a template may be listed twice
 ]
-# SJ_GENERAL is the only group whose pins mix verdicts (these 4 of its 24 read
-# violated), so its violated seeds are the first to flip if a move drifts
+# SJ_GENERAL is the only group whose pins mix verdicts: these 4 of its 24 read
+# violated, and seed 22 is the satisfied one nearest the bound (best objective
+# 0.9653), so a drifting move flips one of them first, from either side
 (SJ_GENERAL,) = (g for g in bench.WORKLOADS["search-suspect"].groups if g.name == "SJ_GENERAL")
-CANARIES = [SJ_GENERAL.argv(0, k) for k in (4, 9, 19, 23)]
+CANARIES = [SJ_GENERAL.argv(0, k) for k in (4, 9, 19, 22, 23)]
 ARGVS += CANARIES
 
 
 def test_slice_covers_every_group_and_template():
-    assert sum(argv[0] == "search" for argv in ARGVS) == 9
+    assert sum(argv[0] == "search" for argv in ARGVS) == 10  # a pool seed per group and 5 canaries
     verdicts = {EXPECTED[bench.key(argv)]["fields"]["best_report.verdict"] for argv in CANARIES}
-    assert verdicts == {"violated"}
+    assert verdicts == {"violated", "satisfied"}
     assert sum(argv[0] == "fp" for argv in ARGVS) == 10
 
 

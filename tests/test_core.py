@@ -129,6 +129,15 @@ def _hermitian(dim: int, seed: int) -> np.ndarray:
     return r + r.conj().T
 
 
+def _clustered(seed: int) -> np.ndarray:
+    """A 4x4 near-normal matrix whose eigenvalues cluster on an arc of the unit
+    circle 0.2 wide, so the top eigenvalues of H(t) cross inside grid cells."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    z = np.exp(1j * rng.uniform(0, 0.2, 4)) * (1 + 1e-3 * rng.standard_normal(4))
+    return q @ np.diag(z) @ q.conj().T + 1e-4 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+
+
 RADIUS_FAMILIES = {
     "random": random_matrix,
     "normal": random_normal_matrix,
@@ -185,6 +194,14 @@ class TestNumericalRadius:
     @given(st.sampled_from(sorted(RADIUS_FAMILIES)), seeds, st.integers(1, 8))
     def test_matches_golden_section_oracle(self, family, seed, dim):
         m = RADIUS_FAMILIES[family](dim, seed)
+        want = golden_section_radius(m)
+        assert abs(numerical_radius(m) - want) <= 1e-12 * max(1.0, want)
+
+    # these reach the bisection of a + to - bracket that the steps to the
+    # local peaks miss, which no other test does
+    @pytest.mark.parametrize("seed", [497, 841, 898])
+    def test_bisection_fallback_matches_golden_section_oracle(self, seed):
+        m = _clustered(seed)
         want = golden_section_radius(m)
         assert abs(numerical_radius(m) - want) <= 1e-12 * max(1.0, want)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import commlab.catalog
 import commlab.search
 from commlab.catalog import HYPOTHESES, evaluate, get_entry, validate_hypotheses
-from commlab.core import HypothesisError, InputError, hermitian_eig, op_norm
+from commlab.core import HypothesisError, InputError, commutator, hermitian_eig, op_norm
 from commlab.cli import main
 from commlab.instances import (
     RECIPE_FAMILIES,
@@ -24,7 +24,7 @@ from commlab.instances import (
     instance_to_json,
     make_instance,
 )
-from commlab.instances import _complex_gaussians, _unitary_steps
+from commlab.instances import CartesianFactor, _BandedBasis, _complex_gaussians, _unitary_steps
 from commlab.search import _block_cap, maximize_ratio, perturb, search_state_to_json
 from oracles import eager_maximize_ratio, sequential_perturb
 
@@ -169,6 +169,53 @@ class TestBlockMoves:
             assert counts == {"eigh": bases, "svd": length * (inst.x is not None)}, length
 
 
+# every generator path to a banded-basis factor: normal and Hermitian pairs,
+# a positive definite X, both parts of each cartesian factor, a commuting pair
+BANDED_RECIPES = (
+    ("normal", {}),
+    ("hermitian", {}),
+    ("hermitian", {"with_x": True, "x_kind": "pd"}),
+    ("cartesian-psd", {}),
+    ("commuting-normal", {}),
+)
+
+
+def _banded_factors(inst):
+    for f in inst.internals.values():
+        if isinstance(f, CartesianFactor):
+            yield from (f.re, f.im)
+        elif isinstance(f, _BandedBasis):
+            yield f
+
+
+class TestBandedMoves:
+    """A move keeps each row of a banded factor's parts in its band, with
+    both endpoints still attained at the pins; the top scale is wider than
+    every band, so the clamp engages."""
+
+    @pytest.mark.parametrize("scale", [0.05, 0.5, 1.5])
+    @pytest.mark.parametrize("family, extras", BANDED_RECIPES)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=seeds, dim=st.integers(2, 6))
+    def test_moves_stay_in_band_and_pinned(self, family, extras, scale, seed, dim):
+        inst = make_instance(Recipe(family, dim, **extras), seed)
+        moves = draw_moves(inst, scale, [derive_seed(seed, i) for i in range(4)])
+        for k in range(4):
+            moved = moves.apply(inst, k)
+            factors = list(_banded_factors(moved))
+            assert len(factors) == len(list(_banded_factors(inst)))
+            for f in factors:
+                lo, hi = f.bands[:, :1], f.bands[:, 1:]
+                assert np.all((lo <= f.parts) & (f.parts <= hi))
+                # each row's two pins lie in that row and hold its endpoints exactly
+                assert np.array_equal(f.pins // dim, np.arange(len(f.parts)).repeat(2))
+                assert np.array_equal(f.parts.ravel()[f.pins], f.bands.ravel())
+                assert not (f.bands.flags.writeable or f.pins.flags.writeable or f.parts.flags.writeable)
+            if family == "commuting-normal":
+                bound = 1e-12 * max(1.0, op_norm(moved.S) * op_norm(moved.T))
+                assert op_norm(commutator(moved.S, moved.T)) <= bound
+
+
 class TestMaximizeRatio:
     def test_false_test_signals_violation_immediately(self):
         state = maximize_ratio("FALSE_TEST", dim=4, iterations=1, restarts=1, master_seed=0)
@@ -182,10 +229,13 @@ class TestMaximizeRatio:
 
     def test_single_draw(self):
         state = maximize_ratio("THM_MAIN", dim=3, iterations=1, restarts=1, master_seed=5)
-        inst = make_instance(Recipe("positive-normal", 3), state.best_instance.seed)
-        # one iteration, one restart: the result is one evaluated draw or its
-        # single perturbation, both from the same recipe
-        assert state.best_instance.recipe == "positive-normal"
+        # one iteration, one restart: the result is the restart's start or
+        # that start moved once, both from the same recipe
+        start = make_instance(Recipe("positive-normal", 3), derive_seed(5, 0))
+        candidates = (start, perturb(start, 0.2, derive_seed(5, 0, 1)))
+        best = state.best_instance
+        assert any(np.array_equal(best.S, c.S) and np.array_equal(best.T, c.T) for c in candidates)
+        assert best.recipe == "positive-normal"
         assert state.best_report.entry == "THM_MAIN"
 
     def test_deterministic_and_sound(self):
