@@ -1,7 +1,9 @@
 """Dense complex-matrix primitives: norms, spectra, and structure tests.
 
-Matrices are numpy ``complex128`` arrays of shape ``(rows, cols)``. Every
-function here is pure; inputs are never mutated. Comparisons follow one
+Functions take finite 2-d ``complex128`` arrays, square where the operation
+needs it, and check none of that: ``Instance`` checks each matrix once
+(``as_matrix``), and every array below it is a field or a product of fields.
+Every function is pure; inputs are never mutated. Comparisons follow one
 tolerance policy: a residual passes when it is at most ``tol * max(1, scale)``
 for a scale natural to the quantity being tested.
 """
@@ -56,14 +58,15 @@ class InputError(ValueError):
 def overflow_is_hypothesis_error():
     """Within the block, float overflow raises HypothesisError, not a warning.
 
-    Inputs are checked finite on entry, so an overflow, or an invalid
-    operation such as inf - inf that follows one, means the entries are too
-    large for float arithmetic: a hypothesis of the computation fails.
+    Inputs are checked finite on entry, so an overflow in numpy or in Python
+    float arithmetic (``x ** 2``), or an invalid operation such as inf - inf
+    that follows one, means the entries are too large for float arithmetic:
+    a hypothesis of the computation fails.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         raise HypothesisError(f"entries too large for float arithmetic ({exc})") from None
 
 
@@ -77,66 +80,52 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _require_square(m: np.ndarray, what: str) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"{what} requires a square matrix, got {m.shape}")
-
-
 def commutator(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """ST - TS."""
-    s, t = as_matrix(s), as_matrix(t)
     return s @ t - t @ s
 
 
 def self_commutator(s: np.ndarray) -> np.ndarray:
     """S*S - SS*."""
-    s = as_matrix(s)
     return s.conj().T @ s - s @ s.conj().T
 
 
-def cartesian_decomposition(s) -> tuple[np.ndarray, np.ndarray]:
+def cartesian_decomposition(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a square S into Hermitian parts (A, C) with S = A + iC.
 
     A = (S + S*)/2 and C = (S - S*)/(2i); both are Hermitian by
     construction and A + iC reproduces S up to rounding.
     """
-    s = as_matrix(s)
-    _require_square(s, "cartesian_decomposition")
     sh = s.conj().T
     a = (s + sh) / 2.0
     c = (s - sh) / 2.0j
     return a, c
 
 
-def hermitian_eig(m) -> np.ndarray:
+def hermitian_eig(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitian part (M + M*)/2, real and descending.
 
     For a Hermitian M these are its eigenvalues; whether M is Hermitian is
     ``classify``'s question. Should the eigensolver not converge, its
     LinAlgError passes through, as from every SVD and eigensolver call here.
     """
-    m = as_matrix(m)
-    _require_square(m, "hermitian_eig")
     return np.linalg.eigvalsh((m + m.conj().T) / 2.0)[::-1]
 
 
-def op_norm(m) -> float:
+def op_norm(m: np.ndarray) -> float:
     """Operator (spectral) norm: the largest singular value."""
-    m = as_matrix(m)
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def hs_norm(m) -> float:
+def hs_norm(m: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(as_matrix(m)))
+    return float(np.linalg.norm(m))
 
 
-def _radius_grid(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _radius_grid(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M's Cartesian parts (A, C) and h on the 64 grid angles (none for an empty M)."""
-    m = as_matrix(m)
-    _require_square(m, "numerical_radius")
     a, c = cartesian_decomposition(m)
     angles = np.linspace(0.0, np.pi, _NUMRAD_GRID // 2, endpoint=False)
     stack = np.cos(angles)[:, None, None] * a - np.sin(angles)[:, None, None] * c
@@ -145,7 +134,7 @@ def _radius_grid(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, c, np.concatenate([ev[:, -1], -ev[:, 0]]) if m.size else np.zeros(0)
 
 
-def numerical_radius_bracket(m) -> tuple[float, float]:
+def numerical_radius_bracket(m: np.ndarray) -> tuple[float, float]:
     """(lo, hi) around numerical_radius(m), from its grid alone: lo is the grid's
     largest h, where ``numerical_radius`` starts, and h is the support function of
     the convex W(M), so a point of W(M) of modulus R has R cos(pi/64) <= lo. The
@@ -157,7 +146,7 @@ def numerical_radius_bracket(m) -> tuple[float, float]:
     return lo, float(lo / np.cos(np.pi / _NUMRAD_GRID) + 1e-12 * np.abs(vals).max())
 
 
-def numerical_radius(m) -> float:
+def numerical_radius(m: np.ndarray) -> float:
     """Numerical radius w(M) = max over unit x of |<Mx, x>|.
 
     w(M) is the largest h(t), the top eigenvalue of H(t) = cos t A - sin t C
@@ -220,13 +209,12 @@ def numerical_radius(m) -> float:
     return best
 
 
-def matrix_abs_sqrt(m) -> np.ndarray:
+def matrix_abs_sqrt(m: np.ndarray) -> np.ndarray:
     """(M*M)^(1/4), the square root of the modulus |M|.
 
     Computed from the eigendecomposition of M*M; the result is Hermitian
     positive semidefinite and its fourth power reconstructs M*M.
     """
-    m = as_matrix(m)
     g = m.conj().T @ m
     g = (g + g.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(g)
@@ -264,10 +252,8 @@ class OperatorFlags:
         return self.hermitian and bool(hermitian_eig(self.matrix).min(initial=np.inf) >= bound)
 
 
-def classify(m) -> OperatorFlags:
+def classify(m: np.ndarray) -> OperatorFlags:
     """Structure flags of a square matrix, read off a copy of it; see ``OperatorFlags``."""
-    m = as_matrix(m)
-    _require_square(m, "classify")
     m = m.copy()
     m.flags.writeable = False
     return OperatorFlags(m, op_norm(m))

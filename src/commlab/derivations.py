@@ -2,7 +2,8 @@
 
 Vectorization is column-stacking throughout: vec(SX - XT) equals
 (I (x) S - T^t (x) I) vec(X). Kernel and range computations use the numerical
-rank of that lifted matrix with a relative, absolutely floored cutoff.
+rank of that lifted matrix with a relative, absolutely floored cutoff. S, T
+and C are finite n x n complex128 arrays that ``Instance`` checked.
 
 The lift is factored one of two ways, chosen from the input alone. When S and
 T are both numerically normal, S = U diag(lam) U* and T = V diag(mu) V*, the
@@ -21,8 +22,6 @@ import numpy as np
 from commlab.core import (
     HypothesisError,
     InputError,
-    ShapeError,
-    as_matrix,
     classify,
     hs_norm,
     op_norm,
@@ -92,15 +91,6 @@ class SylvesterOperator:
         return self.S @ x - x @ self.T
 
 
-def _check_pair(s, t) -> tuple[np.ndarray, np.ndarray]:
-    s, t = as_matrix(s), as_matrix(t)
-    if s.shape[0] != s.shape[1] or t.shape[0] != t.shape[1]:
-        raise ShapeError("S and T must be square")
-    if s.shape != t.shape:
-        raise ShapeError(f"S and T must have equal size, got {s.shape} vs {t.shape}")
-    return s, t
-
-
 def _hermitian_part(m: np.ndarray, gamma: float) -> np.ndarray:
     """A + gamma C for M = A + iC."""
     w = (1 - 1j * gamma) / 2 * m
@@ -161,7 +151,7 @@ def _kronecker_lift(s: np.ndarray, t: np.ndarray) -> SylvesterOperator:
     return SylvesterOperator(s, t, cutoff, "kronecker", kernel, cokernel)
 
 
-def lift_derivation(s, t) -> SylvesterOperator:
+def lift_derivation(s: np.ndarray, t: np.ndarray) -> SylvesterOperator:
     """Factor the lift of X -> SX - XT (column-stacking vec) and find its
     numerical kernel.
 
@@ -175,7 +165,6 @@ def lift_derivation(s, t) -> SylvesterOperator:
     n > 64 raises InputError before anything is allocated: the lift takes
     16 n^4 bytes, and so does the kernel of a scalar pair on either path.
     """
-    s, t = _check_pair(s, t)
     n = s.shape[0]
     if 16 * n**4 > _LIFT_MAX_BYTES:
         raise InputError(f"dim {n} needs a {16 * n**4 / 2**20:.0f} MiB lift; the limit is n <= 64")
@@ -222,14 +211,13 @@ class FPReport:
     lift: str  # the lift that found the kernel: "spectral" or "kronecker"
 
 
-def check_fp_pair(s, t) -> FPReport:
+def check_fp_pair(s: np.ndarray, t: np.ndarray) -> FPReport:
     """Check the adjoint-intertwining property of the pair (S, T).
 
     For every kernel basis element C the residual |S*C - CT*|_2 is computed;
     the property holds when the worst residual is at most
     1e-7 * max(1, |S| + |T|). An empty kernel passes vacuously.
     """
-    s, t = _check_pair(s, t)
     op = lift_derivation(s, t)
     basis = kernel_basis(op)
     residuals = tuple(hs_norm(s.conj().T @ e.C - e.C @ t.conj().T) for e in basis)
@@ -252,14 +240,13 @@ class ReductionReport:
     residuals: dict
 
 
-def check_reduction(s, c) -> ReductionReport:
+def check_reduction(s: np.ndarray, c: np.ndarray) -> ReductionReport:
     """Does the range of C reduce S, and is S restricted to it normal?
 
     Q spans range(C) (left singular vectors with sigma > 1e-10 * sigma_max).
     Reduction holds when both off-corner compressions (I-QQ*)SQ and
     QQ*S(I-QQ*) vanish within 1e-8 * max(1, |S|). C = 0 passes vacuously.
     """
-    s, c = _check_pair(s, c)
     n = s.shape[0]
     u, svals, _ = np.linalg.svd(c)
     smax = float(svals[0]) if svals.size else 0.0
@@ -278,18 +265,15 @@ def check_reduction(s, c) -> ReductionReport:
     )
 
 
-def min_distance_hs(op: SylvesterOperator, c) -> float:
+def min_distance_hs(op: SylvesterOperator, c: np.ndarray) -> float:
     """Exact min over X of |SX - XT + C|_2 at the numerical rank of the lift.
 
-    ``op`` is the lift of (S, T) from ``lift_derivation``; C must match S in
-    size. Computed as the norm of the projection of C onto the orthogonal
+    ``op`` is the lift of (S, T) from ``lift_derivation``, and C is n x n
+    like S. Computed as the norm of the projection of C onto the orthogonal
     complement of the lift's range: on the spectral lift,
     sqrt(sum |(U*CV)_ij|^2) over the kernel's (i, j). Always in [0, |C|_2]
     since X = 0 is admissible.
     """
-    c = as_matrix(c)
-    if c.shape != op.S.shape:
-        raise ShapeError("C must match S and T in size")
     return float(np.linalg.norm(np.tensordot(op._cokernel, c.conj(), axes=2)))
 
 
@@ -300,7 +284,7 @@ class ProbeResult:
     evaluations: int
 
 
-def orthogonality_probe_opnorm(op: SylvesterOperator, c) -> ProbeResult:
+def orthogonality_probe_opnorm(op: SylvesterOperator, c: np.ndarray) -> ProbeResult:
     """Search for X making |SX - XT + C| smaller than |C| in operator norm.
 
     ``op`` is the lift of (S, T) from ``lift_derivation``. A falsifier, not a
@@ -315,7 +299,6 @@ def orthogonality_probe_opnorm(op: SylvesterOperator, c) -> ProbeResult:
     The verdict is "consistent" when nothing beats |C| - 1e-6. C must lie in
     the kernel of the derivation: |SC - CT|_2 <= max(op.cutoff, 1e-12).
     """
-    c = as_matrix(c)
     if hs_norm(op.apply(c)) > max(op.cutoff, 1e-12):
         raise HypothesisError("C is not in the kernel of the derivation")
     r = c

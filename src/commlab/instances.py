@@ -397,7 +397,8 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class Instance:
-    """One bundle of operators fed to an inequality or derivation check."""
+    """One bundle of operators fed to an inequality or derivation check, and the one
+    place a matrix is checked: S, T, X, Y and C pass ``as_matrix`` and are dim x dim."""
 
     S: np.ndarray
     T: np.ndarray
@@ -676,7 +677,7 @@ def matrix_from_json(obj) -> np.ndarray:
         raise InputError(f"matrix rows must be [re, im] pairs: {exc}") from exc
     if m.ndim != 2:
         raise InputError("matrix rows must form a rectangular grid")
-    return as_matrix(m)
+    return m
 
 
 def vector_to_json(v: np.ndarray) -> list:

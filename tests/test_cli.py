@@ -413,6 +413,8 @@ _HUGE = 10**400  # a JSON integer literal too large for a float
 _BIG_DIAG = {"rows": [[[1e50, 0], [0, 0]], [[0, 0], [2, 0]]]}  # with x = e1, |STx|^4 overflows
 _HUGE_DIAG = {"rows": [[[1e100, 0], [0, 0]], [[0, 0], [2, 0]]]}  # here |STx|^2 already overflows
 _OVERFLOW_DIAG = {"rows": [[[1e160, 0], [0, 0]], [[0, 0], [2, 0]]]}  # here S S* overflows
+_NAN_DIAG = {"rows": [[[float("nan"), 0], [0, 0]], [[0, 0], [2, 0]]]}
+_ZERO_3X3 = {"rows": [[[0, 0]] * 3] * 3}
 
 
 def _schwarz_instance(tmp_path, **fields):
@@ -476,6 +478,9 @@ class TestCommutingSchwarz:
             ({"S": _HUGE_DIAG, "T": _HUGE_DIAG}, 0, "hypothesis violation: |STx| is too large"),
             ({"x": [[1, 0], [0, 0], [0, 0]]}, 2, "error: x must have length dim"),
             ({"bounds": _SCHWARZ_BOUNDS | {"a1": float("nan")}}, 2, "error: bounds a1, a2 must be finite"),
+            # Instance checks every matrix field, whichever entry reads it
+            *[({m: _NAN_DIAG}, 2, "error: matrix contains non-finite entries") for m in "STXYC"],
+            ({"C": _ZERO_3X3}, 2, "error: C must be square of size dim"),
         ],
     )
     def test_instance_with_extreme_n_or_x(self, fields, code, message, tmp_path, capsys):
@@ -485,10 +490,18 @@ class TestCommutingSchwarz:
         assert message in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
-        "argv", [("check", "--entry", "THM_MAIN"), ("check", "--entry", "SCHWARZ_REVERSE"), ("fp",)]
+        "fields, argv",
+        [
+            ({"S": _OVERFLOW_DIAG, "T": _OVERFLOW_DIAG}, ("check", "--entry", "THM_MAIN")),
+            ({"S": _OVERFLOW_DIAG, "T": _OVERFLOW_DIAG}, ("check", "--entry", "SCHWARZ_REVERSE")),
+            ({"S": _OVERFLOW_DIAG, "T": _OVERFLOW_DIAG}, ("fp",)),
+            # here a formula's own Python float `** 2` overflows
+            ({"S": _OVERFLOW_DIAG}, ("check", "--entry", "REMARK_POSITIVE")),
+            ({"bounds": _SCHWARZ_BOUNDS | {"a2": 1e160}}, ("check", "--entry", "STEP_CARTESIAN")),
+        ],
     )
-    def test_overflow_from_finite_input_is_a_hypothesis_violation(self, argv, tmp_path, capsys):
-        inst_path = _schwarz_instance(tmp_path, S=_OVERFLOW_DIAG, T=_OVERFLOW_DIAG)
+    def test_overflow_from_finite_input_is_a_hypothesis_violation(self, fields, argv, tmp_path, capsys):
+        inst_path = _schwarz_instance(tmp_path, **fields)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run_cli(*argv, "--instance", str(inst_path)) == 0
@@ -720,6 +733,8 @@ def test_readme_flag_table_matches_the_parser():
 _FUZZ_ARGVS = (
     ("check", "--entry", "SCHWARZ_REVERSE"),
     ("check", "--entry", "THM_MAIN"),
+    ("check", "--entry", "REMARK_POSITIVE"),
+    ("check", "--entry", "STEP_CARTESIAN"),
     ("fp",),
     ("ortho",),
 )
@@ -729,7 +744,7 @@ _BIG_LITERAL = "__1e400__"  # written into the JSON text as the literal 1e400
 
 @st.composite
 def _mutated_instance_text(draw):
-    """A valid dim-2 or dim-3 instance JSON with one malformed part."""
+    """A valid dim-2 or dim-3 instance JSON with one malformed or extreme part."""
     dim = draw(st.sampled_from((2, 3)))
     family = draw(st.sampled_from(("hermitian", "inner-normal")))
     recipe = Recipe(family, dim, with_x=True, with_y=True, with_vector=True)
@@ -744,11 +759,9 @@ def _mutated_instance_text(draw):
         for m in _MATRICES:
             paths += [(row[j], p) for row in obj[m]["rows"] for j in range(dim) for p in (0, 1)]
         parent, key = draw(st.sampled_from(paths))
-        parent[key] = draw(
-            st.sampled_from(
-                (str(parent[key]), "abc", [parent[key]], float("nan"), float("inf"), _BIG_LITERAL, 10**400)
-            )
-        )
+        bad = (str(parent[key]), "abc", [parent[key]], float("nan"), float("inf"), _BIG_LITERAL, 10**400)
+        # 1e160 is finite, but its square overflows a float
+        parent[key] = draw(st.sampled_from((*bad, 1e160)))
     elif kind == "x-length":
         obj["x"] = draw(st.sampled_from((obj["x"][:-1], obj["x"] + [[0.0, 0.0]], [])))
     else:

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab.catalog import validate_hypotheses
+from commlab import catalog, core, derivations, instances
+from commlab.catalog import CATALOG, evaluate, validate_hypotheses
 from commlab.core import HypothesisError, InputError, ShapeError, classify, commutator, hermitian_eig, op_norm
 from commlab.instances import (
     Instance,
@@ -218,6 +220,24 @@ class TestInstanceValidation:
     def test_undersized_n_rejected(self):
         inst = dataclasses.replace(equality_example(), n=0.5)
         assert validate_hypotheses("SCHWARZ_REVERSE", inst) == ["n below commutator norm"]
+
+    def test_nothing_below_an_instance_checks_a_matrix_again(self, monkeypatch):
+        # Instance is the one gate: evaluation, fp and the orthogonality tools trust its arrays
+        insts = {entry_id: make_instance(e.recipe_for(None, 3), 0) for entry_id, e in CATALOG.items()}
+        pair = make_instance(Recipe("inner-normal", 3), 0)
+        spies = []
+        for module in (catalog, core, derivations, instances):
+            if hasattr(module, "as_matrix"):  # patched where it is looked up
+                spies.append(Mock(wraps=module.as_matrix))
+                monkeypatch.setattr(module, "as_matrix", spies[-1])
+        for entry_id, inst in insts.items():
+            evaluate(entry_id, inst)
+        derivations.check_fp_pair(pair.S, pair.T)
+        op = derivations.lift_derivation(pair.S, pair.T)
+        c = derivations.kernel_basis(op)[0].C
+        derivations.min_distance_hs(op, c)
+        derivations.orthogonality_probe_opnorm(op, c)
+        assert [spy.call_count for spy in spies] == [0] * len(spies)
 
 
 def _instance_from(source: str) -> Instance:
