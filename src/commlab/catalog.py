@@ -450,8 +450,6 @@ def _band_violations(m: np.ndarray, bounds: SpectralBounds, labels: str) -> list
 
 
 def _pd_violations(inst: Instance) -> list[str]:
-    if inst.X is None:
-        return ["X missing"]
     return _when(
         not classify(inst.X).hermitian or hermitian_eig(inst.X).min() <= 0,
         "X not positive definite",
@@ -473,19 +471,19 @@ HYPOTHESES: dict[str, Callable[[Instance], list[str]]] = {
     "band:S": lambda i: _band_violations(i.S, i.bounds, "AC"),
     "band:T": lambda i: _band_violations(i.T, i.bounds, "BD"),
     "pd:X": _pd_violations,
-    "unit:x": lambda i: _when(
-        i.x is None or abs(np.linalg.norm(i.x) - 1.0) > 1e-12, "x not unit"
-    ),
-    "n-bound": lambda i: _when(
-        i.n is None or i.n < op_norm(commutator(i.S, i.T)) - 1e-9, "n below commutator norm"
-    ),
+    "unit:x": lambda i: _when(abs(np.linalg.norm(i.x) - 1.0) > 1e-12, "x not unit"),
+    "n-bound": lambda i: _when(i.n < op_norm(commutator(i.S, i.T)) - 1e-9, "n below commutator norm"),
 }
 
 
 def validate_hypotheses(entry: CatalogEntry | str, inst: Instance) -> list[str]:
-    """List of hypothesis violations; empty means the entry applies."""
+    """List of hypothesis violations; empty means the entry applies. An
+    instance without a field the entry requires is an InputError."""
     if isinstance(entry, str):
         entry = get_entry(entry)
+    for req in sorted(entry.requires):
+        if getattr(inst, req) is None:
+            raise InputError(f"entry {entry.id} requires instance field {req!r}")
     return [msg for code in entry.hypotheses for msg in HYPOTHESES[code](inst)]
 
 
@@ -567,16 +565,13 @@ def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL
     """Evaluate one entry on one instance: validation, then the formula.
 
     Hypothesis violations detected by validation produce a "not-applicable"
-    verdict. A missing required matrix raises InputError; an input the
+    verdict. A missing required field raises InputError; an input the
     formula cannot evaluate safely (e.g. a numerically singular X), or whose
     entries overflow float arithmetic in validation or the formula, raises
     HypothesisError.
     """
     if isinstance(entry, str):
         entry = get_entry(entry)
-    for req in sorted(entry.requires):
-        if getattr(inst, req) is None:
-            raise InputError(f"entry {entry.id} requires instance field {req!r}")
     with overflow_is_hypothesis_error():
         violations = tuple(validate_hypotheses(entry, inst))
         lhs, rhs, detail = entry.formula(inst)

@@ -31,7 +31,6 @@ from commlab.catalog import (
 from commlab.core import (
     HypothesisError,
     InputError,
-    ShapeError,
     hs_norm,
     op_norm,
     overflow_is_hypothesis_error,
@@ -138,8 +137,12 @@ def _resolve_instance(args, entry=None):
         given = [f"--{f}" for f in ("recipe", "dims", "seed") if getattr(args, f) is not None]
         if given:
             raise InputError(f"--instance conflicts with {', '.join(given)}")
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            return instance_from_json(json.load(fh))
+        try:
+            with open(args.instance, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+            raise InputError(f"malformed JSON: {exc}") from None
+        return instance_from_json(obj)
     return _generate_instance(args, entry)
 
 
@@ -369,7 +372,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ShapeError, FileNotFoundError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HypothesisError as exc:

@@ -1,8 +1,8 @@
 """Dense complex-matrix primitives: norms, spectra, and structure tests.
 
 Functions take finite 2-d ``complex128`` arrays, square where the operation
-needs it, and check none of that: ``Instance`` checks each matrix once
-(``as_matrix``), and every array below it is a field or a product of fields.
+needs it, and check none of that: ``commlab.instances.Instance`` checks each
+matrix once, and every array below it is a field or a product of fields.
 Every function is pure; inputs are never mutated. Comparisons follow one
 tolerance policy: a residual passes when it is at most ``tol * max(1, scale)``
 for a scale natural to the quantity being tested.
@@ -17,11 +17,9 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "ShapeError",
     "HypothesisError",
     "InputError",
     "overflow_is_hypothesis_error",
-    "as_matrix",
     "commutator",
     "self_commutator",
     "cartesian_decomposition",
@@ -40,10 +38,6 @@ _NUMRAD_GRID = 64  # numerical_radius: grid angles, from one batched eigensolve 
 _NUMRAD_SUB = 4  # subdivided this many times over the best cells,
 _NUMRAD_WIDTH = 1e-8  # and refined no further than an interval this narrow
 _CLASSIFY_TOL = 1e-8  # classify's relative residual tolerance
-
-
-class ShapeError(ValueError):
-    """Operands have missing, non-square, or non-conformable dimensions."""
 
 
 class HypothesisError(ValueError):
@@ -68,16 +62,6 @@ def overflow_is_hypothesis_error():
             yield
     except (FloatingPointError, OverflowError) as exc:
         raise HypothesisError(f"entries too large for float arithmetic ({exc})") from None
-
-
-def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a 2-d complex128 array, rejecting non-finite entries."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise InputError("matrix contains non-finite entries")
-    return a
 
 
 def commutator(s: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -17,14 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from commlab.core import (
-    HypothesisError,
-    InputError,
-    ShapeError,
-    as_matrix,
-    commutator,
-    op_norm,
-)
+from commlab.core import HypothesisError, InputError, commutator, op_norm
 
 __all__ = [
     "derive_seed",
@@ -39,16 +32,13 @@ __all__ = [
     "Moves",
     "draw_moves",
     "perturb",
-    "matrix_to_json",
-    "matrix_from_json",
-    "vector_to_json",
-    "vector_from_json",
     "instance_to_json",
     "instance_from_json",
 ]
 
 _MASK = (1 << 64) - 1
 _BOUND_KEYS = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")
+_MATRICES = ("S", "T", "X", "Y", "C")  # an instance's matrix fields, in its JSON as in Instance
 
 
 def _splitmix64(z: int) -> int:
@@ -168,7 +158,7 @@ def _conjugated(u: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     if dim < 1:
-        raise ShapeError("random_unitary requires dim >= 1")
+        raise InputError("random_unitary requires dim >= 1")
     q, r = np.linalg.qr(_ginibre(dim, seed))
     d = np.diagonal(r)
     mag = np.abs(d)
@@ -190,7 +180,7 @@ def _unit_vector(dim: int, seed: int) -> np.ndarray:
 def _banded_spectrum(rng: np.random.Generator, dim: int, lo: float, hi: float) -> np.ndarray:
     """dim values in [lo, hi] with both endpoints attained (at indices 0, 1)."""
     if dim < 2:
-        raise ShapeError("banded generation requires dim >= 2 so both endpoints are attained")
+        raise InputError("banded generation requires dim >= 2 so both endpoints are attained")
     return np.concatenate([[lo, hi], rng.uniform(lo, hi, size=dim - 2)])
 
 
@@ -398,7 +388,7 @@ class Fingerprint:
 @dataclass(frozen=True)
 class Instance:
     """One bundle of operators fed to an inequality or derivation check, and the one
-    place a matrix is checked: S, T, X, Y and C pass ``as_matrix`` and are dim x dim."""
+    place a matrix is checked: S, T, X, Y and C pass ``_checked`` and are dim x dim."""
 
     S: np.ndarray
     T: np.ndarray
@@ -420,23 +410,17 @@ class Instance:
         # construction or skip the checks below
         if self.internals is not None:
             object.__setattr__(self, "internals", MappingProxyType(dict(self.internals)))
-        object.__setattr__(self, "S", _frozen(as_matrix(self.S)))
-        object.__setattr__(self, "T", _frozen(as_matrix(self.T)))
-        if self.S.shape != (self.dim, self.dim) or self.T.shape != (self.dim, self.dim):
-            raise ShapeError("S and T must be square of size dim")
-        for name in ("X", "Y", "C"):
+        for name in _MATRICES:
             m = getattr(self, name)
-            if m is not None:
-                m = as_matrix(m)
-                if m.shape != (self.dim, self.dim):
-                    raise ShapeError(f"{name} must be square of size dim")
-                object.__setattr__(self, name, _frozen(m))
+            if m is not None or name in ("S", "T"):  # S and T are never optional
+                object.__setattr__(self, name, _checked(name, m, self.dim))
         if self.x is not None:
-            x = _frozen(np.asarray(self.x, dtype=np.complex128).reshape(-1))
+            x = np.array(np.reshape(self.x, -1), dtype=np.complex128)
             if x.shape != (self.dim,):
-                raise ShapeError("x must have length dim")
+                raise InputError("x must have length dim")
             if not np.all(np.isfinite(x)):
                 raise InputError("x must be finite")
+            x.flags.writeable = False
             object.__setattr__(self, "x", x)
         if self.n is not None:
             n = float(self.n)
@@ -448,8 +432,16 @@ class Instance:
         return Fingerprint(self.seed, self.dim, self.recipe, recipe_hash(self.recipe, self.dim))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
+def _checked(name: str, m, dim: int) -> np.ndarray:
+    """A read-only complex128 copy of matrix field ``name``, which must be
+    finite and dim x dim."""
+    a = np.array(m, dtype=np.complex128)
+    if a.ndim != 2:
+        raise InputError(f"expected a 2-d matrix, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise InputError("matrix contains non-finite entries")
+    if a.shape != (dim, dim):
+        raise InputError(f"{name} must be square of size dim")
     a.flags.writeable = False
     return a
 
@@ -551,7 +543,7 @@ class Recipe:
         if self.family not in RECIPE_FAMILIES:
             raise InputError(f"unknown recipe family {self.family!r}; known: {RECIPE_FAMILIES}")
         if self.dim < 1:
-            raise ShapeError("recipe dim must be >= 1")
+            raise InputError("recipe dim must be >= 1")
         if self.family == "equality-example" and self.dim != 2:
             raise InputError("equality-example is a fixed 2x2 instance")
         if self.family == "equality-example" and (self.with_x or self.with_y):
@@ -663,32 +655,34 @@ def perturb(inst: Instance, scale: float, seed: int) -> Instance:
 # JSON interchange
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
-    return {"rows": [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]}
+def _pair(e) -> complex:
+    """The complex number a JSON [re, im] pair stands for."""
+    z = complex(e[0], e[1])
+    if len(e) != 2:
+        raise ValueError(f"a pair has {len(e)} entries")
+    return z
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict) or "rows" not in obj:
+def _from_pairs(value, name: str) -> np.ndarray:
+    """Field ``name`` read from its JSON: x is a list of [re, im] pairs, a
+    matrix {"rows": [[pair, ...], ...]}, and a pair is exactly two numbers."""
+    if name == "x":
+        rows, what = [value], "vector entries"
+    elif isinstance(value, dict) and "rows" in value:
+        rows, what = value["rows"], "matrix rows"
+    else:
         raise InputError("matrix JSON must be an object with a 'rows' key")
-    rows = obj["rows"]
     try:
-        m = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=np.complex128)
-    except (TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise InputError(f"matrix rows must be [re, im] pairs: {exc}") from exc
-    if m.ndim != 2:
-        raise InputError("matrix rows must form a rectangular grid")
-    return m
+        a = np.array([[_pair(e) for e in row] for row in rows], dtype=np.complex128)
+    except (TypeError, LookupError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be [re, im] pairs: {exc}") from exc
+    return a[0] if name == "x" else a
 
 
-def vector_to_json(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v).reshape(-1)]
-
-
-def vector_from_json(obj) -> np.ndarray:
-    try:
-        return np.array([complex(e[0], e[1]) for e in obj], dtype=np.complex128)
-    except (TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise InputError(f"vector entries must be [re, im] pairs: {exc}") from exc
+def _to_pairs(a: np.ndarray, name: str):
+    """Field ``name`` in the JSON form ``_from_pairs`` reads."""
+    pairs = np.stack([a.real, a.imag], axis=-1).tolist()
+    return pairs if name == "x" else {"rows": pairs}
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -697,15 +691,11 @@ def instance_to_json(inst: Instance) -> dict:
         "seed": int(inst.seed),
         "recipe": inst.recipe,
         "bounds": inst.bounds.to_json(),
-        "S": matrix_to_json(inst.S),
-        "T": matrix_to_json(inst.T),
     }
-    for name in ("X", "Y", "C"):
-        m = getattr(inst, name)
-        if m is not None:
-            out[name] = matrix_to_json(m)
-    if inst.x is not None:
-        out["x"] = vector_to_json(inst.x)
+    for name in (*_MATRICES, "x"):
+        a = getattr(inst, name)
+        if a is not None:
+            out[name] = _to_pairs(a, name)
     if inst.n is not None:
         out["n"] = float(inst.n)
     return out
@@ -717,19 +707,12 @@ def instance_from_json(obj: dict) -> Instance:
     for key in ("S", "T", "bounds"):
         if key not in obj:
             raise InputError(f"instance JSON is missing required key {key!r}")
-    s = matrix_from_json(obj["S"])
-    t = matrix_from_json(obj["T"])
-    dim = _number(int, obj.get("dim", s.shape[0]), "dim")
+    arrays = {name: _from_pairs(obj[name], name) for name in (*_MATRICES, "x") if name in obj}
     return Instance(
-        S=s,
-        T=t,
+        dim=_number(int, obj.get("dim", len(arrays["S"])), "dim"),
         bounds=SpectralBounds.from_json(obj["bounds"]),
         seed=_number(int, obj.get("seed", 0), "seed"),
-        dim=dim,
         recipe=str(obj.get("recipe", "external")),
-        X=matrix_from_json(obj["X"]) if "X" in obj else None,
-        Y=matrix_from_json(obj["Y"]) if "Y" in obj else None,
-        C=matrix_from_json(obj["C"]) if "C" in obj else None,
-        x=vector_from_json(obj["x"]) if "x" in obj else None,
         n=_number(float, obj["n"], "n") if "n" in obj else None,
+        **arrays,
     )

@@ -111,6 +111,12 @@ class TestValidateHypotheses:
         inst = equality_example()
         assert validate_hypotheses("SCHWARZ_REVERSE", inst) == []
 
+    @pytest.mark.parametrize("entry_id, field", [("THREE_TERM", "X"), ("SCHWARZ_REVERSE", "n")])
+    def test_missing_required_field_is_an_input_error(self, entry_id, field):
+        inst = dataclasses.replace(equality_example(), **{field: None})
+        with pytest.raises(InputError, match=f"entry {entry_id} requires instance field '{field}'"):
+            validate_hypotheses(entry_id, inst)
+
     def test_thm_main_cost(self, linalg_calls):
         """Two SVDs per normality test (op_norm, then the residual), one eigvalsh per cartesian part."""
         inst = make_instance(get_entry("THM_MAIN").recipe_for(None, 4), 0)

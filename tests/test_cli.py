@@ -148,6 +148,22 @@ class TestCheck:
     def test_missing_file(self):
         assert run_cli("check", "--entry", "THM_MAIN", "--instance", "/no/such/file.json") == 2
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'\xff\xfe{"S": 1}', "'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf-8", "nested-too-deep"],
+    )
+    def test_unreadable_instance_bytes(self, data, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert run_cli("check", "--entry", "THM_MAIN", "--instance", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed JSON: ") and message in captured.err
+        assert captured.out == ""
+
 
 class TestSweep:
     def test_false_test_exits_one_and_replays(self, tmp_path):
@@ -415,6 +431,8 @@ _HUGE_DIAG = {"rows": [[[1e100, 0], [0, 0]], [[0, 0], [2, 0]]]}  # here |STx|^2 
 _OVERFLOW_DIAG = {"rows": [[[1e160, 0], [0, 0]], [[0, 0], [2, 0]]]}  # here S S* overflows
 _NAN_DIAG = {"rows": [[[float("nan"), 0], [0, 0]], [[0, 0], [2, 0]]]}
 _ZERO_3X3 = {"rows": [[[0, 0]] * 3] * 3}
+_TRIPLE_DIAG = {"rows": [[[1, 0, 7], [0, 0]], [[0, 0], [2, 0]]]}  # a "pair" of three numbers
+_DICT_DIAG = {"rows": [[{"re": 1}, [0, 0]], [[0, 0], [2, 0]]]}
 
 
 def _schwarz_instance(tmp_path, **fields):
@@ -481,6 +499,10 @@ class TestCommutingSchwarz:
             # Instance checks every matrix field, whichever entry reads it
             *[({m: _NAN_DIAG}, 2, "error: matrix contains non-finite entries") for m in "STXYC"],
             ({"C": _ZERO_3X3}, 2, "error: C must be square of size dim"),
+            # a pair is exactly two numbers
+            ({"S": _TRIPLE_DIAG}, 2, "error: matrix rows must be [re, im] pairs"),
+            ({"S": _DICT_DIAG}, 2, "error: matrix rows must be [re, im] pairs"),
+            ({"x": [[1, 0, 5], [0, 0]]}, 2, "error: vector entries must be [re, im] pairs"),
         ],
     )
     def test_instance_with_extreme_n_or_x(self, fields, code, message, tmp_path, capsys):

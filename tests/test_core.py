@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commlab.core import (
-    InputError,
-    as_matrix,
     cartesian_decomposition,
     classify,
     hermitian_eig,
@@ -24,15 +22,6 @@ HADAMARD_LIKE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 6)
 complex_entries = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
-
-
-class TestAsMatrix:
-    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)])
-    def test_rejects_non_finite(self, entry):
-        m = np.eye(2, dtype=complex)
-        m[1, 0] = entry
-        with pytest.raises(InputError, match="non-finite"):
-            as_matrix(m)
 
 
 class TestCartesianDecomposition:

@@ -8,7 +8,9 @@ the instances ``gen`` draws and the best instance ``search`` finds, so any
 change to the order of random draws shows; and the report artifacts: every
 entry's ``check --format csv``, ``sweep`` in JSON and CSV, and ``fp`` and
 ``ortho`` per generated family and on an instance file that carries ``C``,
-and ``ortho`` on a Jordan block, where the probe finds a violation.
+and ``ortho`` on a Jordan block, where the probe finds a violation; and one
+counterexample per refuted entry, the best instance of the search that
+refutes it, which ``check --instance`` must find violated.
 
 The files under tests/golden/ are the program's own output. After an
 intended change, regenerate them with
@@ -19,6 +21,7 @@ the diff shows only the records that changed.
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -38,7 +41,6 @@ from commlab.instances import (
     SpectralBounds,
     instance_to_json,
     make_instance,
-    matrix_to_json,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,6 +55,9 @@ GENERATED = tuple(f for f in RECIPE_FAMILIES if f != "equality-example")
 SEARCH_CASES = tuple(
     (e, f, "3", "5") for f in GENERATED for e in SEARCH_ENTRIES
 ) + (("SCHWARZ_REVERSE", "equality-example", "2", "0"),)
+REFUTED = tuple(e for e in ENTRY_IDS if CATALOG[e].status == "refuted")
+# the search that refutes an entry, at dim 2 (see test_status_follows_the_search_gate)
+WITNESS_SEARCH = ("--dims", "2", "--iterations", "200", "--restarts", "3", "--seed", "1")
 INSTANCE_KEYS = ("bounds", "S", "T", "X", "Y", "x", "n")
 WITH_C = "INSTANCE_WITH_C"  # stands for the path of _write_instance_with_c's file
 JORDAN = "INSTANCE_JORDAN"  # stands for the path of _write_jordan_instance's file
@@ -136,6 +141,11 @@ def _search_record(entry_id: str, family: str, dims: str, seed: str) -> dict:
     }
 
 
+def _witness(entry_id: str) -> dict:
+    """The best instance of the search that refutes the entry."""
+    return json.loads(_run("search", "--entry", entry_id, *WITNESS_SEARCH)[1])["best_instance"]
+
+
 def _csv_cell(text: str):
     """A CSV cell as the number it spells, else as the text."""
     for convert in (int, float):
@@ -154,8 +164,8 @@ def _csv_cells(text: str) -> dict:
 
 def _write_instance_with_c(path: str) -> None:
     """An inner-normal pair with a C outside the kernel, as instance JSON."""
-    blob = instance_to_json(make_instance(Recipe("inner-normal", 3), 5))
-    blob["C"] = matrix_to_json(0.5 * np.eye(3) + 0.1j * np.ones((3, 3)))
+    inst = make_instance(Recipe("inner-normal", 3), 5)
+    blob = instance_to_json(dataclasses.replace(inst, C=0.5 * np.eye(3) + 0.1j * np.ones((3, 3))))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh)
 
@@ -164,9 +174,9 @@ def _write_jordan_instance(path: str) -> None:
     """S = T = C = J_3, the 3 x 3 Jordan block, as instance JSON: C lies in
     the kernel and in the range of the derivation, so the probe finds a
     violation."""
-    blob = instance_to_json(make_instance(Recipe("inner-normal", 3), 0))
-    jordan = matrix_to_json(np.eye(3, k=1))
-    blob |= {"S": jordan, "T": jordan, "C": jordan}
+    jordan = np.eye(3, k=1)
+    inst = dataclasses.replace(make_instance(Recipe("inner-normal", 3), 0), S=jordan, T=jordan, C=jordan)
+    blob = instance_to_json(inst)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh)
 
@@ -225,7 +235,8 @@ def _records_text(records: dict) -> str:
 
 
 def _broken_instances() -> dict[str, Instance]:
-    """Instances that break every hypothesis code between them."""
+    """Instances that break every hypothesis code between them, and carry
+    every field an entry requires (no hypothesis reads Y)."""
     rng = np.random.default_rng(7)
 
     def ginibre():
@@ -233,13 +244,14 @@ def _broken_instances() -> dict[str, Instance]:
 
     tight = SpectralBounds(0, 0, 0, 0, 0, 0, 0, 0)
     wide = SpectralBounds(-9, 9, -9, 9, -9, 9, -9, 9)
+    x, y = 2.0 * np.eye(3)[0], np.eye(3)
     general = Instance(
-        S=ginibre(), T=ginibre(), bounds=tight, seed=0, dim=3, X=ginibre(), x=2.0 * np.eye(3)[0], n=0.0
+        S=ginibre(), T=ginibre(), bounds=tight, seed=0, dim=3, X=ginibre(), Y=y, x=x, n=0.0
     )
     h = ginibre()
     indefinite = Instance(
         S=np.diag([1.0, -1.0, 0.5]), T=h + h.conj().T, bounds=wide, seed=0, dim=3,
-        X=np.diag([1.0, -1.0, 2.0]),
+        X=np.diag([1.0, -1.0, 2.0]), Y=y, x=x, n=0.0,
     )
     return {"general": general, "indefinite": indefinite}
 
@@ -264,6 +276,7 @@ def test_golden_covers_every_entry():
     want = sorted(_check_key(e, s, r) for e in ENTRY_IDS for s, r in CHECK_CASES)
     assert sorted(_golden("checks.json")) == want
     assert sorted(_golden("violations.json")) == sorted(ENTRY_IDS)
+    assert sorted(_golden("witnesses.json")) == sorted(REFUTED)
 
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)
@@ -300,6 +313,18 @@ def test_search_matches_golden(entry_id, family, dims, seed):
     _assert_close(_search_record(entry_id, family, dims, seed), want, f"{entry_id}:{family}")
 
 
+@pytest.mark.parametrize("entry_id", REFUTED)
+def test_witness_violates_its_entry(entry_id, tmp_path):
+    """Each refuted entry's pinned counterexample, read back as an instance
+    file, violates it by far more than the tolerance."""
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(_golden("witnesses.json")[entry_id]), encoding="utf-8")
+    rc, out = _run("check", "--entry", entry_id, "--instance", str(path))
+    report = json.loads(out)
+    assert rc == 1 and report["verdict"] == "violated"
+    assert report["margin"] < -100 * report["tol"] * max(1.0, abs(report["rhs"]))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for fmt in ("json", "csv"):
@@ -313,6 +338,12 @@ if __name__ == "__main__":
     gens = {f"{f}:{e}": _gen_record(f, e) for f in RECIPE_FAMILIES for e in GEN_ENTRIES}
     searches = {f"{c[0]}:{c[1]}": _search_record(*c) for c in SEARCH_CASES}
     artifacts = {k: _artifact_record(argv) for k, argv in ARTIFACT_CASES.items()}
-    for name, records in (("gen.json", gens), ("search.json", searches), ("artifacts.json", artifacts)):
+    witnesses = {e: _witness(e) for e in REFUTED}
+    for name, records in (
+        ("gen.json", gens),
+        ("search.json", searches),
+        ("artifacts.json", artifacts),
+        ("witnesses.json", witnesses),
+    ):
         (GOLDEN / name).write_text(_records_text(_kept(name, records)), encoding="utf-8")
     sys.exit(0)

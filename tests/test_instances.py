@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab import catalog, core, derivations, instances
+from commlab import derivations, instances
 from commlab.catalog import CATALOG, evaluate, validate_hypotheses
-from commlab.core import HypothesisError, InputError, ShapeError, classify, commutator, hermitian_eig, op_norm
+from commlab.core import HypothesisError, InputError, classify, commutator, hermitian_eig, op_norm
 from commlab.instances import (
     Instance,
     Recipe,
@@ -50,7 +50,7 @@ class TestRandomUnitary:
         assert np.array_equal(random_unitary(5, 11), random_unitary(5, 11))
 
     def test_dim_zero(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             random_unitary(0, 1)
 
 
@@ -77,7 +77,7 @@ class TestHermitianBanded:
         np.testing.assert_allclose(m, 4.0 * np.eye(3), atol=1e-12)
 
     def test_errors(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             _banded(1, (0.0, 1.0), (0.0, 0.0), 0)
 
 
@@ -221,15 +221,23 @@ class TestInstanceValidation:
         inst = dataclasses.replace(equality_example(), n=0.5)
         assert validate_hypotheses("SCHWARZ_REVERSE", inst) == ["n below commutator norm"]
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)])
+    def test_rejects_a_non_finite_matrix(self, entry):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = entry
+        ok = np.eye(2, dtype=complex)
+        b = SpectralBounds(0, 1, 0, 1, 0, 1, 0, 1)
+        for name in ("S", "T", "X", "Y", "C"):
+            fields = {"S": ok, "T": ok} | {name: m}
+            with pytest.raises(InputError, match="non-finite"):
+                Instance(bounds=b, seed=0, dim=2, **fields)
+
     def test_nothing_below_an_instance_checks_a_matrix_again(self, monkeypatch):
         # Instance is the one gate: evaluation, fp and the orthogonality tools trust its arrays
         insts = {entry_id: make_instance(e.recipe_for(None, 3), 0) for entry_id, e in CATALOG.items()}
         pair = make_instance(Recipe("inner-normal", 3), 0)
-        spies = []
-        for module in (catalog, core, derivations, instances):
-            if hasattr(module, "as_matrix"):  # patched where it is looked up
-                spies.append(Mock(wraps=module.as_matrix))
-                monkeypatch.setattr(module, "as_matrix", spies[-1])
+        spy = Mock(wraps=instances._checked)
+        monkeypatch.setattr(instances, "_checked", spy)
         for entry_id, inst in insts.items():
             evaluate(entry_id, inst)
         derivations.check_fp_pair(pair.S, pair.T)
@@ -237,7 +245,9 @@ class TestInstanceValidation:
         c = derivations.kernel_basis(op)[0].C
         derivations.min_distance_hs(op, c)
         derivations.orthogonality_probe_opnorm(op, c)
-        assert [spy.call_count for spy in spies] == [0] * len(spies)
+        assert spy.call_count == 0
+        make_instance(Recipe("inner-normal", 3), 0)  # the spy sees the one gate
+        assert spy.call_count == 2
 
 
 def _instance_from(source: str) -> Instance:
