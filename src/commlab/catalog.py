@@ -62,7 +62,8 @@ _SJ_CUTOFF = 1e-12
 class CatalogEntry:
     """One evaluable inequality: metadata, hypothesis codes and formula, and
     optionally a cheap ``bracket`` of the formula, ``inst -> (lhs_lo, lhs_hi,
-    rhs)`` with lhs in [lhs_lo, lhs_hi] and rhs exact, which only search reads."""
+    rhs)`` with lhs in [lhs_lo, lhs_hi] and rhs exact, which only search reads.
+    Both read only S, T, X, Y, x, n and bounds, so search can pass a ``BlockRow``."""
 
     id: str
     description: str

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -128,11 +129,17 @@ class SpectralBounds:
 
 
 def _number(convert, value, name: str):
-    """``convert(value)``, with a malformed or out-of-range JSON value as InputError."""
+    """``convert(value)`` for a JSON number in range, integral where ``convert``
+    is int; JSON true, false, strings and the rest are InputErrors naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{name} must be a number, not {type(value).__name__}")
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        out = convert(value)
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be a number in range: {exc}") from exc
+    if convert is int and out != value:
+        raise InputError(f"{name} must be an integer, not {value!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +196,25 @@ class _Factor:
 
     ``draw(scale, rngs)`` takes the random part of a move from each
     generator, stacked on a leading axis (one row per move); it depends on
-    the factor's structure only. ``apply(noise, k)`` composes row k of that
-    noise with the factor's values and returns the moved factor. A factor
-    holds arrays and other factors, never a container of arrays.
+    the factor's structure only. ``apply(noise, rows)`` composes the noise
+    rows that the slice ``rows`` takes with the factor's values, in one stacked
+    operation: it returns the moved factors as one factor of the same class,
+    carrying a leading row axis, over which ``build`` works too. A factor holds
+    arrays and other factors, never a container of arrays.
     """
 
     def __post_init__(self):
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    def row(self, base: "_Factor", i: int) -> "_Factor":
+        """Row i of the stack that ``base.apply`` returned: a copy of row i of
+        each array to which the stack added a row axis."""
+        return type(self)(*(
+            v.row(b, i) if isinstance(v, _Factor) else v[i].copy() if v.ndim > b.ndim else v
+            for v, b in zip(vars(self).values(), vars(base).values())
+        ))
 
 
 @dataclass(frozen=True)
@@ -216,16 +233,16 @@ class _BandedBasis(_Factor):
         # the parts' band noise, row by row, then the step: perturb's order for each generator
         return _band_noise(rngs, scale, self.parts.shape), _unitary_steps(rngs, self.u.shape[-1], scale)
 
-    def apply(self, noise: tuple, k: int) -> "_BandedBasis":
+    def apply(self, noise: tuple, rows: slice) -> "_BandedBasis":
         bands, steps = noise
-        return type(self)(self.u @ steps[k], _moved_bands(self, bands[k]), self.bands, self.pins)
+        return type(self)(self.u @ steps[rows], _moved_bands(self, bands[rows]), self.bands, self.pins)
 
 
 class NormalFactor(_BandedBasis):
     """U diag(re + i im) U*, from the parts (re, im)."""
 
     def build(self) -> np.ndarray:
-        re, im = self.parts
+        re, im = self.parts.swapaxes(0, -2)  # each row of parts, over any row axis
         return _conjugated(self.u, re + 1j * im)
 
 
@@ -243,9 +260,9 @@ class CartesianFactor(_Factor):
         # im draws first; replay depends on the order
         return self.im.draw(scale, rngs), self.re.draw(scale, rngs)
 
-    def apply(self, noise: tuple, k: int) -> "CartesianFactor":
+    def apply(self, noise: tuple, rows: slice) -> "CartesianFactor":
         im, re = noise
-        return CartesianFactor(self.re.apply(re, k), self.im.apply(im, k))
+        return CartesianFactor(self.re.apply(re, rows), self.im.apply(im, rows))
 
 
 class CommutingPairFactor(_BandedBasis):
@@ -253,7 +270,7 @@ class CommutingPairFactor(_BandedBasis):
     U diag(a + i c) U* and U diag(b + i d) U*, from the parts (a, c, b, d)."""
 
     def build(self) -> tuple[np.ndarray, np.ndarray]:
-        a, c, b, d = self.parts
+        a, c, b, d = self.parts.swapaxes(0, -2)
         return _conjugated(self.u, a + 1j * c), _conjugated(self.u, b + 1j * d)
 
 
@@ -267,8 +284,8 @@ class GinibreFactor(_Factor):
     def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         return scale * _complex_gaussians(rngs, self.z.shape[-1])
 
-    def apply(self, noise: np.ndarray, k: int) -> "GinibreFactor":
-        return GinibreFactor(self.z + noise[k])
+    def apply(self, noise: np.ndarray, rows: slice) -> "GinibreFactor":
+        return GinibreFactor(self.z + noise[rows])
 
 
 @dataclass(frozen=True)
@@ -281,8 +298,8 @@ class UnitaryFactor(_Factor):
     def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         return _unitary_steps(rngs, self.u.shape[-1], scale)
 
-    def apply(self, noise: np.ndarray, k: int) -> "UnitaryFactor":
-        return UnitaryFactor(self.u @ noise[k])
+    def apply(self, noise: np.ndarray, rows: slice) -> "UnitaryFactor":
+        return UnitaryFactor(self.u @ noise[rows])
 
 
 @dataclass(frozen=True)
@@ -295,7 +312,7 @@ class FixedFactor(_Factor):
     def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> None:
         return None  # nothing is drawn
 
-    def apply(self, noise: None, k: int) -> "FixedFactor":
+    def apply(self, noise: None, rows: slice) -> "FixedFactor":
         return self
 
 
@@ -310,9 +327,10 @@ class VectorFactor(_Factor):
         pairs = np.stack([rng.standard_normal((2, self.v.shape[-1])) for rng in rngs])
         return scale * (pairs[:, 0] + 1j * pairs[:, 1])
 
-    def apply(self, noise: np.ndarray, k: int) -> "VectorFactor":
-        v = self.v + noise[k]
-        return VectorFactor(v / np.linalg.norm(v))
+    def apply(self, noise: np.ndarray, rows: slice) -> "VectorFactor":
+        v = self.v + noise[rows]
+        # each row by the norm of that 1-d row: a norm over axis=-1 sums in another order
+        return VectorFactor(v / np.array([np.linalg.norm(row) for row in v])[:, None])
 
 
 def _band_noise(rngs: Sequence[np.random.Generator], scale: float, shape: tuple) -> np.ndarray:
@@ -321,10 +339,12 @@ def _band_noise(rngs: Sequence[np.random.Generator], scale: float, shape: tuple)
 
 
 def _moved_bands(f: _BandedBasis, noise: np.ndarray) -> np.ndarray:
-    """f's parts plus noise, each row clamped to its band with its endpoints re-pinned."""
+    """f's parts plus each move's noise in a stack, each row clamped to its band
+    with its endpoints re-pinned."""
     # np.clip's result, without its per-call overhead on short arrays
     out = np.minimum(np.maximum(f.parts + noise, f.bands[:, :1]), f.bands[:, 1:])
-    out.put(f.pins, f.bands)  # flat indices, each band's (lo, hi) in turn
+    # the pins are flat indices into each move's parts, each band's (lo, hi) in turn
+    out.reshape(len(out), f.parts.size)[:, f.pins] = f.bands.ravel()
     return out
 
 
@@ -388,7 +408,12 @@ class Fingerprint:
 @dataclass(frozen=True)
 class Instance:
     """One bundle of operators fed to an inequality or derivation check, and the one
-    place a matrix is checked: S, T, X, Y and C pass ``_checked`` and are dim x dim."""
+    place a matrix is checked: S, T, X, Y and C pass ``_checked`` and are dim x dim.
+
+    A search candidate is a ``BlockRow`` until it may be kept: its n, bounds and
+    read-only views of its S, T, X, Y and x in a block of moves, all that a formula
+    or bracket reads. A row is never validated, kept, reported or read from outside.
+    """
 
     S: np.ndarray
     T: np.ndarray
@@ -564,20 +589,28 @@ def equality_example() -> Instance:
     return _assemble(factors, bounds, 0, 2, "equality-example")  # n = |ST - TS| = 2
 
 
-def _assemble(factors: Mapping, bounds: SpectralBounds, seed: int, dim: int, recipe: str) -> Instance:
-    """Build the arrays that factors stand for and wrap them in an Instance: a
-    commuting pair builds S and T from one factor, a tied pair has no T
-    factor, and a vector x brings n = |ST - TS| with it."""
+def _fields(factors: Mapping) -> dict:
+    """The arrays that factors stand for, by field name, over any leading row
+    axis: a commuting pair builds S and T from one factor, and a tied pair has
+    no T factor."""
     if "pair" in factors:
         s, t = factors["pair"].build()
     else:
         s = factors["S"].build()
         t = factors["T"].build() if "T" in factors else s
     extras = {name: factors[name].build() for name in ("X", "Y", "x") if name in factors}
-    n = op_norm(commutator(s, t)) if "x" in factors else None
-    return Instance(
-        S=s, T=t, bounds=bounds, seed=seed, dim=dim, recipe=recipe, n=n, internals=factors, **extras
-    )
+    return {"S": s, "T": t, **extras}
+
+
+def _with_n(fields: dict) -> dict:
+    """One instance's fields, with n = |ST - TS| where they hold a vector x."""
+    return fields | {"n": op_norm(commutator(fields["S"], fields["T"]))} if "x" in fields else fields
+
+
+def _assemble(factors: Mapping, bounds: SpectralBounds, seed: int, dim: int, recipe: str) -> Instance:
+    """The Instance that factors stand for."""
+    fields = _with_n(_fields(factors))
+    return Instance(bounds=bounds, seed=seed, dim=dim, recipe=recipe, internals=factors, **fields)
 
 
 def make_instance(recipe: Recipe, seed: int) -> Instance:
@@ -607,7 +640,7 @@ def make_instance(recipe: Recipe, seed: int) -> Instance:
 @dataclass(frozen=True)
 class Moves:
     """The random part of ``perturb(inst, scale, seed)`` for each of a run of
-    seeds, drawn at once by ``draw_moves``.
+    seeds, drawn at once by ``draw_moves`` and applied a block at a time.
 
     That part depends on the seed, the scale and the factor structure of the
     instance, never on its values, so each move applies to any instance of
@@ -617,11 +650,44 @@ class Moves:
     seeds: tuple[int, ...]
     noise: dict  # factor name -> its noise: stacked arrays, one row per seed (None if fixed)
 
-    def apply(self, inst: Instance, k: int) -> Instance:
-        """``perturb(inst, scale, seeds[k])``, bit for bit: row k of the noise
-        composed with the factors of ``inst``."""
-        moved = {name: inst.internals[name].apply(noise, k) for name, noise in self.noise.items()}
-        return _assemble(moved, inst.bounds, self.seeds[k], inst.dim, inst.recipe)
+    def apply(self, inst: Instance, start: int) -> "Block":
+        """Moves ``start…`` composed with the factors of ``inst`` in one stacked
+        operation per factor; row k of the block is ``perturb(inst, scale,
+        seeds[k])``, bit for bit."""
+        rows = slice(start, None)
+        moved = {name: inst.internals[name].apply(noise, rows) for name, noise in self.noise.items()}
+        fields = _fields(moved)
+        for name, a in fields.items():
+            if a.ndim == (1 if name == "x" else 2):  # a fixed factor's field: repeat it on a row axis
+                fields[name] = a = np.broadcast_to(a, (len(self.seeds) - start, *a.shape))
+            a.flags.writeable = False
+        return Block(self, inst, start, moved, fields)
+
+
+BlockRow = namedtuple("BlockRow", "S T bounds X Y x n", defaults=(None,) * 4)  # see Instance
+
+
+class Block(NamedTuple):
+    """Moves ``start…`` of ``moves`` applied to ``inst``: ``fields[name][k - start]``
+    is field ``name`` of move k, for S, T and any of X, Y and x, in read-only
+    stacks, and ``moved`` holds the stacked factors they were built from."""
+
+    moves: Moves
+    inst: Instance
+    start: int
+    moved: dict
+    fields: dict
+
+    def row(self, k: int) -> BlockRow:
+        """Move k as a formula reads it, with n where it has x."""
+        fields = {name: a[k - self.start] for name, a in self.fields.items()}
+        return BlockRow(bounds=self.inst.bounds, **_with_n(fields))
+
+    def instance(self, k: int) -> Instance:
+        """Move k as a checked, copied Instance carrying its own factors."""
+        internals, i = self.inst.internals, k - self.start
+        factors = {name: f.row(internals[name], i) for name, f in self.moved.items()}
+        return replace(self.inst, seed=self.moves.seeds[k], internals=factors, **self.row(k)._asdict())
 
 
 def draw_moves(inst: Instance, scale: float, seeds: Sequence[int]) -> Moves:
@@ -648,7 +714,7 @@ def perturb(inst: Instance, scale: float, seed: int) -> Instance:
     with endpoints re-pinned; bases multiply by exp(K) for random
     skew-Hermitian K with |K| <= scale. Deterministic in (inst, scale, seed).
     """
-    return draw_moves(inst, scale, (seed,)).apply(inst, 0)
+    return draw_moves(inst, scale, (seed,)).apply(inst, 0).instance(0)
 
 
 # ---------------------------------------------------------------------------
@@ -656,11 +722,10 @@ def perturb(inst: Instance, scale: float, seed: int) -> Instance:
 
 
 def _pair(e) -> complex:
-    """The complex number a JSON [re, im] pair stands for."""
-    z = complex(e[0], e[1])
+    """The complex number a JSON [re, im] pair of two numbers stands for."""
     if len(e) != 2:
         raise ValueError(f"a pair has {len(e)} entries")
-    return z
+    return complex(*(_number(float, v, "a pair entry") for v in e))
 
 
 def _from_pairs(value, name: str) -> np.ndarray:
@@ -707,6 +772,9 @@ def instance_from_json(obj: dict) -> Instance:
     for key in ("S", "T", "bounds"):
         if key not in obj:
             raise InputError(f"instance JSON is missing required key {key!r}")
+    for key in obj:
+        if key not in (*_MATRICES, "x", "n", "dim", "seed", "recipe", "bounds"):
+            raise InputError(f"instance JSON has unknown key {key!r}")
     arrays = {name: _from_pairs(obj[name], name) for name in (*_MATRICES, "x") if name in obj}
     return Instance(
         dim=_number(int, obj.get("dim", len(arrays["S"])), "dim"),

@@ -23,6 +23,7 @@ from commlab.catalog import (
     validate_hypotheses,
 )
 from commlab.instances import (
+    BlockRow,
     Instance,
     derive_seed,
     draw_moves,
@@ -37,14 +38,17 @@ _STAGNATION_LIMIT = 50
 _STEP_FLOOR = 1e-6
 _RATIO_DENOM_FLOOR = 1e-9
 _MIN_GAIN = 1e-12
-# the most bytes one stacked n x n complex array of a block of moves may take
-_BLOCK_BYTES = 1 << 20
+# the most bytes all stacked arrays of one block of moves may take at once
+_BLOCK_BYTES = 1 << 22
+# the most n x n complex arrays one move of any recipe stacks at once: its
+# noise, moved factors and fields, and their temporaries (17.4 for cartesian-psd with X and Y)
+_MOVE_ARRAYS = 18
 
 
 def _block_cap(dim: int) -> int:
     """The most moves one block draws at ``dim``: at least one, and no more
-    than keep a stacked n x n complex array within ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // (16 * dim * dim))
+    than keep all of a block's stacked arrays within ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (_MOVE_ARRAYS * 16 * dim * dim))
 
 
 def _objective(entry: CatalogEntry, lhs: float, rhs: float) -> tuple[str, float]:
@@ -60,7 +64,7 @@ def _objective(entry: CatalogEntry, lhs: float, rhs: float) -> tuple[str, float]
     return "margin", 0.0 - entry.margin(lhs, rhs)  # 0.0 - m, not -m, keeps a zero unsigned
 
 
-def _cannot_gain(entry: CatalogEntry, cand: Instance, kind: str, floor: float) -> bool:
+def _cannot_gain(entry: CatalogEntry, cand: BlockRow, kind: str, floor: float) -> bool:
     """Whether the entry's bracket shows the candidate's objective to be of
     ``kind`` and at most ``floor``, so that the keep rule rejects it: for a
     fixed rhs the objective is monotone ("le"; "ge", whose kind changes at one
@@ -113,8 +117,11 @@ def maximize_ratio(
     a ``bracket`` skips the formula on a candidate whose bracket shows it
     cannot gain.
     Moves are drawn a block at a time, which ends where the stagnation count
-    could reach 50 and halve the step; a move's noise does not depend on the
-    instance, so each move applies to whichever instance is current.
+    could reach 50 and halve the step, and applied as stacked arrays: each
+    candidate is scored from its row of them, and only one that improves
+    becomes an ``Instance``, whose hypotheses are then checked. A move's noise
+    does not depend on the instance, so after a keep the rest of the block is
+    applied to the kept instance.
     The best instance is evaluated once more for ``best_report``.
     Deterministic in all arguments; ties across restarts break by
     fingerprint order.
@@ -142,22 +149,25 @@ def maximize_ratio(
                 count = min(iterations + 1 - it, _STAGNATION_LIMIT - stagnation, _block_cap(dim))
                 seeds = [derive_seed(master_seed, restart, i) for i in range(it, it + count)]
                 moves = draw_moves(inst, step, seeds)
+                block = moves.apply(inst, 0)
                 for k in range(count):
-                    cand = moves.apply(inst, k)
+                    row = block.row(k)
                     floor = obj + _MIN_GAIN * max(1.0, abs(obj))
-                    if _cannot_gain(entry, cand, kind, floor):
+                    if _cannot_gain(entry, row, kind, floor):
                         screened += 1
                         accept = False
                     else:
-                        lhs, rhs, _ = entry.formula(cand)
+                        lhs, rhs, _ = entry.formula(row)
                         cand_kind, cand_obj = _objective(entry, lhs, rhs)
                         accept = cand_kind == kind and cand_obj > floor
                     if accept:
                         validated += 1
+                        cand = block.instance(k)
                         # moves should preserve hypotheses; stay put if not
                         accept = not validate_hypotheses(entry, cand)
                     if accept:
                         inst, obj = cand, cand_obj
+                        block = moves.apply(inst, k + 1)  # the rest of the block moves the kept instance
                         accepted += 1
                         stagnation = 0
                     else:

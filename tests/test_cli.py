@@ -433,6 +433,7 @@ _NAN_DIAG = {"rows": [[[float("nan"), 0], [0, 0]], [[0, 0], [2, 0]]]}
 _ZERO_3X3 = {"rows": [[[0, 0]] * 3] * 3}
 _TRIPLE_DIAG = {"rows": [[[1, 0, 7], [0, 0]], [[0, 0], [2, 0]]]}  # a "pair" of three numbers
 _DICT_DIAG = {"rows": [[{"re": 1}, [0, 0]], [[0, 0], [2, 0]]]}
+_BOOL_DIAG = {"rows": [[[True, 0], [0, 0]], [[0, 0], [2, 0]]]}  # true is not the number 1
 
 
 def _schwarz_instance(tmp_path, **fields):
@@ -503,6 +504,21 @@ class TestCommutingSchwarz:
             ({"S": _TRIPLE_DIAG}, 2, "error: matrix rows must be [re, im] pairs"),
             ({"S": _DICT_DIAG}, 2, "error: matrix rows must be [re, im] pairs"),
             ({"x": [[1, 0, 5], [0, 0]]}, 2, "error: vector entries must be [re, im] pairs"),
+            # only a JSON number is a number: not true or false, not a string, and
+            # dim and seed not a fraction either
+            ({"dim": 2.7}, 2, "error: dim must be an integer, not 2.7"),
+            ({"seed": 12.5}, 2, "error: seed must be an integer, not 12.5"),
+            ({"seed": "12"}, 2, "error: seed must be a number, not str"),
+            ({"seed": True}, 2, "error: seed must be a number, not bool"),
+            ({"dim": False}, 2, "error: dim must be a number, not bool"),
+            ({"n": True}, 2, "error: n must be a number, not bool"),
+            ({"bounds": _SCHWARZ_BOUNDS | {"a1": "-1.5"}}, 2, "error: bounds a1 must be a number, not str"),
+            ({"bounds": _SCHWARZ_BOUNDS | {"b2": True}}, 2, "error: bounds b2 must be a number, not bool"),
+            ({"S": _BOOL_DIAG}, 2, "error: matrix rows must be [re, im] pairs: a pair entry must be a number"),
+            ({"x": [[1, 0], ["0", 0]]}, 2, "error: vector entries must be [re, im] pairs"),
+            # an unknown key is refused by name, as is a lower-case c meant for C
+            ({"Sx": 1}, 2, "error: instance JSON has unknown key 'Sx'"),
+            ({"c": _ZERO_3X3}, 2, "error: instance JSON has unknown key 'c'"),
         ],
     )
     def test_instance_with_extreme_n_or_x(self, fields, code, message, tmp_path, capsys):

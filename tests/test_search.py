@@ -16,6 +16,8 @@ from commlab.core import HypothesisError, InputError, commutator, hermitian_eig,
 from commlab.cli import main
 from commlab.instances import (
     RECIPE_FAMILIES,
+    Block,
+    Instance,
     Moves,
     Recipe,
     derive_seed,
@@ -101,8 +103,9 @@ class TestPerturb:
 
 # one recipe per generator path: a tied pair, cartesian parts, a commuting
 # pair, a unitary pair, the fixed example with its vector, a positive definite
-# X, and Ginibre X and Y with a vector; each with the number of factors in it
-# that carry a basis, so each move takes that many unitary steps
+# X, and Ginibre X and Y with a vector; then the other recipe families, so
+# that every family is here; each with the number of factors in it that carry
+# a basis, so each move takes that many unitary steps
 BLOCK_RECIPES = (
     ("inner-normal", {}, 1),
     ("cartesian-psd", {}, 4),
@@ -111,31 +114,54 @@ BLOCK_RECIPES = (
     ("equality-example", {}, 0),
     ("normal", {"with_x": True, "x_kind": "pd"}, 3),
     ("hermitian", {"with_x": True, "with_y": True, "with_vector": True}, 2),
+    *((family, {}, 2) for family in ("normal", "positive-normal", "normal-psd-imag")),
+    *((family, {}, 2) for family in ("hermitian", "hermitian-psd")),
 )
+# dims 2 to 5, then 8 (a fixed example is 2 x 2)
 BLOCK_CASES = [
     (family, extras, dim)
+    for dims in ((2, 3, 4, 5), (8,))
     for family, extras, _ in BLOCK_RECIPES
-    for dim in ((2,) if family == "equality-example" else (2, 3, 4, 5))
+    for dim in dims
+    if family != "equality-example" or dim == 2
 ]
 FIELDS = ("S", "T", "X", "Y", "x")
 
 
-def _assert_same_instance(a, b):
-    assert a.seed == b.seed and a.n == b.n and a.bounds == b.bounds
+def _assert_same_fields(a, b):
+    """a and b (instances or block rows) hold the same bounds, n and arrays, bit for bit."""
+    assert a.n == b.n and a.bounds == b.bounds
     for name in FIELDS:
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None and y is None) or np.array_equal(x, y), name
 
 
-def _assert_matches_oracle(inst, arrays):
-    assert {name for name in FIELDS if getattr(inst, name) is not None} == set(arrays)
+def _assert_same_instance(a, b):
+    _assert_same_fields(a, b)
+    assert a.seed == b.seed and a.dim == b.dim and a.recipe == b.recipe
+    assert a.internals.keys() == b.internals.keys()
+    for name in a.internals:
+        _assert_same_factor(a.internals[name], b.internals[name])
+
+
+def _assert_same_factor(f, g):
+    assert type(f) is type(g)
+    for (name, x), y in zip(vars(f).items(), vars(g).values()):
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y) and x.dtype == y.dtype, name
+        else:
+            _assert_same_factor(x, y)
+
+
+def _assert_matches_oracle(row, arrays):
+    assert {name for name in FIELDS if getattr(row, name) is not None} == set(arrays)
     for name, want in arrays.items():
-        assert np.array_equal(getattr(inst, name), want), name
+        assert np.array_equal(getattr(row, name), want), name
 
 
 class TestBlockMoves:
-    """Each row of a block of moves applies, bit for bit, what one ``perturb``
-    does, to the block's start instance and to a move kept mid-block."""
+    """Each row of a block of moves holds, bit for bit, what one ``perturb``
+    makes, of the block's start instance and of a move kept mid-block."""
 
     @pytest.mark.parametrize("family, extras, dim", BLOCK_CASES)
     def test_block_matches_one_move_at_a_time(self, family, extras, dim):
@@ -143,17 +169,27 @@ class TestBlockMoves:
         scale = 0.3
         seeds = [derive_seed(dim, i) for i in range(6)]
         moves = draw_moves(inst, scale, seeds)
+        block = moves.apply(inst, 0)
         for k, seed in enumerate(seeds):
-            cand = moves.apply(inst, k)
-            _assert_same_instance(cand, perturb(inst, scale, seed))
-            _assert_matches_oracle(cand, sequential_perturb(inst, scale, seed))
-        kept = moves.apply(inst, 2)  # the rest of the block, applied to a kept move
+            one = perturb(inst, scale, seed)
+            _assert_same_fields(block.row(k), one)
+            _assert_matches_oracle(block.row(k), sequential_perturb(inst, scale, seed))
+            _assert_same_instance(block.instance(k), one)
+        kept = block.instance(2)
+        rest = moves.apply(kept, 3)  # the rest of the block, applied to the kept move
         for k in range(3, len(seeds)):
-            cand = moves.apply(kept, k)
-            _assert_same_instance(cand, perturb(kept, scale, seeds[k]))
-            _assert_matches_oracle(cand, sequential_perturb(kept, scale, seeds[k]))
+            one = perturb(kept, scale, seeds[k])
+            _assert_same_fields(rest.row(k), one)
+            _assert_matches_oracle(rest.row(k), sequential_perturb(kept, scale, seeds[k]))
+            _assert_same_instance(rest.instance(k), one)
         again = perturb(perturb(inst, scale, seeds[2]), scale, 5)
         _assert_same_instance(perturb(kept, scale, 5), again)
+
+    @pytest.mark.parametrize("family, extras, bases", BLOCK_RECIPES)
+    def test_rows_are_read_only(self, family, extras, bases):
+        inst = make_instance(Recipe(family, 2, **extras), 1)
+        row = draw_moves(inst, 0.2, [1, 2]).apply(inst, 0).row(1)
+        assert not any(getattr(row, name).flags.writeable for name in FIELDS if getattr(row, name) is not None)
 
     @pytest.mark.parametrize("family, extras, bases", BLOCK_RECIPES)
     def test_a_block_takes_one_eigh_per_basis_and_a_move_none(self, family, extras, bases, count_linalg):
@@ -163,8 +199,9 @@ class TestBlockMoves:
             counts.update(eigh=0, svd=0)
             moves = draw_moves(inst, 0.2, [derive_seed(length, i) for i in range(length)])
             assert counts == {"eigh": bases, "svd": 0}, length
+            block = moves.apply(inst, 0)
             for k in range(length):
-                moves.apply(inst, k)
+                block.row(k)
             # a vector's move brings n = |ST - TS| with it: one SVD, in op_norm
             assert counts == {"eigh": bases, "svd": length * (inst.x is not None)}, length
 
@@ -180,8 +217,8 @@ BANDED_RECIPES = (
 )
 
 
-def _banded_factors(inst):
-    for f in inst.internals.values():
+def _banded_factors(factors):
+    for f in factors:
         if isinstance(f, CartesianFactor):
             yield from (f.re, f.im)
         elif isinstance(f, _BandedBasis):
@@ -190,8 +227,9 @@ def _banded_factors(inst):
 
 class TestBandedMoves:
     """A move keeps each row of a banded factor's parts in its band, with
-    both endpoints still attained at the pins; the top scale is wider than
-    every band, so the clamp engages."""
+    both endpoints still attained at the pins, whether it is applied alone or
+    stacked with the rest of its block; the top scale is wider than every
+    band, so the clamp engages."""
 
     @pytest.mark.parametrize("scale", [0.05, 0.5, 1.5])
     @pytest.mark.parametrize("family, extras", BANDED_RECIPES)
@@ -200,10 +238,16 @@ class TestBandedMoves:
     def test_moves_stay_in_band_and_pinned(self, family, extras, scale, seed, dim):
         inst = make_instance(Recipe(family, dim, **extras), seed)
         moves = draw_moves(inst, scale, [derive_seed(seed, i) for i in range(4)])
+        stacked = [f.apply(moves.noise[name], slice(0, None)) for name, f in inst.internals.items()]
+        for f in _banded_factors(stacked):
+            lo, hi = f.bands[:, :1], f.bands[:, 1:]
+            assert np.all((lo <= f.parts) & (f.parts <= hi))
+            assert np.array_equal(f.parts.reshape(4, -1)[:, f.pins], np.tile(f.bands.ravel(), (4, 1)))
+        block = moves.apply(inst, 0)
         for k in range(4):
-            moved = moves.apply(inst, k)
-            factors = list(_banded_factors(moved))
-            assert len(factors) == len(list(_banded_factors(inst)))
+            moved = block.instance(k)
+            factors = list(_banded_factors(moved.internals.values()))
+            assert len(factors) == len(list(_banded_factors(inst.internals.values())))
             for f in factors:
                 lo, hi = f.bands[:, :1], f.bands[:, 1:]
                 assert np.all((lo <= f.parts) & (f.parts <= hi))
@@ -313,32 +357,37 @@ class TestHypothesesOnImprovingMovesOnly:
 
     def test_block_ends_match_eager_search(self, monkeypatch):
         eager = _artifact(eager_maximize_ratio("THM_MAIN", 3, 160, 1, 4))
-        blocks, applied = [], []
-        draw, apply = commlab.search.draw_moves, Moves.apply
+        draws, blocks, built = [], [], []
+        draw, apply, instance = commlab.search.draw_moves, Moves.apply, Block.instance
 
         def recording_draw(inst, step, seeds):
-            blocks.append((step, len(seeds)))
+            draws.append((step, len(seeds)))
             return draw(inst, step, seeds)
 
-        def recording_apply(moves, inst, k):
-            cand = apply(moves, inst, k)
-            applied.append((moves, k, inst, cand))
-            return cand
+        def recording_apply(moves, inst, start):
+            blocks.append((moves, inst, start))
+            return apply(moves, inst, start)
+
+        def recording_instance(block, k):
+            built.append((block.moves, k, instance(block, k)))
+            return built[-1][2]
 
         monkeypatch.setattr(commlab.search, "draw_moves", recording_draw)
         monkeypatch.setattr(Moves, "apply", recording_apply)
+        monkeypatch.setattr(Block, "instance", recording_instance)
         lazy = maximize_ratio("THM_MAIN", dim=3, iterations=160, restarts=1, master_seed=4)
         assert _artifact(lazy) == eager
-        # each block's rows are applied once, in order
-        assert [k for _, k, _, _ in applied] == [k for _, count in blocks for k in range(count)]
-        # within a block the instance changes, and only to the move just kept:
-        # (move, row, instance, candidate) -> (candidate, next row's instance)
-        pairs = zip(applied, applied[1:])
-        kept_mid_block = [(a[3], b[2]) for a, b in pairs if a[0] is b[0] and a[2] is not b[2]]
-        assert kept_mid_block and all(kept is now for kept, now in kept_mid_block)
-        # the 50th rejection in a row ends a block, and the next block takes half the step
-        assert any(b[0] == a[0] / 2 for a, b in zip(blocks, blocks[1:]))
-        assert sum(count for _, count in blocks) == 160
+        # each draw's first block starts at row 0 on the instance it was drawn from
+        firsts = [(moves, inst) for moves, inst, start in blocks if start == 0]
+        assert len(firsts) == len(draws) and len({id(moves) for moves, _ in firsts}) == len(draws)
+        # each keep applies the rest of its block to the instance built from the kept row
+        rest = [(moves, inst, start) for moves, inst, start in blocks if start > 0]
+        assert len(rest) == lazy.accepted > 0
+        kept = {(id(moves), k): inst for moves, k, inst in built}
+        assert all(kept.get((id(moves), start - 1)) is inst for moves, inst, start in rest)
+        # the 50th rejection in a row ends a block, and the next draw takes half the step
+        assert any(b[0] == a[0] / 2 for a, b in zip(draws, draws[1:]))
+        assert sum(count for _, count in draws) == 160
 
     def test_rejected_improving_moves_stay_put(self, monkeypatch):
         # a predicate that rejects about half of all instances, by a digest of S
@@ -369,6 +418,21 @@ class TestHypothesesOnImprovingMovesOnly:
         assert len(calls) == 2 + state.validated + 1  # the final evaluate of the best instance
         assert state.validated == state.accepted  # no candidate failed its hypotheses
         assert state.candidates == 200
+
+    @pytest.mark.parametrize("entry", ["SJ_GENERAL", "NUMRAD_CLAIM"])
+    def test_builds_an_instance_for_each_start_and_each_improving_candidate_only(self, entry, monkeypatch):
+        # a candidate scored and turned down is read from its block's arrays and builds none
+        built = []
+        post_init = Instance.__post_init__
+
+        def counting(inst):
+            built.append(1)
+            post_init(inst)
+
+        monkeypatch.setattr(Instance, "__post_init__", counting)
+        state = maximize_ratio(entry, dim=4, iterations=100, restarts=2, master_seed=3)
+        assert len(built) == 2 + state.validated
+        assert 0 < state.validated < state.candidates - state.screened
 
 
 class TestObjective:
@@ -408,6 +472,25 @@ class TestBracketScreen:
 
 
 class TestBlockMemory:
+    @pytest.mark.parametrize("family, extras", [
+        ("cartesian-psd", {"with_x": True, "x_kind": "pd", "with_y": True}),
+        ("cartesian-psd", {"with_x": True, "with_y": True, "with_vector": True}),
+        ("normal", {"with_x": True, "with_y": True, "with_vector": True}),
+        ("commuting-normal", {"with_x": True, "with_y": True}),
+        ("unitary", {"with_x": True, "with_y": True}),
+    ])
+    def test_a_move_stacks_at_most_move_arrays(self, family, extras):
+        # the count _block_cap divides the budget by, for the recipes that stack the most
+        dim, rows = 32, 32
+        inst = make_instance(Recipe(family, dim, **extras), 1)
+        tracemalloc.start()
+        try:
+            draw_moves(inst, 0.2, [derive_seed(1, i) for i in range(rows)]).apply(inst, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= commlab.search._MOVE_ARRAYS * rows * 16 * dim * dim
+
     def test_block_cap_at_dim_1024_is_one_move(self):
         tracemalloc.start()
         try:
@@ -419,8 +502,8 @@ class TestBlockMemory:
         assert peak < 2**16  # one 1024 x 1024 complex matrix takes 16 MiB
 
     def test_search_at_dim_128_stays_within_its_block_budget(self):
-        # blocks of 4 moves at dim 128 peak at 15.7 MiB, as one move at a time
-        # does; 12 moves stacked in one block would take 29 MiB
+        # blocks of one move at dim 128 peak at 15.7 MiB; 12 moves stacked
+        # in one block would take 31 MiB
         argv = ["search", "--entry", "THM_MAIN", "--dims", "128", "--iterations", "12", "--restarts", "1"]
         tracemalloc.start()
         try:
@@ -430,5 +513,5 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert _block_cap(128) == 4
+        assert _block_cap(128) == 1
         assert peak < 20 * 2**20
