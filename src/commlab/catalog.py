@@ -80,9 +80,8 @@ class CatalogEntry:
         return Recipe(
             family=family or self.default_family,
             dim=dim,
-            with_x="X" in self.requires,
+            x_kind=None if "X" not in self.requires else "pd" if "pd:X" in self.hypotheses else "ginibre",
             with_y="Y" in self.requires,
-            x_kind="pd" if "pd:X" in self.hypotheses else "ginibre",
             with_vector="x" in self.requires,
         )
 
@@ -126,7 +125,7 @@ def _step_cartesian(inst: Instance):
     b = inst.bounds
     a, c = cartesian_decomposition(inst.S)
     lhs = op_norm(_shifted(inst.S, b.z)) ** 2
-    rhs = op_norm(_shifted(a, b.a)) ** 2 + op_norm(_shifted(c, b.c)) ** 2
+    rhs = op_norm(_shifted(a, b.z.real)) ** 2 + op_norm(_shifted(c, b.z.imag)) ** 2
     return lhs, rhs, None
 
 

@@ -59,10 +59,9 @@ def derive_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Band endpoints for the cartesian parts of a pair (S, T).
-
-    a and c bound the real and imaginary parts of S, b and d those of T.
-    Derived centers give the complex shifts z = a + ic and w = b + id.
+    """The eight band endpoints of the cartesian parts of a pair (S, T), and
+    nothing else: a and c bound the real and imaginary parts of S, b and d
+    those of T. The band centers give the complex shifts z and w.
     """
 
     a1: float
@@ -75,48 +74,26 @@ class SpectralBounds:
     d2: float
 
     def __post_init__(self):
-        for lo, hi, name in (
-            (self.a1, self.a2, "a"),
-            (self.b1, self.b2, "b"),
-            (self.c1, self.c2, "c"),
-            (self.d1, self.d2, "d"),
-        ):
+        for name in "abcd":
+            lo, hi = self.band(name)
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise InputError(f"bounds {name}1, {name}2 must be finite")
             if lo > hi:
                 raise HypothesisError(f"bounds must satisfy {name}1 <= {name}2")
 
     @property
-    def a(self) -> float:
-        return (self.a1 + self.a2) / 2.0
-
-    @property
-    def b(self) -> float:
-        return (self.b1 + self.b2) / 2.0
-
-    @property
-    def c(self) -> float:
-        return (self.c1 + self.c2) / 2.0
-
-    @property
-    def d(self) -> float:
-        return (self.d1 + self.d2) / 2.0
-
-    @property
     def z(self) -> complex:
-        return complex(self.a, self.c)
+        """The center of S's band rectangle, (a1 + a2)/2 + i (c1 + c2)/2."""
+        return complex((self.a1 + self.a2) / 2.0, (self.c1 + self.c2) / 2.0)
 
     @property
     def w(self) -> complex:
-        return complex(self.b, self.d)
+        """The center of T's band rectangle, (b1 + b2)/2 + i (d1 + d2)/2."""
+        return complex((self.b1 + self.b2) / 2.0, (self.d1 + self.d2) / 2.0)
 
     def band(self, which: str) -> tuple[float, float]:
-        return {
-            "a": (self.a1, self.a2),
-            "b": (self.b1, self.b2),
-            "c": (self.c1, self.c2),
-            "d": (self.d1, self.d2),
-        }[which]
+        """Band ``which`` ("a", "b", "c" or "d") as (lo, hi)."""
+        return getattr(self, f"{which}1"), getattr(self, f"{which}2")
 
     def to_json(self) -> dict:
         return {k: float(getattr(self, k)) for k in _BOUND_KEYS}
@@ -290,6 +267,9 @@ class GinibreFactor(_Factor):
 
 @dataclass(frozen=True)
 class UnitaryFactor(_Factor):
+    """A unitary U. A move multiplies it by exp(K), which keeps it unitary but
+    moves its eigenvalues, so a cartesian part of U can stop being PSD."""
+
     u: np.ndarray
 
     def build(self) -> np.ndarray:
@@ -391,14 +371,13 @@ class Fingerprint:
     seed: int
     dim: int
     recipe: str
-    recipe_hash: str
 
     def to_json(self) -> dict:
         return {
             "seed": int(self.seed),
             "dim": int(self.dim),
             "recipe": self.recipe,
-            "recipe_hash": self.recipe_hash,
+            "recipe_hash": recipe_hash(self.recipe, self.dim),
         }
 
     def sort_key(self) -> tuple:
@@ -454,7 +433,7 @@ class Instance:
             object.__setattr__(self, "n", n)
 
     def fingerprint(self) -> Fingerprint:
-        return Fingerprint(self.seed, self.dim, self.recipe, recipe_hash(self.recipe, self.dim))
+        return Fingerprint(self.seed, self.dim, self.recipe)
 
 
 def _checked(name: str, m, dim: int) -> np.ndarray:
@@ -555,13 +534,14 @@ RECIPE_FAMILIES = (*_FAMILIES, "equality-example")
 
 @dataclass(frozen=True)
 class Recipe:
-    """Generation plan: operator family plus which extra pieces to include."""
+    """Generation plan: an operator family and dim, plus which extra pieces to
+    include. ``x_kind`` alone says whether there is an X and what kind:
+    ``None`` for none, ``"ginibre"`` or ``"pd"`` (positive definite)."""
 
     family: str
     dim: int
-    with_x: bool = False
+    x_kind: str | None = None
     with_y: bool = False
-    x_kind: str = "ginibre"  # or "pd" for a positive definite X
     with_vector: bool = False
 
     def __post_init__(self):
@@ -571,10 +551,10 @@ class Recipe:
             raise InputError("recipe dim must be >= 1")
         if self.family == "equality-example" and self.dim != 2:
             raise InputError("equality-example is a fixed 2x2 instance")
-        if self.family == "equality-example" and (self.with_x or self.with_y):
+        if self.family == "equality-example" and (self.x_kind or self.with_y):
             raise InputError("equality-example has no X or Y")
-        if self.x_kind not in ("ginibre", "pd"):
-            raise InputError("x_kind must be 'ginibre' or 'pd'")
+        if self.x_kind not in (None, "ginibre", "pd"):
+            raise InputError(f"x_kind must be None, 'ginibre' or 'pd', not {self.x_kind!r}")
 
 
 def equality_example() -> Instance:
@@ -625,11 +605,10 @@ def make_instance(recipe: Recipe, seed: int) -> Instance:
         b, d = a, c
     bounds = SpectralBounds(a1=a[0], a2=a[1], b1=b[0], b2=b[1], c1=c[0], c2=c[1], d1=d[0], d2=d[1])
     factors = family.build(recipe.dim, bounds, seed)
-    if recipe.with_x:
-        if recipe.x_kind == "pd":
-            factors["X"] = _normal_factor(recipe.dim, (0.5, 2.0), (0.0, 0.0), derive_seed(seed, 5))
-        else:
-            factors["X"] = GinibreFactor(_ginibre(recipe.dim, derive_seed(seed, 5)))
+    if recipe.x_kind == "pd":
+        factors["X"] = _normal_factor(recipe.dim, (0.5, 2.0), (0.0, 0.0), derive_seed(seed, 5))
+    elif recipe.x_kind == "ginibre":
+        factors["X"] = GinibreFactor(_ginibre(recipe.dim, derive_seed(seed, 5)))
     if recipe.with_y:
         factors["Y"] = GinibreFactor(_ginibre(recipe.dim, derive_seed(seed, 6)))
     if recipe.with_vector:
@@ -708,10 +687,10 @@ def draw_moves(inst: Instance, scale: float, seeds: Sequence[int]) -> Moves:
 
 
 def perturb(inst: Instance, scale: float, seed: int) -> Instance:
-    """Hypothesis-preserving random move of one instance.
+    """Random move of one instance.
 
     Spectra move by uniform noise of width ``scale`` clamped to their bands
-    with endpoints re-pinned; bases multiply by exp(K) for random
+    with endpoints re-pinned; bases and unitaries multiply by exp(K) for random
     skew-Hermitian K with |K| <= scale. Deterministic in (inst, scale, seed).
     """
     return draw_moves(inst, scale, (seed,)).apply(inst, 0).instance(0)

@@ -1,12 +1,13 @@
 """Optimization-driven sharpness and counterexample search over the catalog.
 
-Hill climbing with hypothesis-preserving moves: eigenvalue parts are jittered
-inside their declared bands (endpoints re-pinned) and conjugating bases drift
-along random unitary steps, so every visited instance still satisfies the
-entry's hypotheses. A move is kept when its hypotheses hold and it improves
-the objective; the objective is computed first, and the hypotheses are
-checked only on the moves that improve it. Restarts draw fresh instances; the
-global best is merged deterministically and evaluated once, at the end.
+Hill climbing over random moves: eigenvalue parts are jittered inside their
+declared bands (endpoints re-pinned), and bases and unitaries drift along
+random unitary steps. A step moves a unitary's own eigenvalues, so a move can
+break a hypothesis: it is kept only when its hypotheses hold and it improves
+the objective, and every kept instance satisfies the entry's hypotheses. The
+objective is computed first, and the hypotheses are checked only on the moves
+that improve it. Restarts draw fresh instances; the best restart is chosen
+deterministically and evaluated once, at the end.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ def maximize_ratio(
     becomes an ``Instance``, whose hypotheses are then checked. A move's noise
     does not depend on the instance, so after a keep the rest of the block is
     applied to the kept instance.
-    The best instance is evaluated once more for ``best_report``.
-    Deterministic in all arguments; ties across restarts break by
-    fingerprint order.
+    The best restart is an applicable one, whose start satisfies the
+    hypotheses or which kept a move, ahead of any other, then the one with
+    the highest objective; ties break by fingerprint order. Its instance is
+    evaluated once more for ``best_report``. Deterministic in all arguments.
     """
     if isinstance(entry, str):
         entry = get_entry(entry)
@@ -133,7 +135,7 @@ def maximize_ratio(
     if restarts < 1:
         raise InputError("restarts must be >= 1")
 
-    best_global: tuple[float, tuple, Instance, str] | None = None
+    best_global: tuple[tuple, float, Instance, str] | None = None
     best_trace: tuple[tuple[int, float], ...] = ()
     screened = accepted = validated = 0
     with overflow_is_hypothesis_error():
@@ -141,6 +143,7 @@ def maximize_ratio(
             inst = make_instance(entry.recipe_for(recipe, dim), derive_seed(master_seed, restart))
             report = evaluate(entry, inst, tol=tol)
             kind, obj = _objective(entry, report.lhs, report.rhs)
+            applicable = not report.hypothesis_violations  # and true once a move is kept
             step = 0.2
             stagnation = 0
             trace = [(0, obj)]
@@ -163,10 +166,10 @@ def maximize_ratio(
                     if accept:
                         validated += 1
                         cand = block.instance(k)
-                        # moves should preserve hypotheses; stay put if not
+                        # a unitary step can break a hypothesis; stay put if it does
                         accept = not validate_hypotheses(entry, cand)
                     if accept:
-                        inst, obj = cand, cand_obj
+                        inst, obj, applicable = cand, cand_obj, True
                         block = moves.apply(inst, k + 1)  # the rest of the block moves the kept instance
                         accepted += 1
                         stagnation = 0
@@ -178,17 +181,13 @@ def maximize_ratio(
                 if stagnation >= _STAGNATION_LIMIT:
                     step = max(step / 2.0, _STEP_FLOOR)
                     stagnation = 0
-            key = inst.fingerprint().sort_key()
-            if (
-                best_global is None
-                or obj > best_global[0]
-                or (obj == best_global[0] and key < best_global[1])
-            ):
-                best_global = (obj, key, inst, kind)
+            order = (not applicable, -obj, inst.fingerprint().sort_key())  # the least is the best
+            if best_global is None or order < best_global[0]:
+                best_global = (order, obj, inst, kind)
                 best_trace = tuple(trace)
 
     assert best_global is not None
-    obj, _, inst, kind = best_global
+    _, obj, inst, kind = best_global
     return SearchState(
         entry=entry.id,
         dim=dim,

@@ -241,8 +241,9 @@ def eager_maximize_ratio(
     entry_id: str, dim: int, iterations: int, restarts: int, master_seed: int = 0, recipe: str | None = None
 ):
     """``search.maximize_ratio`` as first written, with its keep rule (gain over
-    1e-12 relative): a full ``evaluate`` of every candidate, hypotheses before
-    the objective.
+    1e-12 relative) and its ranking of restarts (applicable ones first, then by
+    objective, then fingerprint): a full ``evaluate`` of every candidate,
+    hypotheses before the objective.
 
     Returns the ``SearchState`` it finds; its ``validated`` counts every
     candidate, since each one's hypotheses are checked, and it screens none.
@@ -285,10 +286,11 @@ def eager_maximize_ratio(
                     step, stagnation = max(step / 2.0, 1e-6), 0
             if it % 50 == 0:
                 trace.append((it, obj))
-        key = inst.fingerprint().sort_key()
-        if best is None or obj > best[0] or (obj == best[0] and key < best[1]):
-            best = (obj, key, inst, report, kind, tuple(trace))
-    obj, _, inst, report, kind, trace = best
+        # applicable: the start satisfies the hypotheses, or a kept move, which does
+        rank, key = (not report.hypothesis_violations, obj), inst.fingerprint().sort_key()
+        if best is None or rank > best[0] or (rank == best[0] and key < best[1]):
+            best = (rank, key, inst, report, kind, tuple(trace))
+    (_, obj), _, inst, report, kind, trace = best
     return SearchState(
         entry=entry.id, dim=dim, iterations=iterations, restarts=restarts, master_seed=master_seed,
         objective_kind=kind, best_objective=obj, best_instance=inst, best_report=report, trace=trace,

@@ -165,7 +165,7 @@ class TestEvaluate:
             evaluate("SJ_GENERAL", inst)
 
     def test_singular_x_raises(self):
-        inst = make_instance(Recipe("hermitian", 3, with_x=True, x_kind="pd"), 5)
+        inst = make_instance(Recipe("hermitian", 3, x_kind="pd"), 5)
         inst = dataclasses.replace(inst, X=np.diag([1.0, 1.0, 1e-14]))
         with pytest.raises(HypothesisError):
             evaluate("THREE_TERM", inst)
@@ -183,7 +183,7 @@ class TestEvaluate:
         assert report.verdict == "satisfied"
 
     def test_sj_detail(self):
-        inst = make_instance(Recipe("normal", 3, with_x=True, with_y=True), 4)
+        inst = make_instance(Recipe("normal", 3, x_kind="ginibre", with_y=True), 4)
         report = evaluate("SJ_SINGLE", inst)
         per_j = report.detail["per_j"]
         assert len(per_j) == 6  # X (+) Y has 2n singular values, generically all positive
@@ -227,7 +227,7 @@ class TestEvaluate:
             assert p["rhs"] == pytest.approx(factor * base[p["j"] - 1], rel=1e-12, abs=1e-12)
 
     def test_three_term_stated_evaluable(self):
-        inst = make_instance(Recipe("normal", 4, with_x=True, x_kind="pd"), 8)
+        inst = make_instance(Recipe("normal", 4, x_kind="pd"), 8)
         report = evaluate("THREE_TERM_STATED", inst)
         assert report.entry == "THREE_TERM_STATED"
         assert np.isfinite(report.margin)

@@ -430,6 +430,7 @@ _BIG_DIAG = {"rows": [[[1e50, 0], [0, 0]], [[0, 0], [2, 0]]]}  # with x = e1, |S
 _HUGE_DIAG = {"rows": [[[1e100, 0], [0, 0]], [[0, 0], [2, 0]]]}  # here |STx|^2 already overflows
 _OVERFLOW_DIAG = {"rows": [[[1e160, 0], [0, 0]], [[0, 0], [2, 0]]]}  # here S S* overflows
 _NAN_DIAG = {"rows": [[[float("nan"), 0], [0, 0]], [[0, 0], [2, 0]]]}
+_ZERO_2X2 = {"rows": [[[0, 0]] * 2] * 2}
 _ZERO_3X3 = {"rows": [[[0, 0]] * 3] * 3}
 _TRIPLE_DIAG = {"rows": [[[1, 0, 7], [0, 0]], [[0, 0], [2, 0]]]}  # a "pair" of three numbers
 _DICT_DIAG = {"rows": [[{"re": 1}, [0, 0]], [[0, 0], [2, 0]]]}
@@ -519,6 +520,8 @@ class TestCommutingSchwarz:
             # an unknown key is refused by name, as is a lower-case c meant for C
             ({"Sx": 1}, 2, "error: instance JSON has unknown key 'Sx'"),
             ({"c": _ZERO_3X3}, 2, "error: instance JSON has unknown key 'c'"),
+            # an empty row list is no matrix
+            ({"S": {"rows": []}}, 2, "error: expected a 2-d matrix, got ndim=1"),
         ],
     )
     def test_instance_with_extreme_n_or_x(self, fields, code, message, tmp_path, capsys):
@@ -603,6 +606,14 @@ class TestInstanceHypotheses:
     def test_small_n_is_reported(self, tmp_path, capsys):
         inst_path = _schwarz_instance(tmp_path, n=0.5, **_EQUALITY_PAIR)
         self._check_reported(inst_path, "n below commutator norm", capsys)
+
+    def test_sj_general_with_zero_x_and_y_has_no_index_to_bound(self, tmp_path, capsys):
+        # every singular value of X (+) Y is 0, so no index j is compared and both sides read 0
+        inst_path = _schwarz_instance(tmp_path, X=_ZERO_2X2, Y=_ZERO_2X2)
+        assert run_cli("check", "--entry", "SJ_GENERAL", "--instance", str(inst_path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "satisfied" and report["lhs"] == report["rhs"] == 0.0
+        assert report["detail"] == {"per_j": []}
 
 
 def _no_lift(*args):
@@ -785,7 +796,7 @@ def _mutated_instance_text(draw):
     """A valid dim-2 or dim-3 instance JSON with one malformed or extreme part."""
     dim = draw(st.sampled_from((2, 3)))
     family = draw(st.sampled_from(("hermitian", "inner-normal")))
-    recipe = Recipe(family, dim, with_x=True, with_y=True, with_vector=True)
+    recipe = Recipe(family, dim, x_kind="ginibre", with_y=True, with_vector=True)
     obj = instance_to_json(make_instance(recipe, draw(st.integers(0, 3))))
     kind = draw(st.sampled_from(("drop", "scalar", "x-length", "matrix-shape")))
     if kind == "drop":

@@ -373,6 +373,12 @@ class TestProbe:
         result = orthogonality_probe_opnorm(op, c)
         assert min_distance_hs(op, c) / np.sqrt(dim) - 1e-12 <= result.min_found <= op_norm(c) + 1e-12
 
+    def test_scalar_pair_stops_at_its_first_step(self):
+        # S = T = 2I lifts to the zero derivation, so the first descent direction is 0
+        s = 2.0 * np.eye(3, dtype=complex)
+        result = orthogonality_probe_opnorm(lift_derivation(s, s), np.diag([1.0, 2.0, 3.0]).astype(complex))
+        assert (result.evaluations, result.min_found, result.verdict) == (1, 3.0, "consistent")
+
     def test_rejects_non_kernel_c(self):
         s = np.diag([1.0, 2.0]).astype(complex)
         with pytest.raises(HypothesisError):

@@ -112,8 +112,8 @@ class TestNormalBanded:
 class TestSpectralBounds:
     def test_centers(self):
         b = SpectralBounds(a1=0, a2=2, b1=1, b2=3, c1=-1, c2=1, d1=0, d2=4)
-        assert b.a == 1 and b.b == 2 and b.c == 0 and b.d == 2
         assert b.z == 1 + 0j and b.w == 2 + 2j
+        assert (b.band("a"), b.band("b"), b.band("c"), b.band("d")) == ((0, 2), (1, 3), (-1, 1), (0, 4))
 
     def test_ordering_enforced(self):
         with pytest.raises(HypothesisError):
@@ -155,11 +155,11 @@ class TestMakeInstance:
         assert classify(inst.T).positive_semidefinite
 
     def test_xy_presence_and_shape(self):
-        inst = make_instance(Recipe("normal", 3, with_x=True, with_y=True), 2)
+        inst = make_instance(Recipe("normal", 3, x_kind="ginibre", with_y=True), 2)
         assert inst.X.shape == (3, 3) and inst.Y.shape == (3, 3)
 
     def test_pd_x(self):
-        inst = make_instance(Recipe("hermitian", 4, with_x=True, x_kind="pd"), 3)
+        inst = make_instance(Recipe("hermitian", 4, x_kind="pd"), 3)
         eigs = hermitian_eig(inst.X)
         assert eigs.min() > 0
 
@@ -171,7 +171,7 @@ class TestMakeInstance:
     @settings(max_examples=15, deadline=None)
     @given(seeds, st.sampled_from([f for f in RECIPE_FAMILIES if f != "equality-example"]))
     def test_determinism_bitwise(self, seed, family):
-        r = Recipe(family, 4, with_x=True, with_y=True, with_vector=True)
+        r = Recipe(family, 4, x_kind="ginibre", with_y=True, with_vector=True)
         a = make_instance(r, seed)
         b = make_instance(r, seed)
         assert np.array_equal(a.S, b.S) and np.array_equal(a.T, b.T)
@@ -205,6 +205,10 @@ class TestMakeInstance:
     def test_equality_example_dim_guard(self):
         with pytest.raises(InputError):
             Recipe("equality-example", 3)
+
+    def test_unknown_x_kind(self):
+        with pytest.raises(InputError, match="x_kind must be None, 'ginibre' or 'pd', not 'psd'"):
+            Recipe("normal", 3, x_kind="psd")
 
 
 class TestInstanceValidation:
@@ -251,7 +255,7 @@ class TestInstanceValidation:
 
 
 def _instance_from(source: str) -> Instance:
-    inst = make_instance(Recipe("hermitian", 3, with_x=True, with_y=True, with_vector=True), 4)
+    inst = make_instance(Recipe("hermitian", 3, x_kind="ginibre", with_y=True, with_vector=True), 4)
     if source == "instance_from_json":
         return instance_from_json(instance_to_json(inst) | {"C": instance_to_json(inst)["S"]})
     if source == "perturb":
@@ -293,7 +297,8 @@ class TestImmutability:
     @pytest.mark.parametrize("family", RECIPE_FAMILIES)
     def test_every_factor_array_is_read_only(self, family):
         with_xy = family != "equality-example"
-        recipe = Recipe(family, 2 if family == "equality-example" else 3, with_x=with_xy, with_y=with_xy)
+        x_kind = "ginibre" if with_xy else None
+        recipe = Recipe(family, 2 if family == "equality-example" else 3, x_kind=x_kind, with_y=with_xy)
         inst = make_instance(recipe, 1)
         for moved in (inst, perturb(inst, 0.1, 2)):
             arrays = _arrays_in(list(moved.internals.values()))
@@ -348,7 +353,7 @@ class TestStackedLinearAlgebraIsBitIdentical:
 
 class TestJsonInterchange:
     def test_round_trip(self):
-        inst = make_instance(Recipe("normal", 3, with_x=True, with_y=True, with_vector=True), 12)
+        inst = make_instance(Recipe("normal", 3, x_kind="ginibre", with_y=True, with_vector=True), 12)
         blob = json.dumps(instance_to_json(inst))
         back = instance_from_json(json.loads(blob))
         assert np.array_equal(inst.S, back.S) and np.array_equal(inst.T, back.T)
@@ -376,4 +381,4 @@ class TestJsonInterchange:
         inst = make_instance(Recipe("normal", 3), 7)
         fp = inst.fingerprint()
         assert fp.seed == 7 and fp.dim == 3 and fp.recipe == "normal"
-        assert len(fp.recipe_hash) == 12
+        assert len(fp.to_json()["recipe_hash"]) == 12

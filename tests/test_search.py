@@ -112,8 +112,8 @@ BLOCK_RECIPES = (
     ("commuting-normal", {}, 1),
     ("unitary", {}, 2),
     ("equality-example", {}, 0),
-    ("normal", {"with_x": True, "x_kind": "pd"}, 3),
-    ("hermitian", {"with_x": True, "with_y": True, "with_vector": True}, 2),
+    ("normal", {"x_kind": "pd"}, 3),
+    ("hermitian", {"x_kind": "ginibre", "with_y": True, "with_vector": True}, 2),
     *((family, {}, 2) for family in ("normal", "positive-normal", "normal-psd-imag")),
     *((family, {}, 2) for family in ("hermitian", "hermitian-psd")),
 )
@@ -211,7 +211,7 @@ class TestBlockMoves:
 BANDED_RECIPES = (
     ("normal", {}),
     ("hermitian", {}),
-    ("hermitian", {"with_x": True, "x_kind": "pd"}),
+    ("hermitian", {"x_kind": "pd"}),
     ("cartesian-psd", {}),
     ("commuting-normal", {}),
 )
@@ -402,6 +402,35 @@ class TestHypothesesOnImprovingMovesOnly:
             assert lazy.accepted == eager.accepted
             assert lazy.validated > lazy.accepted > 0  # some improving moves were turned down
 
+    def test_a_unitary_step_can_break_a_hypothesis(self, monkeypatch):
+        # a unitary move multiplies U by exp(K), which moves U's eigenvalues and with
+        # them the spectra of its cartesian parts C and D: 8 of the 29 improving
+        # candidates fail psd-part:C or psd-part:D and are turned down
+        outcomes = []
+
+        def recording(entry, inst):
+            outcomes.append(validate_hypotheses(entry, inst))
+            return outcomes[-1]
+
+        monkeypatch.setattr(commlab.search, "validate_hypotheses", recording)
+        state = maximize_ratio("COR_NORMBOUND", 3, iterations=60, restarts=1, master_seed=4, recipe="unitary")
+        assert (state.validated, state.accepted) == (29, 21)
+        failed = [v for v in outcomes if v]
+        assert len(failed) == 8 and {m for v in failed for m in v} == {"C not PSD", "D not PSD"}
+        assert state.best_report.verdict == "satisfied"
+
+    def test_best_restart_is_an_applicable_one(self, capsys):
+        # restart 1's start fails C and D PSD and keeps no move, at objective 1.1046;
+        # restart 0 climbs inside the hypotheses from 0.4207 to 0.8808 and is the best
+        argv = "search --entry COR_NORMBOUND --recipe unitary --dims 3 --iterations 60 --restarts 2 --seed 4"
+        assert main(argv.split()) == 0
+        artifact = json.loads(capsys.readouterr().out)
+        assert artifact["best_report"]["verdict"] == "satisfied"
+        assert artifact["best_objective"] == 0.8808034739679385
+        lazy = maximize_ratio("COR_NORMBOUND", 3, iterations=60, restarts=2, master_seed=4, recipe="unitary")
+        eager = eager_maximize_ratio("COR_NORMBOUND", 3, 60, 2, 4, recipe="unitary")
+        assert _artifact(lazy) == _artifact(eager) == json.dumps(artifact, sort_keys=True)
+
     @pytest.mark.parametrize("entry", BENCH_SEARCH_ENTRIES)
     def test_validates_each_start_and_each_improving_candidate_once(self, entry, monkeypatch):
         calls = []
@@ -473,11 +502,11 @@ class TestBracketScreen:
 
 class TestBlockMemory:
     @pytest.mark.parametrize("family, extras", [
-        ("cartesian-psd", {"with_x": True, "x_kind": "pd", "with_y": True}),
-        ("cartesian-psd", {"with_x": True, "with_y": True, "with_vector": True}),
-        ("normal", {"with_x": True, "with_y": True, "with_vector": True}),
-        ("commuting-normal", {"with_x": True, "with_y": True}),
-        ("unitary", {"with_x": True, "with_y": True}),
+        ("cartesian-psd", {"x_kind": "pd", "with_y": True}),
+        ("cartesian-psd", {"x_kind": "ginibre", "with_y": True, "with_vector": True}),
+        ("normal", {"x_kind": "ginibre", "with_y": True, "with_vector": True}),
+        ("commuting-normal", {"x_kind": "ginibre", "with_y": True}),
+        ("unitary", {"x_kind": "ginibre", "with_y": True}),
     ])
     def test_a_move_stacks_at_most_move_arrays(self, family, extras):
         # the count _block_cap divides the budget by, for the recipes that stack the most
