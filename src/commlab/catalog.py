@@ -49,8 +49,6 @@ __all__ = [
     "evaluate",
     "SweepReport",
     "sweep",
-    "REPORT_CSV_FIELDS",
-    "SWEEP_CSV_FIELDS",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -489,40 +487,6 @@ def validate_hypotheses(entry: CatalogEntry | str, inst: Instance) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # reports
-
-# column orders of the check and sweep CSV artifacts, whose cells the CLI reads off to_json
-REPORT_CSV_FIELDS = (
-    "entry",
-    "verdict",
-    "satisfied",
-    "lhs",
-    "rhs",
-    "margin",
-    "tol",
-    "seed",
-    "dim",
-    "recipe",
-    "recipe_hash",
-    "hypothesis_violations",
-)
-
-SWEEP_CSV_FIELDS = (
-    "entry",
-    "trials",
-    "passes",
-    "failures",
-    "not_applicable",
-    "worst_margin",
-    "worst_seed",
-    "worst_dim",
-    "worst_recipe",
-    "worst_recipe_hash",
-    "dims",
-    "trials_per_dim",
-    "master_seed",
-    "recipe",
-    "tol",
-)
 
 
 def _jsonable_float(v: float | None):

@@ -50,17 +50,20 @@ class InputError(ValueError):
 
 @contextmanager
 def overflow_is_hypothesis_error():
-    """Within the block, float overflow raises HypothesisError, not a warning.
+    """Within the block, float overflow raises HypothesisError, not a warning,
+    and so does an SVD or eigensolver that does not converge.
 
     Inputs are checked finite on entry, so an overflow in numpy or in Python
     float arithmetic (``x ** 2``), or an invalid operation such as inf - inf
     that follows one, means the entries are too large for float arithmetic:
-    a hypothesis of the computation fails.
+    a hypothesis of the computation fails. An SVD or eigensolver that gives
+    up on finite input (``np.linalg.LinAlgError``, as on entries that span
+    1e300 to 3) fails it too.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (FloatingPointError, OverflowError) as exc:
+    except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         raise HypothesisError(f"entries too large for float arithmetic ({exc})") from None
 
 
@@ -91,7 +94,8 @@ def hermitian_eig(m: np.ndarray) -> np.ndarray:
 
     For a Hermitian M these are its eigenvalues; whether M is Hermitian is
     ``classify``'s question. Should the eigensolver not converge, its
-    LinAlgError passes through, as from every SVD and eigensolver call here.
+    LinAlgError passes through, as from every SVD and eigensolver call here,
+    to ``overflow_is_hypothesis_error``.
     """
     return np.linalg.eigvalsh((m + m.conj().T) / 2.0)[::-1]
 

@@ -30,11 +30,8 @@ from commlab.core import (
 __all__ = [
     "SylvesterOperator",
     "lift_derivation",
-    "KernelElement",
     "kernel_basis",
-    "FPReport",
     "check_fp_pair",
-    "ReductionReport",
     "check_reduction",
     "min_distance_hs",
     "ProbeResult",
@@ -79,7 +76,7 @@ class SylvesterOperator:
     _cokernel: np.ndarray
 
     def __post_init__(self):
-        # kernel_basis hands out views of these stacks
+        # kernel_basis hands out the kernel stack itself
         self._kernel.flags.writeable = False
         self._cokernel.flags.writeable = False
 
@@ -181,71 +178,55 @@ def lift_derivation(s: np.ndarray, t: np.ndarray) -> SylvesterOperator:
     return SylvesterOperator(s, t, cutoff, "spectral", kernel, kernel)
 
 
-@dataclass(frozen=True)
-class KernelElement:
-    """A matrix C with SC - CT numerically zero; residual = |SC - CT|_2."""
+def kernel_basis(op: SylvesterOperator) -> np.ndarray:
+    """HS-orthonormal basis of the numerical null space of the lifted map, as
+    the read-only (k, n, n) stack ``lift_derivation`` stored, in the order it
+    documents.
 
-    C: np.ndarray
-    residual: float
-
-
-def kernel_basis(op: SylvesterOperator) -> list[KernelElement]:
-    """HS-orthonormal basis of the numerical null space of the lifted map,
-    in the order ``lift_derivation`` documents.
-
-    Every direction qualifies when every singular value is 0. The empty list
-    is a valid result.
+    Every direction qualifies when every singular value is 0. An empty stack
+    (k = 0) is a valid result.
     """
-    return [KernelElement(C=c, residual=hs_norm(op.apply(c))) for c in op._kernel]
+    return op._kernel
 
 
-@dataclass(frozen=True)
-class FPReport:
-    """Does SC = CT force S*C = CT* on the computed kernel?"""
-
-    holds: bool
-    kernel_dimension: int
-    adjoint_residuals: tuple[float, ...]
-    worst_residual: float
-    kernel: tuple[KernelElement, ...]
-    lift: str  # the lift that found the kernel: "spectral" or "kronecker"
-
-
-def check_fp_pair(s: np.ndarray, t: np.ndarray) -> FPReport:
-    """Check the adjoint-intertwining property of the pair (S, T).
+def check_fp_pair(s: np.ndarray, t: np.ndarray) -> dict:
+    """Check the adjoint-intertwining property of the pair (S, T): the fields
+    of ``commlab fp``'s report.
 
     For every kernel basis element C the residual |S*C - CT*|_2 is computed;
-    the property holds when the worst residual is at most
-    1e-7 * max(1, |S| + |T|). An empty kernel passes vacuously.
+    the property ``holds`` when the worst residual is at most
+    1e-7 * max(1, |S| + |T|). An empty kernel passes vacuously. Each entry of
+    ``reductions`` is C's |SC - CT|_2 as ``kernel_residual`` with
+    ``check_reduction(S, C)``. Every kernel residual is taken first, then the
+    adjoint residuals, |S| and |T|, and the reductions: the first float
+    overflow, whose message names its operation, depends on this order.
     """
     op = lift_derivation(s, t)
-    basis = kernel_basis(op)
-    residuals = tuple(hs_norm(s.conj().T @ e.C - e.C @ t.conj().T) for e in basis)
+    kernel = kernel_basis(op)
+    kernel_residuals = [hs_norm(op.apply(c)) for c in kernel]
+    residuals = [hs_norm(s.conj().T @ c - c @ t.conj().T) for c in kernel]
     worst = max(residuals, default=0.0)
     tol = _FP_REL_TOL * max(1.0, op_norm(s) + op_norm(t))
-    return FPReport(
-        holds=worst <= tol,
-        kernel_dimension=len(basis),
-        adjoint_residuals=residuals,
-        worst_residual=worst,
-        kernel=tuple(basis),
-        lift=op.lift,
-    )
+    return {
+        "holds": worst <= tol,
+        "kernel_dimension": len(kernel),
+        "lift": op.lift,  # the lift that found the kernel: "spectral" or "kronecker"
+        "worst_adjoint_residual": worst,
+        "adjoint_residuals": residuals,
+        "reductions": [
+            {"kernel_residual": r, **check_reduction(s, c)} for r, c in zip(kernel_residuals, kernel)
+        ],
+    }
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    range_reduces: bool
-    restriction_normal: bool
-    residuals: dict
-
-
-def check_reduction(s: np.ndarray, c: np.ndarray) -> ReductionReport:
+def check_reduction(s: np.ndarray, c: np.ndarray) -> dict:
     """Does the range of C reduce S, and is S restricted to it normal?
 
     Q spans range(C) (left singular vectors with sigma > 1e-10 * sigma_max).
     Reduction holds when both off-corner compressions (I-QQ*)SQ and
     QQ*S(I-QQ*) vanish within 1e-8 * max(1, |S|). C = 0 passes vacuously.
+    Returns ``range_reduces``, ``restriction_normal`` and the three
+    ``residuals``.
     """
     n = s.shape[0]
     u, svals, _ = np.linalg.svd(c)
@@ -258,11 +239,11 @@ def check_reduction(s: np.ndarray, c: np.ndarray) -> ReductionReport:
     tol = 1e-8 * max(1.0, op_norm(s))
     restriction = q.conj().T @ s @ q
     r_norm = op_norm(restriction @ restriction.conj().T - restriction.conj().T @ restriction)
-    return ReductionReport(
-        range_reduces=r_inv <= tol and r_coinv <= tol,
-        restriction_normal=classify(restriction).normal,
-        residuals={"invariance": r_inv, "co_invariance": r_coinv, "normality": r_norm},
-    )
+    return {
+        "range_reduces": r_inv <= tol and r_coinv <= tol,
+        "restriction_normal": classify(restriction).normal,
+        "residuals": {"invariance": r_inv, "co_invariance": r_coinv, "normality": r_norm},
+    }
 
 
 def min_distance_hs(op: SylvesterOperator, c: np.ndarray) -> float:

@@ -754,12 +754,15 @@ def instance_from_json(obj: dict) -> Instance:
     for key in obj:
         if key not in (*_MATRICES, "x", "n", "dim", "seed", "recipe", "bounds"):
             raise InputError(f"instance JSON has unknown key {key!r}")
+    recipe = obj.get("recipe", "external")
+    if not isinstance(recipe, str):
+        raise InputError(f"recipe must be a string, not {type(recipe).__name__}")
     arrays = {name: _from_pairs(obj[name], name) for name in (*_MATRICES, "x") if name in obj}
     return Instance(
         dim=_number(int, obj.get("dim", len(arrays["S"])), "dim"),
         bounds=SpectralBounds.from_json(obj["bounds"]),
         seed=_number(int, obj.get("seed", 0), "seed"),
-        recipe=str(obj.get("recipe", "external")),
+        recipe=recipe,
         n=_number(float, obj["n"], "n") if "n" in obj else None,
         **arrays,
     )

@@ -98,22 +98,22 @@ def test_criterion_05_fp_theorem():
         else:  # same operator twice: a pair with a large kernel
             s = random_normal_matrix(dim, derive_seed(505, k))
             t = s
-        if not check_fp_pair(s, t).holds:
+        if not check_fp_pair(s, t)["holds"]:
             failures += 1
     nil = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     rep = check_fp_pair(nil, np.zeros((2, 2), dtype=complex))
     basis = kernel_basis(lift_derivation(nil, np.zeros((2, 2), dtype=complex)))
-    unit_norms = all(abs(hs_norm(e.C) - 1.0) <= 1e-12 for e in basis)
+    unit_norms = all(abs(hs_norm(c) - 1.0) <= 1e-12 for c in basis)
     ok = (
         failures == 0
-        and rep.holds is False
+        and rep["holds"] is False
         and unit_norms
-        and abs(rep.worst_residual - 1.0) <= 1e-10
+        and abs(rep["worst_adjoint_residual"] - 1.0) <= 1e-10
     )
     _verdict(
         5,
         f"FP: 200 normal pairs all hold ({failures} failures); shift-vs-zero pair fails "
-        f"with worst residual {rep.worst_residual:.12f} = kernel element HS norm",
+        f"with worst residual {rep['worst_adjoint_residual']:.12f} = kernel element HS norm",
         ok,
     )
 
@@ -123,7 +123,7 @@ def _random_kernel_element(op, seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     coeffs /= np.linalg.norm(coeffs)
-    return sum(w * e.C for w, e in zip(coeffs, basis))
+    return sum(w * c for w, c in zip(coeffs, basis))
 
 
 def test_criterion_06_hs_orthogonality():

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commlab import cli, derivations
-from commlab.cli import main
-from commlab.catalog import CATALOG, REPORT_CSV_FIELDS, SWEEP_CSV_FIELDS, get_entry
+from commlab.cli import REPORT_CSV_FIELDS, SWEEP_CSV_FIELDS, main
+from commlab.catalog import CATALOG, get_entry
 from commlab.instances import (
     RECIPE_FAMILIES,
     Recipe,
@@ -369,7 +369,7 @@ class TestOrthoCommand:
         assert payload["lift"] == "spectral"
         inst = make_instance(Recipe("inner-normal", 3), 4)
         op = derivations.lift_derivation(inst.S, inst.T)
-        probe = derivations.orthogonality_probe_opnorm(op, derivations.kernel_basis(op)[0].C)
+        probe = derivations.orthogonality_probe_opnorm(op, derivations.kernel_basis(op)[0])
         assert payload["probe_evaluations"] == probe.evaluations
 
     def test_trivial_kernel_is_vacuous(self, tmp_path):
@@ -423,6 +423,31 @@ class TestOrthoCommand:
         assert payload["probe_verdict"] == "violation-candidate"
         assert payload["min_distance_hs"] == 0.0
 
+    def test_kernel_elements_it_does_not_probe_are_not_evaluated(self, tmp_path, capsys):
+        # S = diag(0, -1, 1e250), T = diag(3, 1e300, 1e250): the cutoff 1e-8 * 1e300 puts six
+        # gaps in the kernel, and |SC - CT|_2 of the element for the gap 1e250 overflows. ortho
+        # probes only element 0, whose gap 4 lies far below the cutoff, so SX - XT + C reaches 0,
+        # as on the same pair at half the exponents; fp takes every element and overflows.
+        def diag(*d):
+            return {"rows": [[[d[i] if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]}
+
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(
+            json.dumps(
+                {"bounds": _SCHWARZ_BOUNDS, "S": diag(0.0, -1.0, 1e250), "T": diag(3.0, 1e300, 1e250)}
+            )
+        )
+        assert run_cli("ortho", "--instance", str(inst_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert (payload["c_source"], payload["hs_consistent"]) == ("kernel-basis[0]", True)
+        assert (payload["probe_min_found"], payload["probe_verdict"]) == (0.0, "violation-candidate")
+        assert run_cli("fp", "--instance", str(inst_path)) == 0
+        assert capsys.readouterr().err == (
+            "hypothesis violation: entries too large for float arithmetic (overflow encountered in dot)\n"
+        )
+
 
 _SCHWARZ_BOUNDS = {k: 0.0 for k in ("a1", "b1", "c1", "d1", "c2", "d2")} | {"a2": 2.0, "b2": 4.0}
 _HUGE = 10**400  # a JSON integer literal too large for a float
@@ -435,6 +460,14 @@ _ZERO_3X3 = {"rows": [[[0, 0]] * 3] * 3}
 _TRIPLE_DIAG = {"rows": [[[1, 0, 7], [0, 0]], [[0, 0], [2, 0]]]}  # a "pair" of three numbers
 _DICT_DIAG = {"rows": [[{"re": 1}, [0, 0]], [[0, 0], [2, 0]]]}
 _BOOL_DIAG = {"rows": [[[True, 0], [0, 0]], [[0, 0], [2, 0]]]}  # true is not the number 1
+# S with the superdiagonal (1e300, 3, 1e100) against T = I: the eigensolver of the spectral
+# lift's first step gives up on it (LinAlgError: Eigenvalues did not converge)
+_UNCONVERGED = {
+    "dim": 4,
+    "S": {"rows": [[[v * (j == i + 1), 0] for j in range(4)] for i, v in enumerate((1e300, 3, 1e100, 0))]},
+    "T": {"rows": [[[float(i == j), 0] for j in range(4)] for i in range(4)]},
+    "x": [[1, 0], [0, 0], [0, 0], [0, 0]],
+}
 
 
 def _schwarz_instance(tmp_path, **fields):
@@ -512,6 +545,10 @@ class TestCommutingSchwarz:
             ({"seed": "12"}, 2, "error: seed must be a number, not str"),
             ({"seed": True}, 2, "error: seed must be a number, not bool"),
             ({"dim": False}, 2, "error: dim must be a number, not bool"),
+            # a recipe is a JSON string, never the text of some other value
+            ({"recipe": None}, 2, "error: recipe must be a string, not NoneType"),
+            ({"recipe": {"x": 1}}, 2, "error: recipe must be a string, not dict"),
+            ({"recipe": 3}, 2, "error: recipe must be a string, not int"),
             ({"n": True}, 2, "error: n must be a number, not bool"),
             ({"bounds": _SCHWARZ_BOUNDS | {"a1": "-1.5"}}, 2, "error: bounds a1 must be a number, not str"),
             ({"bounds": _SCHWARZ_BOUNDS | {"b2": True}}, 2, "error: bounds b2 must be a number, not bool"),
@@ -536,6 +573,8 @@ class TestCommutingSchwarz:
             ({"S": _OVERFLOW_DIAG, "T": _OVERFLOW_DIAG}, ("check", "--entry", "THM_MAIN")),
             ({"S": _OVERFLOW_DIAG, "T": _OVERFLOW_DIAG}, ("check", "--entry", "SCHWARZ_REVERSE")),
             ({"S": _OVERFLOW_DIAG, "T": _OVERFLOW_DIAG}, ("fp",)),
+            (_UNCONVERGED, ("fp",)),
+            (_UNCONVERGED, ("ortho",)),
             # here a formula's own Python float `** 2` overflows
             ({"S": _OVERFLOW_DIAG}, ("check", "--entry", "REMARK_POSITIVE")),
             ({"bounds": _SCHWARZ_BOUNDS | {"a2": 1e160}}, ("check", "--entry", "STEP_CARTESIAN")),

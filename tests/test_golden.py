@@ -8,7 +8,8 @@ the instances ``gen`` draws and the best instance ``search`` finds, so any
 change to the order of random draws shows; and the report artifacts: every
 entry's ``check --format csv``, ``sweep`` in JSON and CSV, and ``fp`` and
 ``ortho`` per generated family and on an instance file that carries ``C``,
-and ``ortho`` on a Jordan block, where the probe finds a violation; and one
+and ``fp`` and ``ortho`` on a Jordan block, where the Kronecker lift's kernel
+fails the property and the probe finds a violation; and one
 counterexample per refuted entry, the best instance of the search that
 refutes it, which ``check --instance`` must find violated.
 
@@ -80,6 +81,7 @@ ARTIFACT_CASES = (
     | {
         "fp:instance-with-c": ("fp", "--instance", WITH_C),
         "ortho:instance-with-c": ("ortho", "--instance", WITH_C),
+        "fp:jordan": ("fp", "--instance", JORDAN),
         "ortho:jordan": ("ortho", "--instance", JORDAN),
         "check:csv:instance-with-c": (
             "check", "--entry", "THM_MAIN", "--instance", WITH_C, "--format", "csv"

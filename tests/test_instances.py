@@ -246,7 +246,7 @@ class TestInstanceValidation:
             evaluate(entry_id, inst)
         derivations.check_fp_pair(pair.S, pair.T)
         op = derivations.lift_derivation(pair.S, pair.T)
-        c = derivations.kernel_basis(op)[0].C
+        c = derivations.kernel_basis(op)[0]
         derivations.min_distance_hs(op, c)
         derivations.orthogonality_probe_opnorm(op, c)
         assert spy.call_count == 0
