@@ -16,7 +16,6 @@ codes name predicates in ``HYPOTHESES``.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ from commlab.core import (
     overflow_is_hypothesis_error,
     self_commutator,
 )
-from commlab.instances import Fingerprint, Instance, Recipe, SpectralBounds, derive_seed, make_instance
+from commlab.instances import Instance, Recipe, SpectralBounds, derive_seed, make_instance
 
 __all__ = [
     "CatalogEntry",
@@ -47,7 +46,6 @@ __all__ = [
     "validate_hypotheses",
     "InequalityReport",
     "evaluate",
-    "SweepReport",
     "sweep",
 ]
 
@@ -507,7 +505,7 @@ class InequalityReport:
     satisfied: bool | None
     tol: float
     hypothesis_violations: tuple[str, ...]
-    fingerprint: Fingerprint
+    fingerprint: dict  # Instance.fingerprint() of the instance evaluated
     detail: dict | None = None
 
     def to_json(self) -> dict:
@@ -520,7 +518,7 @@ class InequalityReport:
             "satisfied": self.satisfied,
             "tol": self.tol,
             "hypothesis_violations": list(self.hypothesis_violations),
-            "fingerprint": self.fingerprint.to_json(),
+            "fingerprint": self.fingerprint,
             "detail": self.detail,
         }
 
@@ -531,14 +529,16 @@ def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL
     Hypothesis violations detected by validation produce a "not-applicable"
     verdict. A missing required field raises InputError; an input the
     formula cannot evaluate safely (e.g. a numerically singular X), or whose
-    entries overflow float arithmetic in validation or the formula, raises
-    HypothesisError.
+    entries overflow float arithmetic in validation or the formula, or that
+    gives a non-finite lhs or rhs, raises HypothesisError.
     """
     if isinstance(entry, str):
         entry = get_entry(entry)
     with overflow_is_hypothesis_error():
         violations = tuple(validate_hypotheses(entry, inst))
         lhs, rhs, detail = entry.formula(inst)
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):  # Python floats overflow to inf silently
+            raise FloatingPointError("the bound is not finite")
     margin = entry.margin(lhs, rhs)
     if violations:
         verdict, satisfied = "not-applicable", None
@@ -552,42 +552,6 @@ def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL
     )
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    entry: str
-    trials: int
-    passes: int
-    failures: int
-    not_applicable: int
-    worst_margin: float | None
-    worst_fingerprint: Fingerprint | None
-    dims: tuple[int, ...]
-    trials_per_dim: int
-    master_seed: int
-    recipe: str
-    tol: float
-    wall_time_s: float
-    unsafe: int  # not-applicable trials whose evaluate raised HypothesisError
-
-    def to_json(self) -> dict:
-        # wall time stays out of the artifact so that equal configurations
-        # serialize byte-identically; the unsafe count is a stderr note
-        return {
-            "entry": self.entry,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "not_applicable": self.not_applicable,
-            "worst_margin": _jsonable_float(self.worst_margin),
-            "worst_fingerprint": self.worst_fingerprint.to_json() if self.worst_fingerprint else None,
-            "dims": list(self.dims),
-            "trials_per_dim": self.trials_per_dim,
-            "master_seed": self.master_seed,
-            "recipe": self.recipe,
-            "tol": self.tol,
-        }
-
-
 def sweep(
     entry: CatalogEntry | str,
     dims: tuple[int, ...],
@@ -595,9 +559,11 @@ def sweep(
     master_seed: int = 0,
     recipe: str | None = None,
     tol: float = DEFAULT_TOL,
-) -> SweepReport:
+) -> tuple[dict, int]:
     """Run ``trials`` seeded random trials of one entry at each of ``dims``
     (``recipe`` overrides its family); violations are recorded, not raised.
+    Returns the ``commlab sweep`` artifact and the number of not-applicable
+    trials whose evaluate raised HypothesisError (unsafe to evaluate).
 
     Determinism: the trial at (dim, index) always sees the seed
     ``derive_seed(master_seed, dim, index)``, so results do not depend on
@@ -613,9 +579,8 @@ def sweep(
         raise InputError("at least one dim is required")
     if len(set(dims)) != len(dims):
         raise InputError("dims must not repeat: a repeated dim reruns the same trials")
-    start = time.perf_counter()
     passes = failures = not_applicable = unsafe = 0
-    worst: tuple[float, float, Fingerprint] | None = None  # score, margin, fingerprint
+    worst: tuple[float, float, dict] | None = None  # score, margin, fingerprint
     for dim in dims:
         recipe_obj = entry.recipe_for(recipe, dim)
         for trial in range(trials):
@@ -636,19 +601,18 @@ def sweep(
             score = report.margin / max(1.0, abs(report.rhs))
             if worst is None or score < worst[0]:
                 worst = (score, report.margin, report.fingerprint)
-    return SweepReport(
-        entry=entry.id,
-        trials=len(dims) * trials,
-        passes=passes,
-        failures=failures,
-        not_applicable=not_applicable,
-        worst_margin=worst[1] if worst else None,
-        worst_fingerprint=worst[2] if worst else None,
-        dims=tuple(dims),
-        trials_per_dim=trials,
-        master_seed=master_seed,
-        recipe=recipe or entry.default_family,
-        tol=tol,
-        wall_time_s=time.perf_counter() - start,
-        unsafe=unsafe,
-    )
+    artifact = {
+        "entry": entry.id,
+        "trials": len(dims) * trials,
+        "passes": passes,
+        "failures": failures,
+        "not_applicable": not_applicable,
+        "worst_margin": _jsonable_float(worst[1]) if worst else None,
+        "worst_fingerprint": worst[2] if worst else None,
+        "dims": list(dims),
+        "trials_per_dim": trials,
+        "master_seed": master_seed,
+        "recipe": recipe or entry.default_family,
+        "tol": tol,
+    }
+    return artifact, unsafe

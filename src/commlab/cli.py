@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+import time
 
 from commlab.catalog import (
     CATALOG,
@@ -47,7 +48,7 @@ from commlab.instances import (
     instance_to_json,
     make_instance,
 )
-from commlab.search import maximize_ratio, search_state_to_json
+from commlab.search import maximize_ratio
 
 _TOL_MIN, _TOL_MAX = 1e-14, 1e-3
 _DIM_MAX = 1024  # a dense complex matrix at this size is 16 MiB
@@ -57,7 +58,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# column orders of the check and sweep CSV artifacts, read off their to_json
+# column orders of the check and sweep CSV artifacts, read off their JSON
 REPORT_CSV_FIELDS = (
     "entry", "verdict", "satisfied", "lhs", "rhs", "margin", "tol", "seed", "dim", "recipe",
     "recipe_hash", "hypothesis_violations",
@@ -205,20 +206,22 @@ def _cmd_sweep(args) -> tuple:
     """Also returns the wall time and why trials did not apply, for ``main``'s stderr."""
     entry = get_entry(args.entry)
     tol = _check_tol(args.tol)
-    report = sweep(entry, _dims(args), args.trials, master_seed=args.seed, recipe=args.recipe, tol=tol)
-    blob = report.to_json()
+    dims = _dims(args)
+    start = time.perf_counter()
+    blob, unsafe = sweep(entry, dims, args.trials, master_seed=args.seed, recipe=args.recipe, tol=tol)
+    wall_time_s = time.perf_counter() - start
     artifact = _csv_text(SWEEP_CSV_FIELDS, [blob], " ") if args.format == "csv" else blob
-    code = 1 if report.failures > 0 else 0
-    return artifact, code, f"# sweep wall time: {report.wall_time_s:.3f}s", (
-        f"# sweep not applicable: {report.not_applicable - report.unsafe} hypotheses failed, "
-        f"{report.unsafe} unsafe to evaluate"
+    code = 1 if blob["failures"] > 0 else 0
+    return artifact, code, f"# sweep wall time: {wall_time_s:.3f}s", (
+        f"# sweep not applicable: {blob['not_applicable'] - unsafe} hypotheses failed, "
+        f"{unsafe} unsafe to evaluate"
     )
 
 
 def _cmd_search(args) -> tuple:
     """Also returns a count of the work done, for ``main`` to print on stderr."""
     tol = _check_tol(args.tol)
-    state = maximize_ratio(
+    artifact, counts = maximize_ratio(
         args.entry,
         dim=_dim(args),
         iterations=args.iterations,
@@ -227,23 +230,20 @@ def _cmd_search(args) -> tuple:
         recipe=args.recipe,
         tol=tol,
     )
-    code = 1 if state.best_report.verdict == "violated" else 0
-    return search_state_to_json(state), code, (
-        f"# search: {state.candidates} candidates, {state.screened} screened, "
-        f"{state.accepted} accepted, {state.validated} validated"
-    )
+    code = 1 if artifact["best_report"]["verdict"] == "violated" else 0
+    return artifact, code, "# search: " + ", ".join(f"{n} {name}" for name, n in counts.items())
 
 
 def _cmd_fp(args) -> tuple:
     inst = _resolve_instance(args)
     report = check_fp_pair(inst.S, inst.T)
-    return report | {"fingerprint": inst.fingerprint().to_json()}, 0 if report["holds"] else 1
+    return report | {"fingerprint": inst.fingerprint()}, 0 if report["holds"] else 1
 
 
 def _cmd_ortho(args) -> tuple:
     inst = _resolve_instance(args)
     op = lift_derivation(inst.S, inst.T)
-    base = {"lift": op.lift, "fingerprint": inst.fingerprint().to_json()}
+    base = {"lift": op.lift, "fingerprint": inst.fingerprint()}
     if inst.C is not None:
         c, c_source = inst.C, "instance"
     else:
@@ -266,11 +266,9 @@ def _cmd_ortho(args) -> tuple:
         "c_op_norm": c_op,
         "min_distance_hs": hs_min,
         "hs_consistent": hs_consistent,
-        "probe_evaluations": probe.evaluations,
-        "probe_min_found": probe.min_found,
-        "probe_verdict": probe.verdict,
+        **probe,
     }
-    return payload, 0 if hs_consistent and probe.verdict == "consistent" else 1
+    return payload, 0 if hs_consistent and probe["probe_verdict"] == "consistent" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,6 @@ __all__ = [
     "check_fp_pair",
     "check_reduction",
     "min_distance_hs",
-    "ProbeResult",
     "orthogonality_probe_opnorm",
 ]
 
@@ -258,14 +257,7 @@ def min_distance_hs(op: SylvesterOperator, c: np.ndarray) -> float:
     return float(np.linalg.norm(np.tensordot(op._cokernel, c.conj(), axes=2)))
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    min_found: float
-    verdict: str  # "consistent" | "violation-candidate"
-    evaluations: int
-
-
-def orthogonality_probe_opnorm(op: SylvesterOperator, c: np.ndarray) -> ProbeResult:
+def orthogonality_probe_opnorm(op: SylvesterOperator, c: np.ndarray) -> dict:
     """Search for X making |SX - XT + C| smaller than |C| in operator norm.
 
     ``op`` is the lift of (S, T) from ``lift_derivation``. A falsifier, not a
@@ -275,10 +267,12 @@ def orthogonality_probe_opnorm(op: SylvesterOperator, c: np.ndarray) -> ProbeRes
     the Schatten p-norm up to scale, delta* Y = S*Y - YT*), trying the 33
     step lengths 2^k s_1 / |delta G|_2, k = -30..2, in one batched SVD, and
     moves to the best while that lowers the p-norm by at least 0.1%.
-    ``min_found`` is the least |R| over every R evaluated, ``evaluations``
-    their number; an R with |R| <= 1e-8 |C|, 0 included, ends the search.
-    The verdict is "consistent" when nothing beats |C| - 1e-6. C must lie in
-    the kernel of the derivation: |SC - CT|_2 <= max(op.cutoff, 1e-12).
+    Returns the probe's fields of ``commlab ortho``'s report:
+    ``probe_min_found`` is the least |R| over every R evaluated,
+    ``probe_evaluations`` their number; an R with |R| <= 1e-8 |C|, 0
+    included, ends the search. ``probe_verdict`` is "consistent" when nothing
+    beats |C| - 1e-6, else "violation-candidate". C must lie in the kernel of
+    the derivation: |SC - CT|_2 <= max(op.cutoff, 1e-12).
     """
     if hs_norm(op.apply(c)) > max(op.cutoff, 1e-12):
         raise HypothesisError("C is not in the kernel of the derivation")
@@ -303,4 +297,4 @@ def orthogonality_probe_opnorm(op: SylvesterOperator, c: np.ndarray) -> ProbeRes
                 break
             r = trial[k]
     verdict = "consistent" if best >= c_norm - 1e-6 else "violation-candidate"
-    return ProbeResult(min_found=best, verdict=verdict, evaluations=evals)
+    return {"probe_evaluations": evals, "probe_min_found": best, "probe_verdict": verdict}

@@ -24,7 +24,6 @@ __all__ = [
     "derive_seed",
     "SpectralBounds",
     "Instance",
-    "Fingerprint",
     "Recipe",
     "RECIPE_FAMILIES",
     "random_unitary",
@@ -362,29 +361,6 @@ def _normal_factor(
 
 
 @dataclass(frozen=True)
-class Fingerprint:
-    """Coordinates of one instance: a generated one (a sweep trial, a search's
-    start) regenerates from them exactly. A searched one does not, as it keeps
-    its recipe and takes its last move's seed: ``check --instance`` on the
-    search artifact's ``best_instance`` replays it."""
-
-    seed: int
-    dim: int
-    recipe: str
-
-    def to_json(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "dim": int(self.dim),
-            "recipe": self.recipe,
-            "recipe_hash": recipe_hash(self.recipe, self.dim),
-        }
-
-    def sort_key(self) -> tuple:
-        return (self.recipe, self.dim, self.seed)
-
-
-@dataclass(frozen=True)
 class Instance:
     """One bundle of operators fed to an inequality or derivation check, and the one
     place a matrix is checked: S, T, X, Y and C pass ``_checked`` and are dim x dim.
@@ -432,8 +408,18 @@ class Instance:
                 raise InputError("n must be finite")
             object.__setattr__(self, "n", n)
 
-    def fingerprint(self) -> Fingerprint:
-        return Fingerprint(self.seed, self.dim, self.recipe)
+    def fingerprint(self) -> dict:
+        """Coordinates of the instance, as JSON: a generated one (a sweep trial, a
+        search's start) regenerates from its seed, dim and recipe exactly. A searched
+        one does not, as it keeps its recipe and takes its last move's seed: ``check
+        --instance`` on the search artifact's ``best_instance`` replays it."""
+        payload = json.dumps({"recipe": self.recipe, "dim": self.dim}, sort_keys=True)
+        return {
+            "seed": int(self.seed),
+            "dim": int(self.dim),
+            "recipe": self.recipe,
+            "recipe_hash": hashlib.sha256(payload.encode()).hexdigest()[:12],
+        }
 
 
 def _checked(name: str, m, dim: int) -> np.ndarray:
@@ -448,11 +434,6 @@ def _checked(name: str, m, dim: int) -> np.ndarray:
         raise InputError(f"{name} must be square of size dim")
     a.flags.writeable = False
     return a
-
-
-def recipe_hash(recipe: str, dim: int) -> str:
-    payload = json.dumps({"recipe": recipe, "dim": dim}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _draw_band(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:

@@ -12,13 +12,10 @@ deterministically and evaluated once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from commlab.core import InputError, overflow_is_hypothesis_error
 from commlab.catalog import (
     DEFAULT_TOL,
     CatalogEntry,
-    InequalityReport,
     evaluate,
     get_entry,
     validate_hypotheses,
@@ -33,7 +30,7 @@ from commlab.instances import (
     perturb,
 )
 
-__all__ = ["perturb", "SearchState", "maximize_ratio", "search_state_to_json"]
+__all__ = ["perturb", "maximize_ratio"]
 
 _STAGNATION_LIMIT = 50
 _STEP_FLOOR = 1e-6
@@ -77,27 +74,6 @@ def _cannot_gain(entry: CatalogEntry, cand: BlockRow, kind: str, floor: float) -
     return all(k == kind for k, _ in ends) and max(v for _, v in ends) <= floor
 
 
-@dataclass(frozen=True)
-class SearchState:
-    """Best instance found for one entry, with enough context to replay."""
-
-    entry: str
-    dim: int
-    iterations: int
-    restarts: int
-    master_seed: int
-    objective_kind: str
-    best_objective: float
-    best_instance: Instance
-    best_report: InequalityReport
-    trace: tuple[tuple[int, float], ...]
-    # work done over all restarts; not part of the artifact
-    candidates: int  # perturbed proposals
-    screened: int  # proposals the entry's bracket rejected without the formula
-    accepted: int  # proposals kept
-    validated: int  # proposals whose hypotheses were checked: those that improve
-
-
 def maximize_ratio(
     entry: CatalogEntry | str,
     dim: int,
@@ -106,9 +82,13 @@ def maximize_ratio(
     master_seed: int = 0,
     recipe: str | None = None,
     tol: float = DEFAULT_TOL,
-) -> SearchState:
+) -> tuple[dict, dict]:
     """Hill-climb the entry's tightness objective over hypothesis-satisfying
-    instances.
+    instances. Returns the ``commlab search`` artifact and the work done over
+    all restarts, which stays out of it: ``candidates`` (perturbed proposals),
+    ``screened`` (those the entry's bracket rejected without the formula),
+    ``accepted`` (those kept) and ``validated`` (those whose hypotheses were
+    checked: those that improve).
 
     Each restart evaluates a fresh instance, then proposes ``iterations``
     perturbed candidates, halving the step after 50 non-improving proposals
@@ -125,7 +105,7 @@ def maximize_ratio(
     applied to the kept instance.
     The best restart is an applicable one, whose start satisfies the
     hypotheses or which kept a move, ahead of any other, then the one with
-    the highest objective; ties break by fingerprint order. Its instance is
+    the highest objective; ties break by (recipe, dim, seed). Its instance is
     evaluated once more for ``best_report``. Deterministic in all arguments.
     """
     if isinstance(entry, str):
@@ -181,42 +161,30 @@ def maximize_ratio(
                 if stagnation >= _STAGNATION_LIMIT:
                     step = max(step / 2.0, _STEP_FLOOR)
                     stagnation = 0
-            order = (not applicable, -obj, inst.fingerprint().sort_key())  # the least is the best
+            order = (not applicable, -obj, inst.recipe, inst.dim, inst.seed)  # the least is the best
             if best_global is None or order < best_global[0]:
                 best_global = (order, obj, inst, kind)
                 best_trace = tuple(trace)
 
     assert best_global is not None
     _, obj, inst, kind = best_global
-    return SearchState(
-        entry=entry.id,
-        dim=dim,
-        iterations=iterations,
-        restarts=restarts,
-        master_seed=master_seed,
-        objective_kind=kind,
-        best_objective=obj,
-        best_instance=inst,
-        best_report=evaluate(entry, inst, tol=tol),
-        trace=best_trace,
-        candidates=restarts * iterations,
-        screened=screened,
-        accepted=accepted,
-        validated=validated,
-    )
-
-
-def search_state_to_json(state: SearchState) -> dict:
-    return {
-        "entry": state.entry,
-        "dim": state.dim,
-        "iterations": state.iterations,
-        "restarts": state.restarts,
-        "master_seed": state.master_seed,
-        "objective_kind": state.objective_kind,
-        "best_objective": state.best_objective,
-        "best_fingerprint": state.best_instance.fingerprint().to_json(),
-        "best_report": state.best_report.to_json(),
-        "best_instance": instance_to_json(state.best_instance),
-        "trace": [list(p) for p in state.trace],
+    artifact = {
+        "entry": entry.id,
+        "dim": dim,
+        "iterations": iterations,
+        "restarts": restarts,
+        "master_seed": master_seed,
+        "objective_kind": kind,
+        "best_objective": obj,
+        "best_fingerprint": inst.fingerprint(),
+        "best_report": evaluate(entry, inst, tol=tol).to_json(),
+        "best_instance": instance_to_json(inst),
+        "trace": [list(p) for p in best_trace],
     }
+    counts = {
+        "candidates": restarts * iterations,
+        "screened": screened,
+        "accepted": accepted,
+        "validated": validated,
+    }
+    return artifact, counts

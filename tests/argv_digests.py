@@ -12,7 +12,11 @@ in-process ``commlab.cli.main(argv)`` call. The argvs are every argv of the
 benchmark's workloads (``bench/workloads.py``), then, for each catalog entry
 and recipe, ``check --seed 3`` and ``search --iterations 60 --restarts 2
 --seed 4`` at dim 3, then ``gen --seed 2``, ``fp`` and ``ortho`` per recipe at
-dim 4 (dim 2 for equality-example). Not collected by pytest.
+dim 4 (dim 2 for equality-example), then, for each catalog entry at its default
+recipe, ``sweep --dims 2,3 --trials 20 --seed 3`` as JSON and as CSV and ``check
+--dims 3 --seed 3 --format csv``, and last ``list`` in each format. The ``# sweep
+wall time:`` line is left out of the stderr digest, as it differs between runs.
+Not collected by pytest.
 """
 
 import contextlib
@@ -61,6 +65,15 @@ def _grid_argvs() -> list[list[str]]:
     return argvs
 
 
+def _report_argvs() -> list[list[str]]:
+    sweep = ["--dims", "2,3", "--trials", "20", "--seed", "3"]
+    argvs = []
+    for entry in CATALOG:
+        argvs += [["sweep", "--entry", entry, *sweep, "--format", fmt] for fmt in ("json", "csv")]
+        argvs.append(["check", "--entry", entry, "--dims", "3", "--seed", "3", "--format", "csv"])
+    return argvs + [["list", "--format", fmt] for fmt in ("text", "json", "csv")]
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -69,9 +82,11 @@ def run(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return f"{code} {_digest(out.getvalue())} {_digest(err.getvalue())} {' '.join(argv)}"
+    err_lines = err.getvalue().splitlines(keepends=True)
+    err_text = "".join(line for line in err_lines if not line.startswith("# sweep wall time:"))
+    return f"{code} {_digest(out.getvalue())} {_digest(err_text)} {' '.join(argv)}"
 
 
 if __name__ == "__main__":
-    for argv in _workload_argvs() + _grid_argvs():
+    for argv in _workload_argvs() + _grid_argvs() + _report_argvs():
         print(run(argv), flush=True)

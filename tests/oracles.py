@@ -22,10 +22,10 @@ from commlab.instances import (
     UnitaryFactor,
     VectorFactor,
     derive_seed,
+    instance_to_json,
     make_instance,
     perturb,
 )
-from commlab.search import SearchState
 
 
 def random_matrix(dim: int, seed: int) -> np.ndarray:
@@ -245,7 +245,8 @@ def eager_maximize_ratio(
     objective, then fingerprint): a full ``evaluate`` of every candidate,
     hypotheses before the objective.
 
-    Returns the ``SearchState`` it finds; its ``validated`` counts every
+    Returns the ``commlab search`` artifact it finds, built here field by
+    field, and its counts of work done; its ``validated`` counts every
     candidate, since each one's hypotheses are checked, and it screens none.
     """
     entry = get_entry(entry_id)
@@ -287,12 +288,18 @@ def eager_maximize_ratio(
             if it % 50 == 0:
                 trace.append((it, obj))
         # applicable: the start satisfies the hypotheses, or a kept move, which does
-        rank, key = (not report.hypothesis_violations, obj), inst.fingerprint().sort_key()
+        rank, key = (not report.hypothesis_violations, obj), (inst.recipe, inst.dim, inst.seed)
         if best is None or rank > best[0] or (rank == best[0] and key < best[1]):
             best = (rank, key, inst, report, kind, tuple(trace))
     (_, obj), _, inst, report, kind, trace = best
-    return SearchState(
-        entry=entry.id, dim=dim, iterations=iterations, restarts=restarts, master_seed=master_seed,
-        objective_kind=kind, best_objective=obj, best_instance=inst, best_report=report, trace=trace,
-        candidates=restarts * iterations, screened=0, accepted=accepted, validated=restarts * iterations,
-    )
+    artifact = {
+        "entry": entry.id, "dim": dim, "iterations": iterations, "restarts": restarts,
+        "master_seed": master_seed, "objective_kind": kind, "best_objective": obj,
+        "best_fingerprint": inst.fingerprint(), "best_report": report.to_json(),
+        "best_instance": instance_to_json(inst), "trace": [list(p) for p in trace],
+    }
+    counts = {
+        "candidates": restarts * iterations, "screened": 0, "accepted": accepted,
+        "validated": restarts * iterations,
+    }
+    return artifact, counts

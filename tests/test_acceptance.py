@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
 import json
+import time
 
 import numpy as np
 
@@ -11,8 +12,14 @@ from commlab.catalog import evaluate, get_entry, sweep
 from commlab.cli import main as cli_main
 from commlab.core import commutator, hs_norm, numerical_radius, op_norm
 from commlab.derivations import check_fp_pair, kernel_basis, lift_derivation, min_distance_hs, orthogonality_probe_opnorm
-from commlab.instances import Recipe, derive_seed, equality_example, make_instance
-from commlab.search import maximize_ratio, search_state_to_json
+from commlab.instances import (
+    Recipe,
+    derive_seed,
+    equality_example,
+    instance_from_json,
+    make_instance,
+)
+from commlab.search import maximize_ratio
 from oracles import random_matrix, random_normal_matrix, sampling_radius
 
 
@@ -22,23 +29,25 @@ def _verdict(num: int, label: str, ok: bool):
 
 
 def test_criterion_01_main_bound_sweep():
-    rep = sweep("THM_MAIN", dims=(2, 4, 8, 16), trials=1000, master_seed=20260811)
+    start = time.perf_counter()
+    rep, _ = sweep("THM_MAIN", dims=(2, 4, 8, 16), trials=1000, master_seed=20260811)
+    wall_time_s = time.perf_counter() - start
     worst_rhs = 0.0
-    if rep.worst_fingerprint is not None:
-        fp = rep.worst_fingerprint
-        inst = make_instance(get_entry("THM_MAIN").recipe_for(fp.recipe, fp.dim), fp.seed)
+    if rep["worst_fingerprint"] is not None:
+        fp = rep["worst_fingerprint"]
+        inst = make_instance(get_entry("THM_MAIN").recipe_for(fp["recipe"], fp["dim"]), fp["seed"])
         worst_rhs = evaluate("THM_MAIN", inst).rhs
     ok = (
-        rep.trials == 4000
-        and rep.failures == 0
-        and rep.not_applicable == 0
-        and rep.worst_margin >= -1e-9 * max(1.0, worst_rhs)
-        and rep.wall_time_s < 60.0
+        rep["trials"] == 4000
+        and rep["failures"] == 0
+        and rep["not_applicable"] == 0
+        and rep["worst_margin"] >= -1e-9 * max(1.0, worst_rhs)
+        and wall_time_s < 60.0
     )
     _verdict(
         1,
-        f"main bound: 4000 trials, {rep.failures} failures, worst margin "
-        f"{rep.worst_margin:.3e}, {rep.wall_time_s:.1f}s",
+        f"main bound: 4000 trials, {rep['failures']} failures, worst margin "
+        f"{rep['worst_margin']:.3e}, {wall_time_s:.1f}s",
         ok,
     )
 
@@ -46,8 +55,8 @@ def test_criterion_01_main_bound_sweep():
 def test_criterion_02_proof_chain_sweeps():
     results = {}
     for entry_id in ("STEP_CENTERED", "STEP_CARTESIAN", "STEP_HALF_BAND"):
-        rep = sweep(entry_id, dims=(8,), trials=1000, master_seed=777)
-        results[entry_id] = (rep.failures, rep.not_applicable)
+        rep, _ = sweep(entry_id, dims=(8,), trials=1000, master_seed=777)
+        results[entry_id] = (rep["failures"], rep["not_applicable"])
     ok = all(f == 0 and na == 0 for f, na in results.values())
     _verdict(2, f"proof chain at dim 8: failures/NA per step {results}", ok)
 
@@ -148,8 +157,8 @@ def test_criterion_07_opnorm_probe():
         op = lift_derivation(inst.S, inst.T)
         c = _random_kernel_element(op, derive_seed(707, k, 1))
         probe = orthogonality_probe_opnorm(op, c)
-        worst_deficit = max(worst_deficit, op_norm(c) - probe.min_found)
-        most_evaluations = max(most_evaluations, probe.evaluations)
+        worst_deficit = max(worst_deficit, op_norm(c) - probe["probe_min_found"])
+        most_evaluations = max(most_evaluations, probe["probe_evaluations"])
     # each probe takes 199 (one line search per exponent); a per-entry search took thousands
     ok = worst_deficit <= 1e-6 and most_evaluations <= 400
     _verdict(
@@ -195,14 +204,14 @@ def test_criterion_09_violation_pipeline(tmp_path):
     suspects_ok = True
     detail = {}
     for entry_id in ("SJ_MAX", "NUMRAD_CLAIM", "SQRT_PRODUCT", "COMMUTATOR_HS"):
-        rep = sweep(entry_id, dims=(4,), trials=1000, master_seed=909)
-        detail[entry_id] = rep.failures
-        if rep.passes + rep.failures + rep.not_applicable != rep.trials:
+        rep, _ = sweep(entry_id, dims=(4,), trials=1000, master_seed=909)
+        detail[entry_id] = rep["failures"]
+        if rep["passes"] + rep["failures"] + rep["not_applicable"] != rep["trials"]:
             suspects_ok = False
-        if rep.worst_fingerprint is not None:
-            wfp = rep.worst_fingerprint
-            inst = make_instance(get_entry(entry_id).recipe_for(wfp.recipe, wfp.dim), wfp.seed)
-            if evaluate(entry_id, inst).margin != rep.worst_margin:
+        if rep["worst_fingerprint"] is not None:
+            wfp = rep["worst_fingerprint"]
+            inst = make_instance(get_entry(entry_id).recipe_for(wfp["recipe"], wfp["dim"]), wfp["seed"])
+            if evaluate(entry_id, inst).margin != rep["worst_margin"]:
                 suspects_ok = False
     ok = replay_ok and suspects_ok
     _verdict(
@@ -214,16 +223,16 @@ def test_criterion_09_violation_pipeline(tmp_path):
 
 
 def test_criterion_10_search_determinism_and_soundness():
-    run1 = maximize_ratio("THM_MAIN", dim=2, iterations=500, restarts=8, master_seed=1001)
-    run2 = maximize_ratio("THM_MAIN", dim=2, iterations=500, restarts=8, master_seed=1001)
-    blob1 = json.dumps(search_state_to_json(run1), sort_keys=True)
-    blob2 = json.dumps(search_state_to_json(run2), sort_keys=True)
-    re_report = evaluate("THM_MAIN", run1.best_instance)
+    run1, _ = maximize_ratio("THM_MAIN", dim=2, iterations=500, restarts=8, master_seed=1001)
+    run2, _ = maximize_ratio("THM_MAIN", dim=2, iterations=500, restarts=8, master_seed=1001)
+    blob1 = json.dumps(run1, sort_keys=True)
+    blob2 = json.dumps(run2, sort_keys=True)
+    re_report = evaluate("THM_MAIN", instance_from_json(run1["best_instance"]))
     re_objective = re_report.lhs / re_report.rhs
-    ok = blob1 == blob2 and abs(re_objective - run1.best_objective) <= 1e-12
+    ok = blob1 == blob2 and abs(re_objective - run1["best_objective"]) <= 1e-12
     _verdict(
         10,
-        f"search: byte-identical runs ({blob1 == blob2}), best ratio {run1.best_objective:.9f} "
-        f"re-evaluates within {abs(re_objective - run1.best_objective):.1e}",
+        f"search: byte-identical runs ({blob1 == blob2}), best ratio {run1['best_objective']:.9f} "
+        f"re-evaluates within {abs(re_objective - run1['best_objective']):.1e}",
         ok,
     )

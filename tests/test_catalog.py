@@ -23,6 +23,7 @@ from commlab.instances import (
     derive_seed,
     equality_example,
     make_instance,
+    random_unitary,
 )
 from oracles import direct_sum
 
@@ -244,46 +245,67 @@ class TestEvaluate:
         assert json.loads(capsys.readouterr().out) == blob
 
 
+class TestUnitarySimilarity:
+    """S, T, X, Y, C -> U . U* and x -> Ux keep every entry's hypotheses and both
+    sides of its bound: each side is a unitarily invariant norm or spectrum."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("entry_id", CATALOG)
+    def test_verdict_and_sides_are_kept(self, entry_id, dim, seed):
+        entry = get_entry(entry_id)
+        inst = make_instance(entry.recipe_for(None, dim), seed)
+        u = random_unitary(dim, 1000 + seed)
+        moved = {m: u @ getattr(inst, m) @ u.conj().T for m in "STXYC" if getattr(inst, m) is not None}
+        if inst.x is not None:
+            moved["x"] = u @ inst.x
+        before = evaluate(entry, inst)
+        after = evaluate(entry, dataclasses.replace(inst, internals=None, **moved))
+        assert after.verdict == before.verdict
+        for old, new in ((before.lhs, after.lhs), (before.rhs, after.rhs)):
+            assert abs(new - old) <= 1e-10 * max(1.0, abs(old))
+
+
 PROVEN_DEFAULTS_HOLD = tuple(i for i, e in CATALOG.items() if e.status != "refuted")
 
 
 class TestSweep:
     def test_zero_trials(self):
-        rep = sweep("THM_MAIN", dims=(4,), trials=0)
-        assert rep.trials == rep.passes == rep.failures == rep.not_applicable == 0
-        assert rep.worst_margin is None and rep.worst_fingerprint is None
+        rep, unsafe = sweep("THM_MAIN", dims=(4,), trials=0)
+        assert rep["trials"] == rep["passes"] == rep["failures"] == rep["not_applicable"] == unsafe == 0
+        assert rep["worst_margin"] is None and rep["worst_fingerprint"] is None
 
     def test_deterministic(self):
         cfg = dict(dims=(2, 4), trials=25, master_seed=17)
         a = sweep("THM_MAIN", **cfg)
         b = sweep("THM_MAIN", **cfg)
-        assert a.to_json() == b.to_json()
+        assert a == b
 
     def test_false_test_counts(self):
-        rep = sweep("FALSE_TEST", dims=(4,), trials=10, master_seed=0)
-        assert rep.failures == 10 and rep.passes == 0 and rep.not_applicable == 0
-        assert rep.trials == 10
+        rep, _ = sweep("FALSE_TEST", dims=(4,), trials=10, master_seed=0)
+        assert rep["failures"] == 10 and rep["passes"] == 0 and rep["not_applicable"] == 0
+        assert rep["trials"] == 10
 
     def test_counts_add_up(self):
-        rep = sweep("SCHWARZ_REVERSE", dims=(3,), trials=40, master_seed=2)
-        assert rep.passes + rep.failures + rep.not_applicable == rep.trials
+        rep, _ = sweep("SCHWARZ_REVERSE", dims=(3,), trials=40, master_seed=2)
+        assert rep["passes"] + rep["failures"] + rep["not_applicable"] == rep["trials"]
 
     def test_worst_fingerprint_replays(self):
-        rep = sweep("FALSE_TEST", dims=(4,), trials=10, master_seed=0)
-        fp = rep.worst_fingerprint
+        rep, _ = sweep("FALSE_TEST", dims=(4,), trials=10, master_seed=0)
+        fp = rep["worst_fingerprint"]
         entry = get_entry("FALSE_TEST")
-        inst = make_instance(entry.recipe_for(fp.recipe, fp.dim), fp.seed)
+        inst = make_instance(entry.recipe_for(fp["recipe"], fp["dim"]), fp["seed"])
         replay = evaluate(entry, inst)
-        assert replay.margin == rep.worst_margin
+        assert replay.margin == rep["worst_margin"]
 
     @pytest.mark.parametrize("entry_id", PROVEN_DEFAULTS_HOLD)
     def test_proven_entries_hold_on_default_recipes(self, entry_id):
-        rep = sweep(entry_id, dims=(2, 5), trials=60, master_seed=23)
-        assert rep.failures == 0, f"{entry_id} violated: worst {rep.worst_margin}"
+        rep, _ = sweep(entry_id, dims=(2, 5), trials=60, master_seed=23)
+        assert rep["failures"] == 0, f"{entry_id} violated: worst {rep['worst_margin']}"
 
     def test_recipe_override(self):
-        rep = sweep("HS_PRODUCT", dims=(4,), trials=20, master_seed=1, recipe="commuting-normal")
-        assert rep.not_applicable == 0 and rep.failures == 0
+        rep, _ = sweep("HS_PRODUCT", dims=(4,), trials=20, master_seed=1, recipe="commuting-normal")
+        assert rep["not_applicable"] == 0 and rep["failures"] == 0
 
     def test_bad_config(self):
         with pytest.raises(InputError, match="trials must be >= 0"):

@@ -370,7 +370,7 @@ class TestOrthoCommand:
         inst = make_instance(Recipe("inner-normal", 3), 4)
         op = derivations.lift_derivation(inst.S, inst.T)
         probe = derivations.orthogonality_probe_opnorm(op, derivations.kernel_basis(op)[0])
-        assert payload["probe_evaluations"] == probe.evaluations
+        assert payload["probe_evaluations"] == probe["probe_evaluations"]
 
     def test_trivial_kernel_is_vacuous(self, tmp_path):
         out = tmp_path / "ortho.json"
@@ -468,6 +468,48 @@ _UNCONVERGED = {
     "T": {"rows": [[[float(i == j), 0] for j in range(4)] for i in range(4)]},
     "x": [[1, 0], [0, 0], [0, 0], [0, 0]],
 }
+
+
+def _diag(*d):
+    return {"rows": [[[d[i] if i == j else 0.0, 0.0] for j in range(len(d))] for i in range(len(d))]}
+
+
+# b, c and d pinned at 0 and a as wide as floats reach, so that a2 - a1 overflows to inf
+_WIDE_A_BOUNDS = {"a1": -1e308, "a2": 1e308} | {k: 0.0 for k in ("b1", "b2", "c1", "c2", "d1", "d2")}
+_NOT_FINITE = "hypothesis violation: entries too large for float arithmetic (the bound is not finite)\n"
+
+
+@pytest.mark.parametrize(
+    "instance, entry, code, report, err",
+    [
+        # S = diag(0, 1) and T = 0 meet the bands, but 1/2 sqrt(inf^2 + 0^2) * 0 is NaN (THM_MAIN)
+        # and 1/2 sqrt(inf^2 + 0^2) is inf (STEP_HALF_BAND): neither is a verdict
+        *[
+            ({"bounds": _WIDE_A_BOUNDS, "S": _diag(0, 1), "T": _diag(0, 0)}, entry, 0, None, _NOT_FINITE)
+            for entry in ("THM_MAIN", "STEP_HALF_BAND")
+        ],
+        # scaling alone refutes the squared bound: |S|_2^2 = 1/4 > (|S|_2 |S|_2)^2 = 1/16
+        # for S = diag(1/2, 0), T = 0 and X = I, and every value is exact in floating point
+        (
+            {"bounds": _SCHWARZ_BOUNDS, "S": _diag(0.5, 0), "T": _diag(0, 0), "X": _diag(1, 1)},
+            "THREE_TERM_STATED",
+            1,
+            {"lhs": 0.25, "rhs": 0.0625, "margin": -0.1875, "verdict": "violated"},
+            "",
+        ),
+    ],
+    ids=["thm-main-wide-band", "step-half-band-wide-band", "three-term-stated-scaling"],
+)
+def test_hand_written_instance(instance, entry, code, report, err, tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"dim": 2} | instance))
+    assert run_cli("check", "--entry", entry, "--instance", str(inst_path)) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if report is None:
+        assert captured.out == ""
+    else:
+        assert report.items() <= json.loads(captured.out).items()
 
 
 def _schwarz_instance(tmp_path, **fields):

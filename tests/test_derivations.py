@@ -349,15 +349,15 @@ class TestProbe:
         op = lift_derivation(s, s)
         c = kernel_basis(op)[0]
         result = orthogonality_probe_opnorm(op, c)
-        assert result.min_found <= op_norm(c) + 1e-12
+        assert result["probe_min_found"] <= op_norm(c) + 1e-12
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_finds_the_jordan_block_violation(self, n):
         # S = T = C = J_n: delta(-diag(0, 1, ..., n-1)) = -J_n, so the infimum is 0
         j = np.diag(np.ones(n - 1), 1).astype(complex)
         result = orthogonality_probe_opnorm(lift_derivation(j, j), j)
-        assert result.verdict == "violation-candidate"
-        assert result.min_found <= 1e-6
+        assert result["probe_verdict"] == "violation-candidate"
+        assert result["probe_min_found"] <= 1e-6
 
     @settings(max_examples=20, deadline=None)
     @given(seeds, st.integers(2, 4), st.booleans())
@@ -371,13 +371,14 @@ class TestProbe:
             c = random_matrix(dim, seed)
             op = lift_derivation(c, c)
         result = orthogonality_probe_opnorm(op, c)
-        assert min_distance_hs(op, c) / np.sqrt(dim) - 1e-12 <= result.min_found <= op_norm(c) + 1e-12
+        min_found = result["probe_min_found"]
+        assert min_distance_hs(op, c) / np.sqrt(dim) - 1e-12 <= min_found <= op_norm(c) + 1e-12
 
     def test_scalar_pair_stops_at_its_first_step(self):
         # S = T = 2I lifts to the zero derivation, so the first descent direction is 0
         s = 2.0 * np.eye(3, dtype=complex)
         result = orthogonality_probe_opnorm(lift_derivation(s, s), np.diag([1.0, 2.0, 3.0]).astype(complex))
-        assert (result.evaluations, result.min_found, result.verdict) == (1, 3.0, "consistent")
+        assert result == {"probe_evaluations": 1, "probe_min_found": 3.0, "probe_verdict": "consistent"}
 
     def test_rejects_non_kernel_c(self):
         s = np.diag([1.0, 2.0]).astype(complex)
@@ -391,8 +392,8 @@ class TestProbe:
         op = lift_derivation(inst.S, inst.T)
         c = kernel_basis(op)[0]
         result = orthogonality_probe_opnorm(op, c)
-        assert result.verdict == "consistent"
-        assert result.min_found >= op_norm(c) - 1e-6
+        assert result["probe_verdict"] == "consistent"
+        assert result["probe_min_found"] >= op_norm(c) - 1e-6
 
 
 def test_upper_block_norm_identity():

@@ -380,5 +380,5 @@ class TestJsonInterchange:
     def test_fingerprint_fields(self):
         inst = make_instance(Recipe("normal", 3), 7)
         fp = inst.fingerprint()
-        assert fp.seed == 7 and fp.dim == 3 and fp.recipe == "normal"
-        assert len(fp.to_json()["recipe_hash"]) == 12
+        assert (fp["seed"], fp["dim"], fp["recipe"]) == (7, 3, "normal")
+        assert len(fp["recipe_hash"]) == 12

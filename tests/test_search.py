@@ -27,7 +27,7 @@ from commlab.instances import (
     make_instance,
 )
 from commlab.instances import CartesianFactor, _BandedBasis, _complex_gaussians, _unitary_steps
-from commlab.search import _block_cap, maximize_ratio, perturb, search_state_to_json
+from commlab.search import _block_cap, maximize_ratio, perturb
 from oracles import eager_maximize_ratio, sequential_perturb
 
 seeds = st.integers(0, 2**31 - 1)
@@ -262,58 +262,56 @@ class TestBandedMoves:
 
 class TestMaximizeRatio:
     def test_false_test_signals_violation_immediately(self):
-        state = maximize_ratio("FALSE_TEST", dim=4, iterations=1, restarts=1, master_seed=0)
-        assert state.objective_kind == "margin"
-        assert state.best_objective > 0
+        state, _ = maximize_ratio("FALSE_TEST", dim=4, iterations=1, restarts=1, master_seed=0)
+        assert state["objective_kind"] == "margin"
+        assert state["best_objective"] > 0
 
     def test_thm_main_never_beats_the_bound(self):
-        state = maximize_ratio("THM_MAIN", dim=2, iterations=500, restarts=4, master_seed=1)
-        assert state.objective_kind == "ratio"
-        assert state.best_objective <= 1.0 + 1e-9
+        state, _ = maximize_ratio("THM_MAIN", dim=2, iterations=500, restarts=4, master_seed=1)
+        assert state["objective_kind"] == "ratio"
+        assert state["best_objective"] <= 1.0 + 1e-9
 
     def test_single_draw(self):
-        state = maximize_ratio("THM_MAIN", dim=3, iterations=1, restarts=1, master_seed=5)
+        state, _ = maximize_ratio("THM_MAIN", dim=3, iterations=1, restarts=1, master_seed=5)
         # one iteration, one restart: the result is the restart's start or
         # that start moved once, both from the same recipe
         start = make_instance(Recipe("positive-normal", 3), derive_seed(5, 0))
         candidates = (start, perturb(start, 0.2, derive_seed(5, 0, 1)))
-        best = state.best_instance
+        best = instance_from_json(state["best_instance"])
         assert any(np.array_equal(best.S, c.S) and np.array_equal(best.T, c.T) for c in candidates)
         assert best.recipe == "positive-normal"
-        assert state.best_report.entry == "THM_MAIN"
+        assert state["best_report"]["entry"] == "THM_MAIN"
 
     def test_deterministic_and_sound(self):
-        a = maximize_ratio("THM_MAIN", dim=2, iterations=120, restarts=3, master_seed=9)
-        b = maximize_ratio("THM_MAIN", dim=2, iterations=120, restarts=3, master_seed=9)
-        ja = json.dumps(search_state_to_json(a), sort_keys=True)
-        jb = json.dumps(search_state_to_json(b), sort_keys=True)
-        assert ja == jb
-        re_report = evaluate("THM_MAIN", a.best_instance)
-        assert abs(re_report.lhs / re_report.rhs - a.best_objective) <= 1e-12
+        a, _ = maximize_ratio("THM_MAIN", dim=2, iterations=120, restarts=3, master_seed=9)
+        b, _ = maximize_ratio("THM_MAIN", dim=2, iterations=120, restarts=3, master_seed=9)
+        assert _artifact(a) == _artifact(b)
+        re_report = evaluate("THM_MAIN", instance_from_json(a["best_instance"]))
+        assert abs(re_report.lhs / re_report.rhs - a["best_objective"]) <= 1e-12
 
     def test_trace_monotone(self):
-        state = maximize_ratio("THM_MAIN", dim=2, iterations=200, restarts=2, master_seed=4)
-        values = [v for _, v in state.trace]
+        state, _ = maximize_ratio("THM_MAIN", dim=2, iterations=200, restarts=2, master_seed=4)
+        values = [v for _, v in state["trace"]]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_best_instance_satisfies_hypotheses(self):
-        state = maximize_ratio("THM_MAIN", dim=3, iterations=60, restarts=2, master_seed=8)
-        assert validate_hypotheses("THM_MAIN", state.best_instance) == []
+        state, _ = maximize_ratio("THM_MAIN", dim=3, iterations=60, restarts=2, master_seed=8)
+        assert validate_hypotheses("THM_MAIN", instance_from_json(state["best_instance"])) == []
 
     def test_ratio_close_to_sharp_in_two_dims(self):
-        state = maximize_ratio("THM_MAIN", dim=2, iterations=400, restarts=6, master_seed=2)
-        assert state.best_objective > 0.9  # the bound is attainable up to noise
+        state, _ = maximize_ratio("THM_MAIN", dim=2, iterations=400, restarts=6, master_seed=2)
+        assert state["best_objective"] > 0.9  # the bound is attainable up to noise
 
     def test_schwarz_direction(self):
-        state = maximize_ratio("SCHWARZ_REVERSE", dim=2, iterations=50, restarts=2, master_seed=3)
-        assert state.objective_kind in ("ratio", "margin")
+        state, _ = maximize_ratio("SCHWARZ_REVERSE", dim=2, iterations=50, restarts=2, master_seed=3)
+        assert state["objective_kind"] in ("ratio", "margin")
 
     @pytest.mark.parametrize("entry", ["SQRT_PRODUCT", "STEP_CARTESIAN"])
     def test_rounding_noise_is_no_gain(self, entry):
         # both sides agree up to rounding on these entries' default recipes
         for seed in (0, 1, 2):
-            state = maximize_ratio(entry, dim=4, iterations=100, restarts=2, master_seed=seed)
-            assert state.accepted == 0, seed
+            _, counts = maximize_ratio(entry, dim=4, iterations=100, restarts=2, master_seed=seed)
+            assert counts["accepted"] == 0, seed
 
     def test_input_guards(self):
         with pytest.raises(InputError):
@@ -328,8 +326,8 @@ class TestMaximizeRatio:
 BENCH_SEARCH_ENTRIES = ("SJ_GENERAL", "SJ_MAX", "SQRT_PRODUCT", "NUMRAD_CLAIM", "COMMUTATOR_HS")
 
 
-def _artifact(state) -> str:
-    return json.dumps(search_state_to_json(state), sort_keys=True)
+def _artifact(artifact: dict) -> str:
+    return json.dumps(artifact, sort_keys=True)
 
 
 class TestHypothesesOnImprovingMovesOnly:
@@ -339,24 +337,26 @@ class TestHypothesesOnImprovingMovesOnly:
     @pytest.mark.parametrize("entry", (*BENCH_SEARCH_ENTRIES, "THM_MAIN", "SCHWARZ_REVERSE"))
     @pytest.mark.parametrize("seed, dim", [(0, 3), (1, 4), (7, 2)])
     def test_matches_eager_search(self, entry, seed, dim):
-        lazy = maximize_ratio(entry, dim=dim, iterations=60, restarts=2, master_seed=seed)
-        eager = eager_maximize_ratio(entry, dim, 60, 2, seed)
+        lazy, lazy_counts = maximize_ratio(entry, dim=dim, iterations=60, restarts=2, master_seed=seed)
+        eager, eager_counts = eager_maximize_ratio(entry, dim, 60, 2, seed)
         assert _artifact(lazy) == _artifact(eager)
-        assert lazy.candidates == eager.candidates == 120
-        assert lazy.accepted == eager.accepted
+        assert lazy_counts["candidates"] == eager_counts["candidates"] == 120
+        assert lazy_counts["accepted"] == eager_counts["accepted"]
 
     @pytest.mark.parametrize("recipe", RECIPE_FAMILIES)
     def test_matches_eager_search_over_recipes(self, recipe):
         # SCHWARZ_REVERSE moves the fixed example's vector; n = 0 on a tied pair
         entry = "SCHWARZ_REVERSE" if recipe == "equality-example" else "SJ_GENERAL"
         dim = 2 if recipe == "equality-example" else 3
-        lazy = maximize_ratio(entry, dim=dim, iterations=60, restarts=2, master_seed=2, recipe=recipe)
-        eager = eager_maximize_ratio(entry, dim, 60, 2, 2, recipe=recipe)
+        lazy, lazy_counts = maximize_ratio(
+            entry, dim=dim, iterations=60, restarts=2, master_seed=2, recipe=recipe
+        )
+        eager, eager_counts = eager_maximize_ratio(entry, dim, 60, 2, 2, recipe=recipe)
         assert _artifact(lazy) == _artifact(eager)
-        assert lazy.accepted == eager.accepted
+        assert lazy_counts["accepted"] == eager_counts["accepted"]
 
     def test_block_ends_match_eager_search(self, monkeypatch):
-        eager = _artifact(eager_maximize_ratio("THM_MAIN", 3, 160, 1, 4))
+        eager = _artifact(eager_maximize_ratio("THM_MAIN", 3, 160, 1, 4)[0])
         draws, blocks, built = [], [], []
         draw, apply, instance = commlab.search.draw_moves, Moves.apply, Block.instance
 
@@ -375,14 +375,14 @@ class TestHypothesesOnImprovingMovesOnly:
         monkeypatch.setattr(commlab.search, "draw_moves", recording_draw)
         monkeypatch.setattr(Moves, "apply", recording_apply)
         monkeypatch.setattr(Block, "instance", recording_instance)
-        lazy = maximize_ratio("THM_MAIN", dim=3, iterations=160, restarts=1, master_seed=4)
+        lazy, counts = maximize_ratio("THM_MAIN", dim=3, iterations=160, restarts=1, master_seed=4)
         assert _artifact(lazy) == eager
         # each draw's first block starts at row 0 on the instance it was drawn from
         firsts = [(moves, inst) for moves, inst, start in blocks if start == 0]
         assert len(firsts) == len(draws) and len({id(moves) for moves, _ in firsts}) == len(draws)
         # each keep applies the rest of its block to the instance built from the kept row
         rest = [(moves, inst, start) for moves, inst, start in blocks if start > 0]
-        assert len(rest) == lazy.accepted > 0
+        assert len(rest) == counts["accepted"] > 0
         kept = {(id(moves), k): inst for moves, k, inst in built}
         assert all(kept.get((id(moves), start - 1)) is inst for moves, inst, start in rest)
         # the 50th rejection in a row ends a block, and the next draw takes half the step
@@ -396,11 +396,12 @@ class TestHypothesesOnImprovingMovesOnly:
 
         monkeypatch.setitem(HYPOTHESES, "normal:S", odd_digest)
         for seed in (0, 1):
-            lazy = maximize_ratio("NUMRAD_CLAIM", dim=3, iterations=80, restarts=2, master_seed=seed)
-            eager = eager_maximize_ratio("NUMRAD_CLAIM", 3, 80, 2, seed)
+            lazy, lazy_counts = maximize_ratio("NUMRAD_CLAIM", 3, iterations=80, restarts=2, master_seed=seed)
+            eager, eager_counts = eager_maximize_ratio("NUMRAD_CLAIM", 3, 80, 2, seed)
             assert _artifact(lazy) == _artifact(eager)
-            assert lazy.accepted == eager.accepted
-            assert lazy.validated > lazy.accepted > 0  # some improving moves were turned down
+            assert lazy_counts["accepted"] == eager_counts["accepted"]
+            # some improving moves were turned down
+            assert lazy_counts["validated"] > lazy_counts["accepted"] > 0
 
     def test_a_unitary_step_can_break_a_hypothesis(self, monkeypatch):
         # a unitary move multiplies U by exp(K), which moves U's eigenvalues and with
@@ -413,11 +414,13 @@ class TestHypothesesOnImprovingMovesOnly:
             return outcomes[-1]
 
         monkeypatch.setattr(commlab.search, "validate_hypotheses", recording)
-        state = maximize_ratio("COR_NORMBOUND", 3, iterations=60, restarts=1, master_seed=4, recipe="unitary")
-        assert (state.validated, state.accepted) == (29, 21)
+        state, counts = maximize_ratio(
+            "COR_NORMBOUND", 3, iterations=60, restarts=1, master_seed=4, recipe="unitary"
+        )
+        assert (counts["validated"], counts["accepted"]) == (29, 21)
         failed = [v for v in outcomes if v]
         assert len(failed) == 8 and {m for v in failed for m in v} == {"C not PSD", "D not PSD"}
-        assert state.best_report.verdict == "satisfied"
+        assert state["best_report"]["verdict"] == "satisfied"
 
     def test_best_restart_is_an_applicable_one(self, capsys):
         # restart 1's start fails C and D PSD and keeps no move, at objective 1.1046;
@@ -427,8 +430,8 @@ class TestHypothesesOnImprovingMovesOnly:
         artifact = json.loads(capsys.readouterr().out)
         assert artifact["best_report"]["verdict"] == "satisfied"
         assert artifact["best_objective"] == 0.8808034739679385
-        lazy = maximize_ratio("COR_NORMBOUND", 3, iterations=60, restarts=2, master_seed=4, recipe="unitary")
-        eager = eager_maximize_ratio("COR_NORMBOUND", 3, 60, 2, 4, recipe="unitary")
+        lazy, _ = maximize_ratio("COR_NORMBOUND", 3, 60, restarts=2, master_seed=4, recipe="unitary")
+        eager, _ = eager_maximize_ratio("COR_NORMBOUND", 3, 60, 2, 4, recipe="unitary")
         assert _artifact(lazy) == _artifact(eager) == json.dumps(artifact, sort_keys=True)
 
     @pytest.mark.parametrize("entry", BENCH_SEARCH_ENTRIES)
@@ -443,10 +446,10 @@ class TestHypothesesOnImprovingMovesOnly:
         # evaluate validates through catalog's name, the search loop through its own
         monkeypatch.setattr(commlab.catalog, "validate_hypotheses", counting)
         monkeypatch.setattr(commlab.search, "validate_hypotheses", counting)
-        state = maximize_ratio(entry, dim=4, iterations=100, restarts=2, master_seed=3)
-        assert len(calls) == 2 + state.validated + 1  # the final evaluate of the best instance
-        assert state.validated == state.accepted  # no candidate failed its hypotheses
-        assert state.candidates == 200
+        _, counts = maximize_ratio(entry, dim=4, iterations=100, restarts=2, master_seed=3)
+        assert len(calls) == 2 + counts["validated"] + 1  # the final evaluate of the best instance
+        assert counts["validated"] == counts["accepted"]  # no candidate failed its hypotheses
+        assert counts["candidates"] == 200
 
     @pytest.mark.parametrize("entry", ["SJ_GENERAL", "NUMRAD_CLAIM"])
     def test_builds_an_instance_for_each_start_and_each_improving_candidate_only(self, entry, monkeypatch):
@@ -459,9 +462,9 @@ class TestHypothesesOnImprovingMovesOnly:
             post_init(inst)
 
         monkeypatch.setattr(Instance, "__post_init__", counting)
-        state = maximize_ratio(entry, dim=4, iterations=100, restarts=2, master_seed=3)
-        assert len(built) == 2 + state.validated
-        assert 0 < state.validated < state.candidates - state.screened
+        _, counts = maximize_ratio(entry, dim=4, iterations=100, restarts=2, master_seed=3)
+        assert len(built) == 2 + counts["validated"]
+        assert 0 < counts["validated"] < counts["candidates"] - counts["screened"]
 
 
 class TestObjective:
@@ -495,9 +498,9 @@ class TestBracketScreen:
             return screened
 
         monkeypatch.setattr(commlab.search, "_cannot_gain", checked)
-        state = maximize_ratio("NUMRAD_CLAIM", dim=dim, iterations=100, restarts=2, master_seed=seed)
-        assert len(outcomes) == state.candidates == 200
-        assert 0 < state.screened == sum(outcomes)
+        _, counts = maximize_ratio("NUMRAD_CLAIM", dim=dim, iterations=100, restarts=2, master_seed=seed)
+        assert len(outcomes) == counts["candidates"] == 200
+        assert 0 < counts["screened"] == sum(outcomes)
 
 
 class TestBlockMemory:

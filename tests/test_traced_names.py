@@ -39,10 +39,10 @@ def test_tracer_counts_the_search_validations():
     tracer = _tracer_module().Tracer()
     tracer.install()
     try:
-        state = maximize_ratio("SJ_GENERAL", dim=3, iterations=60, restarts=2, master_seed=1)
+        _, counts = maximize_ratio("SJ_GENERAL", dim=3, iterations=60, restarts=2, master_seed=1)
     finally:
         tracer.restore()
     # each start instance and the best one are evaluated in full
     assert tracer.calls["catalog.evaluate"] == 2 + 1
-    assert tracer.calls["catalog.validate_hypotheses"] == 2 + state.validated + 1
-    assert state.validated > 0
+    assert tracer.calls["catalog.validate_hypotheses"] == 2 + counts["validated"] + 1
+    assert counts["validated"] > 0
