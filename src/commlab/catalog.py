@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -176,24 +176,14 @@ def _three_term(inst: Instance, squared: bool):
 
 
 def _schwarz_reverse(inst: Instance):
-    try:
-        n2 = inst.n**2 if inst.n > 0 else 0.0
-    except OverflowError:
-        raise HypothesisError("n is too large: n^2 overflows") from None
+    n2 = inst.n**2 if inst.n > 0 else 0.0  # an n^2 that underflows to 0 is refused too
     if n2 == 0:
         raise HypothesisError("n must be positive: the bound divides by n^2")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
-        g = inst.S @ inst.T
-        gx = g @ inst.x
-        lhs = float(np.linalg.norm(gx) ** 2)
-        inner = complex(inst.x.conj() @ (g @ gx))
-    try:
-        rhs = (lhs**2 - abs(inner) ** 2) / n2
-    except OverflowError:
-        rhs = math.inf
-    if not math.isfinite(rhs):  # |STx| or |STx|^4 overflowed, or the bound did
-        raise HypothesisError("|STx| is too large: the bound overflows")
-    return lhs, rhs, {"inner_abs": abs(inner), "n": inst.n}
+    g = inst.S @ inst.T
+    gx = g @ inst.x
+    lhs = float(np.linalg.norm(gx) ** 2)
+    inner = complex(inst.x.conj() @ (g @ gx))
+    return lhs, (lhs**2 - abs(inner) ** 2) / n2, {"inner_abs": abs(inner), "n": inst.n}
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +405,13 @@ def _entries() -> tuple[CatalogEntry, ...]:
 CATALOG: dict[str, CatalogEntry] = {e.id: e for e in _entries()}
 
 
-def get_entry(entry_id: str) -> CatalogEntry:
-    if entry_id in CATALOG:
-        return CATALOG[entry_id]
-    raise InputError(f"unknown entry {entry_id!r}; known: {', '.join(CATALOG)}")
+def get_entry(entry: CatalogEntry | str) -> CatalogEntry:
+    """The entry itself, or the catalog entry with this id."""
+    if isinstance(entry, CatalogEntry):
+        return entry
+    if entry in CATALOG:
+        return CATALOG[entry]
+    raise InputError(f"unknown entry {entry!r}; known: {', '.join(CATALOG)}")
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +433,8 @@ def _band_violations(m: np.ndarray, bounds: SpectralBounds, labels: str) -> list
     for part, label in zip(cartesian_decomposition(m), labels):
         eigs = hermitian_eig(part)
         lo, hi = bounds.band(label.lower())
-        if eigs.size and (eigs.min() < lo - _BAND_SLACK or eigs.max() > hi + _BAND_SLACK):
+        slack = _BAND_SLACK * max(1.0, abs(lo), abs(hi))
+        if eigs.size and (eigs.min() < lo - slack or eigs.max() > hi + slack):
             out.append(f"{label} spectrum outside [{lo:g}, {hi:g}]")
     return out
 
@@ -468,15 +462,14 @@ HYPOTHESES: dict[str, Callable[[Instance], list[str]]] = {
     "band:T": lambda i: _band_violations(i.T, i.bounds, "BD"),
     "pd:X": _pd_violations,
     "unit:x": lambda i: _when(abs(np.linalg.norm(i.x) - 1.0) > 1e-12, "x not unit"),
-    "n-bound": lambda i: _when(i.n < op_norm(commutator(i.S, i.T)) - 1e-9, "n below commutator norm"),
+    "n-bound": lambda i: _when(i.n < (c := _comm_norm(i)) - 1e-9 * max(1.0, c), "n below commutator norm"),
 }
 
 
 def validate_hypotheses(entry: CatalogEntry | str, inst: Instance) -> list[str]:
     """List of hypothesis violations; empty means the entry applies. An
     instance without a field the entry requires is an InputError."""
-    if isinstance(entry, str):
-        entry = get_entry(entry)
+    entry = get_entry(entry)
     for req in sorted(entry.requires):
         if getattr(inst, req) is None:
             raise InputError(f"entry {entry.id} requires instance field {req!r}")
@@ -487,10 +480,8 @@ def validate_hypotheses(entry: CatalogEntry | str, inst: Instance) -> list[str]:
 # reports
 
 
-def _jsonable_float(v: float | None):
-    if v is None or (isinstance(v, float) and not math.isfinite(v)):
-        return None
-    return float(v)
+def _jsonable_float(v: float):
+    return float(v) if math.isfinite(v) else None
 
 
 @dataclass(frozen=True)
@@ -509,17 +500,11 @@ class InequalityReport:
     detail: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "entry": self.entry,
+        return asdict(self) | {
             "lhs": _jsonable_float(self.lhs),
             "rhs": _jsonable_float(self.rhs),
             "margin": _jsonable_float(self.margin),
-            "verdict": self.verdict,
-            "satisfied": self.satisfied,
-            "tol": self.tol,
             "hypothesis_violations": list(self.hypothesis_violations),
-            "fingerprint": self.fingerprint,
-            "detail": self.detail,
         }
 
 
@@ -532,8 +517,7 @@ def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL
     entries overflow float arithmetic in validation or the formula, or that
     gives a non-finite lhs or rhs, raises HypothesisError.
     """
-    if isinstance(entry, str):
-        entry = get_entry(entry)
+    entry = get_entry(entry)
     with overflow_is_hypothesis_error():
         violations = tuple(validate_hypotheses(entry, inst))
         lhs, rhs, detail = entry.formula(inst)
@@ -571,8 +555,7 @@ def sweep(
     The worst trial has the lowest score ``margin / max(1, |rhs|)``, the
     normalization verdicts use; its raw margin is reported.
     """
-    if isinstance(entry, str):
-        entry = get_entry(entry)
+    entry = get_entry(entry)
     if trials < 0:
         raise InputError("trials must be >= 0")
     if not dims:

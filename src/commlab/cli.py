@@ -147,10 +147,10 @@ def _resolve_instance(args, entry=None):
         given = [f"--{f}" for f in ("recipe", "dims", "seed") if getattr(args, f) is not None]
         if given:
             raise InputError(f"--instance conflicts with {', '.join(given)}")
-        try:
+        try:  # a RecursionError is JSON nested too deep
             with open(args.instance, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InputError(f"malformed JSON: {exc}") from None
         return instance_from_json(obj)
     return _generate_instance(args, entry)
@@ -356,9 +356,6 @@ def main(argv=None) -> int:
         for note in notes:
             print(note, file=sys.stderr)
         return code
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 2
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

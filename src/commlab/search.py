@@ -105,11 +105,10 @@ def maximize_ratio(
     applied to the kept instance.
     The best restart is an applicable one, whose start satisfies the
     hypotheses or which kept a move, ahead of any other, then the one with
-    the highest objective; ties break by (recipe, dim, seed). Its instance is
-    evaluated once more for ``best_report``. Deterministic in all arguments.
+    the highest objective; ties break by seed. Its instance is evaluated once
+    more for ``best_report``. Deterministic in all arguments.
     """
-    if isinstance(entry, str):
-        entry = get_entry(entry)
+    entry = get_entry(entry)
     if iterations < 1:
         raise InputError("iterations must be >= 1")
     if restarts < 1:
@@ -161,7 +160,7 @@ def maximize_ratio(
                 if stagnation >= _STAGNATION_LIMIT:
                     step = max(step / 2.0, _STEP_FLOOR)
                     stagnation = 0
-            order = (not applicable, -obj, inst.recipe, inst.dim, inst.seed)  # the least is the best
+            order = (not applicable, -obj, inst.seed)  # the least is the best
             if best_global is None or order < best_global[0]:
                 best_global = (order, obj, inst, kind)
                 best_trace = tuple(trace)

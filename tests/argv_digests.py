@@ -14,9 +14,12 @@ and recipe, ``check --seed 3`` and ``search --iterations 60 --restarts 2
 --seed 4`` at dim 3, then ``gen --seed 2``, ``fp`` and ``ortho`` per recipe at
 dim 4 (dim 2 for equality-example), then, for each catalog entry at its default
 recipe, ``sweep --dims 2,3 --trials 20 --seed 3`` as JSON and as CSV and ``check
---dims 3 --seed 3 --format csv``, and last ``list`` in each format. The ``# sweep
-wall time:`` line is left out of the stderr digest, as it differs between runs.
-Not collected by pytest.
+--dims 3 --seed 3 --format csv``, then ``list`` in each format, and last four
+``fp``/``ortho`` argvs at dims 24 and 32 whose normal or unitary S or T needs
+the spectral lift's refinement step (the first eigenbasis fails its residual
+check): should the refinement break, the pair falls to the Kronecker lift and
+the digest changes. The ``# sweep wall time:`` line is left out of the stderr
+digest, as it differs between runs. Not collected by pytest.
 """
 
 import contextlib
@@ -74,6 +77,17 @@ def _report_argvs() -> list[list[str]]:
     return argvs + [["list", "--format", fmt] for fmt in ("text", "json", "csv")]
 
 
+def _refinement_argvs() -> list[list[str]]:
+    """Pairs whose first eigenbasis of T (normal, unitary at dim 24) or S
+    (unitary at dim 32) fails the residual check and is refined."""
+    return [
+        ["fp", "--recipe", "normal", "--dims", "32", "--seed", "8"],
+        ["ortho", "--recipe", "normal", "--dims", "32", "--seed", "8"],
+        ["fp", "--recipe", "unitary", "--dims", "24", "--seed", "38"],
+        ["ortho", "--recipe", "unitary", "--dims", "32", "--seed", "10"],
+    ]
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -88,5 +102,5 @@ def run(argv: list[str]) -> str:
 
 
 if __name__ == "__main__":
-    for argv in _workload_argvs() + _grid_argvs() + _report_argvs():
+    for argv in _workload_argvs() + _grid_argvs() + _report_argvs() + _refinement_argvs():
         print(run(argv), flush=True)

@@ -15,7 +15,14 @@ from commlab.catalog import (
     validate_hypotheses,
 )
 from commlab.cli import main
-from commlab.core import HypothesisError, InputError, commutator, hs_norm, op_norm
+from commlab.core import (
+    HypothesisError,
+    InputError,
+    cartesian_decomposition,
+    commutator,
+    hs_norm,
+    op_norm,
+)
 from commlab.instances import (
     Instance,
     Recipe,
@@ -34,6 +41,18 @@ def _bare_instance(s, t, bounds=None, **kw):
     s = np.asarray(s, dtype=complex)
     bounds = bounds or SpectralBounds(-9, 9, -9, 9, -9, 9, -9, 9)
     return Instance(S=s, T=np.asarray(t, dtype=complex), bounds=bounds, seed=0, dim=s.shape[0], **kw)
+
+
+def _scaled(inst: Instance, lam: float) -> Instance:
+    b = inst.bounds
+    return dataclasses.replace(
+        inst,
+        S=lam * inst.S,
+        T=lam * inst.T,
+        bounds=SpectralBounds(*(lam * v for v in (b.a1, b.a2, b.b1, b.b2, b.c1, b.c2, b.d1, b.d2))),
+        n=None if inst.n is None else lam * lam * inst.n,
+        internals=None,
+    )
 
 
 class TestCatalogShape:
@@ -57,6 +76,10 @@ class TestCatalogShape:
     def test_unknown_entry(self):
         with pytest.raises(InputError):
             get_entry("NOPE")
+
+    def test_get_entry_passes_an_entry_through(self):
+        entry = CATALOG["THM_MAIN"]
+        assert get_entry(entry) is entry and get_entry("THM_MAIN") is entry
 
 
 @pytest.mark.parametrize("entry_id", CATALOG)
@@ -107,6 +130,30 @@ class TestValidateHypotheses:
         )
         violations = validate_hypotheses("STEP_HALF_BAND", inst)
         assert any("A spectrum outside" in v for v in violations)
+
+    @pytest.mark.parametrize("scale", [1e8, 1e10])
+    def test_band_slack_grows_with_the_band(self, scale):
+        # every eigenvalue of a scaled instance stays in its scaled band, up to rounding
+        entry = get_entry("THM_MAIN")
+        for seed in range(200):
+            inst = _scaled(make_instance(entry.recipe_for(None, 8), seed), scale)
+            assert validate_hypotheses(entry, inst) == []
+        b = inst.bounds
+        narrowed = dataclasses.replace(b, a2=b.a2 - 1e-6 * (b.a2 - b.a1))
+        spectrum = np.linalg.eigvalsh(cartesian_decomposition(inst.S)[0])
+        assert spectrum.max() > narrowed.a2  # the generated band is tight at its top
+        violations = validate_hypotheses(entry, dataclasses.replace(inst, bounds=narrowed))
+        assert violations == [f"A spectrum outside [{narrowed.a1:g}, {narrowed.a2:g}]"]
+
+    def test_n_bound_tolerance_grows_with_the_commutator(self):
+        # an n one ulp below |ST - TS| is rounding at any scale; an n 1e-6 below is not
+        entry = get_entry("SCHWARZ_REVERSE")
+        for seed in range(50):
+            inst = _scaled(make_instance(entry.recipe_for(None, 4), seed), 2.0**15)
+            c = op_norm(commutator(inst.S, inst.T))
+            assert validate_hypotheses(entry, dataclasses.replace(inst, n=np.nextafter(c, 0.0))) == []
+            low = dataclasses.replace(inst, n=c * (1 - 1e-6))
+            assert validate_hypotheses(entry, low) == ["n below commutator norm"]
 
     def test_x_unit_and_n(self):
         inst = equality_example()
@@ -244,6 +291,15 @@ class TestEvaluate:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == blob
 
+    def test_report_json_is_a_copy(self):
+        entry = get_entry("SJ_SINGLE")
+        report = evaluate(entry, make_instance(entry.recipe_for(None, 3), 0))
+        blob = report.to_json()
+        before = json.dumps(blob, sort_keys=True)
+        blob["fingerprint"]["seed"] = -1
+        blob["detail"]["per_j"].clear()
+        assert json.dumps(report.to_json(), sort_keys=True) == before
+
 
 class TestUnitarySimilarity:
     """S, T, X, Y, C -> U . U* and x -> Ux keep every entry's hypotheses and both
@@ -264,6 +320,47 @@ class TestUnitarySimilarity:
         assert after.verdict == before.verdict
         for old, new in ((before.lhs, after.lhs), (before.rhs, after.rhs)):
             assert abs(new - old) <= 1e-10 * max(1.0, abs(old))
+
+
+# Degrees (lhs, rhs) of each entry's sides under S, T, bands -> lam (.) and n -> lam^2 n,
+# with X, Y, C and x kept: a side built on X or Y (or a square root) has degree 1.
+SCALING_DEGREES = {
+    entry_id: (1, 1)
+    for entry_id in ("COMMUTATOR_HS", "SQRT_PRODUCT", "STEP_HALF_BAND", "SJ_GENERAL", "SJ_MAX", "SJ_SINGLE")
+} | {"SCHWARZ_REVERSE": (4, 4), "THREE_TERM_STATED": (2, 4)}
+
+
+class TestScalingLaw:
+    """S, T and the eight band endpoints -> lam (.), n -> lam^2 n, scale lhs and rhs by
+    lam^deg, exactly but for rounding, since lam is a power of two.
+
+    Verdicts are compared only at 2^30. At 2^-8 the verdict rule's floor,
+    tol * max(1, |rhs|), no longer scales with the sides, and five SCHWARZ_REVERSE
+    instances flip through it. THREE_TERM_STATED's verdict is compared at neither
+    scale: its sides have unequal degrees, and all 15 of its instances flip at 2^-8.
+    """
+
+    @pytest.mark.parametrize("lam", [2.0**-8, 2.0**30])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("entry_id", CATALOG)
+    def test_sides_scale_by_their_degrees(self, entry_id, dim, seed, lam):
+        entry = get_entry(entry_id)
+        inst = make_instance(entry.recipe_for(None, dim), seed)
+        before, after = evaluate(entry, inst), evaluate(entry, _scaled(inst, lam))
+        lhs_deg, rhs_deg = SCALING_DEGREES.get(entry_id, (2, 2))
+        if entry_id.startswith("SJ_"):  # the worst j can move, as its score divides by max(1, |rhs_j|)
+            pairs = [
+                (old[side], new[side], deg)
+                for old, new in zip(before.detail["per_j"], after.detail["per_j"], strict=True)
+                for side, deg in (("lhs", lhs_deg), ("rhs", rhs_deg))
+            ]
+        else:
+            pairs = [(before.lhs, after.lhs, lhs_deg), (before.rhs, after.rhs, rhs_deg)]
+        for old, new, deg in pairs:
+            assert abs(new / lam**deg - old) <= 1e-12 * abs(old)
+        if lam > 1 and entry_id != "THREE_TERM_STATED":
+            assert after.verdict == before.verdict
 
 
 PROVEN_DEFAULTS_HOLD = tuple(i for i, e in CATALOG.items() if e.status != "refuted")

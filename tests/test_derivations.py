@@ -297,6 +297,17 @@ class TestReduction:
         rep = check_reduction(NILPOTENT, np.zeros((2, 2)))
         assert rep["range_reduces"] and rep["restriction_normal"]
 
+    def test_reducing_range_with_non_normal_restriction(self):
+        # S = J2 (+) (1) keeps the span of e1, e2 and its complement, but acts there as J2
+        s = np.zeros((3, 3))
+        s[0, 1] = s[2, 2] = 1.0
+        rep = check_reduction(s, np.diag([1.0, 1.0, 0.0]))
+        assert rep == {
+            "range_reduces": True,
+            "restriction_normal": False,
+            "residuals": {"invariance": 0.0, "co_invariance": 0.0, "normality": 1.0},
+        }
+
 
 class TestMinDistance:
     def test_zero_c(self):
