@@ -1,13 +1,13 @@
 """The inequality catalog: named, hypothesis-gated, evaluable checks.
 
 Each entry evaluates one printed bound to an LHS/RHS pair with a signed
-margin, normalized so that "satisfied" always means
-``margin >= -tol * max(1, |rhs|)``. The status says whether a bound holds as
-encoded: ``commlab search --entry ID --dims 2 --iterations 200 --restarts 3
---seed 1`` (and at dim 3) violates exactly the "refuted" entries, among them
-FALSE_TEST, a deliberately false control; "suspect-step" marks a bound that
-survives with a questionable step in its recorded derivation. Sweeps treat
-verdicts as findings, never as errors.
+margin, normalized so that "satisfied" always means that the score
+``margin / max(1, |rhs|)`` is at least ``-tol``. The status says whether a
+bound holds as encoded: ``commlab search --entry ID --dims 2 --iterations
+200 --restarts 3 --seed 1`` (and at dim 3) violates exactly the "refuted"
+entries, among them FALSE_TEST, a deliberately false control;
+"suspect-step" marks a bound that survives with a questionable step in its
+recorded derivation. Sweeps treat verdicts as findings, never as errors.
 
 An entry is one ``CatalogEntry``: its formula is a field, and its hypothesis
 codes name predicates in ``HYPOTHESES``.
@@ -94,6 +94,12 @@ class CatalogEntry:
 # formula helpers
 
 
+def _score(margin: float, rhs: float) -> float:
+    """The margin in units of max(1, |rhs|): what verdicts, the worst sweep trial
+    and the worst SJ index are judged by."""
+    return margin / max(1.0, abs(rhs))
+
+
 def _comm_norm(inst: Instance) -> float:
     return op_norm(commutator(inst.S, inst.T))
 
@@ -131,20 +137,13 @@ def _sj_eval(inst: Instance, t: np.ndarray, factor: float):
     # the singular values of X (+) Y are those of X and of Y, merged
     base = np.sort(np.concatenate([np.linalg.svd(m, compute_uv=False) for m in (inst.X, inst.Y)]))[::-1]
     per_j = []
-    worst = None
     for j, bj in enumerate(base, start=1):
-        if bj <= _SJ_CUTOFF:
-            continue
-        lhs_j = float(lhs_vals[j - 1]) if j <= lhs_vals.size else 0.0
-        rhs_j = float(factor * bj)
-        margin_j = rhs_j - lhs_j
-        per_j.append({"j": j, "lhs": lhs_j, "rhs": rhs_j, "margin": margin_j})
-        score = margin_j / max(1.0, abs(rhs_j))
-        if worst is None or score < worst[0]:
-            worst = (score, lhs_j, rhs_j)
-    if worst is None:
-        return 0.0, 0.0, {"per_j": per_j}
-    return worst[1], worst[2], {"per_j": per_j}
+        if bj > _SJ_CUTOFF:
+            lhs_j = float(lhs_vals[j - 1]) if j <= lhs_vals.size else 0.0
+            rhs_j = float(factor * bj)
+            per_j.append({"j": j, "lhs": lhs_j, "rhs": rhs_j, "margin": rhs_j - lhs_j})
+    worst = min(per_j, key=lambda row: _score(row["margin"], row["rhs"]), default={"lhs": 0.0, "rhs": 0.0})
+    return worst["lhs"], worst["rhs"], {"per_j": per_j}
 
 
 def _sj_general(inst: Instance):
@@ -526,7 +525,7 @@ def evaluate(entry: CatalogEntry | str, inst: Instance, tol: float = DEFAULT_TOL
     margin = entry.margin(lhs, rhs)
     if violations:
         verdict, satisfied = "not-applicable", None
-    elif margin >= -tol * max(1.0, abs(rhs)):
+    elif _score(margin, rhs) >= -tol:
         verdict, satisfied = "satisfied", True
     else:
         verdict, satisfied = "violated", False
@@ -552,8 +551,8 @@ def sweep(
     Determinism: the trial at (dim, index) always sees the seed
     ``derive_seed(master_seed, dim, index)``, so results do not depend on
     execution order and any failure can be replayed from its fingerprint.
-    The worst trial has the lowest score ``margin / max(1, |rhs|)``, the
-    normalization verdicts use; its raw margin is reported.
+    The worst trial has the lowest ``_score``, which verdicts are judged by;
+    its raw margin is reported.
     """
     entry = get_entry(entry)
     if trials < 0:
@@ -581,7 +580,7 @@ def sweep(
                 passes += 1
             else:
                 failures += 1
-            score = report.margin / max(1.0, abs(report.rhs))
+            score = _score(report.margin, report.rhs)
             if worst is None or score < worst[0]:
                 worst = (score, report.margin, report.fingerprint)
     artifact = {

@@ -27,20 +27,8 @@ from commlab.catalog import (
     get_entry,
     sweep,
 )
-from commlab.core import (
-    HypothesisError,
-    InputError,
-    hs_norm,
-    op_norm,
-    overflow_is_hypothesis_error,
-)
-from commlab.derivations import (
-    check_fp_pair,
-    kernel_basis,
-    lift_derivation,
-    min_distance_hs,
-    orthogonality_probe_opnorm,
-)
+from commlab.core import HypothesisError, InputError, overflow_is_hypothesis_error
+from commlab.derivations import check_fp_pair, check_orthogonality
 from commlab.instances import (
     RECIPE_FAMILIES,
     Recipe,
@@ -242,33 +230,9 @@ def _cmd_fp(args) -> tuple:
 
 def _cmd_ortho(args) -> tuple:
     inst = _resolve_instance(args)
-    op = lift_derivation(inst.S, inst.T)
-    base = {"lift": op.lift, "fingerprint": inst.fingerprint()}
-    if inst.C is not None:
-        c, c_source = inst.C, "instance"
-    else:
-        kernel = kernel_basis(op)
-        if not len(kernel):
-            return {**base, "verdict": "vacuous", "kernel_dimension": 0}, 0
-        c, c_source = kernel[0], "kernel-basis[0]"
-    c_hs = hs_norm(c)
-    c_op = op_norm(c)
-    try:
-        hs_min = min_distance_hs(op, c)
-        probe = orthogonality_probe_opnorm(op, c)
-    except HypothesisError as exc:
-        return {**base, "verdict": "not-applicable", "hypothesis_violations": [str(exc)]}, 0
-    hs_consistent = hs_min >= c_hs - 1e-8 * max(1.0, c_hs)
-    payload = {
-        **base,
-        "c_source": c_source,
-        "c_hs_norm": c_hs,
-        "c_op_norm": c_op,
-        "min_distance_hs": hs_min,
-        "hs_consistent": hs_consistent,
-        **probe,
-    }
-    return payload, 0 if hs_consistent and probe["probe_verdict"] == "consistent" else 1
+    report = check_orthogonality(inst.S, inst.T, inst.C)
+    failed = report.get("hs_consistent") is False or report.get("probe_verdict") == "violation-candidate"
+    return report | {"fingerprint": inst.fingerprint()}, 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,7 @@
 
 Vectorization is column-stacking throughout: vec(SX - XT) equals
 (I (x) S - T^t (x) I) vec(X). Kernel and range computations use the numerical
-rank of that lifted matrix with a relative, absolutely floored cutoff. S, T
+rank of that lifted matrix, and every tolerance is relative to the inputs. S, T
 and C are finite n x n complex128 arrays that ``Instance`` checked.
 
 The lift is factored one of two ways, chosen from the input alone. When S and
@@ -34,6 +34,7 @@ __all__ = [
     "check_reduction",
     "min_distance_hs",
     "orthogonality_probe_opnorm",
+    "check_orthogonality",
 ]
 
 _KERNEL_REL_CUTOFF = 1e-8
@@ -96,7 +97,9 @@ def _checked_basis(s: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """(U, lam) with lam the diagonal of U*SU, or None unless SU = U diag(lam) to the residual test."""
     su = s @ u
     lam = np.einsum("ij,ij->j", u.conj(), su)
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+    scale = float(np.abs(lam).max(initial=0.0))
+    if scale == 0.0:  # all of lam is 0: only S = 0 is normal, a nilpotent S is not
+        return (u, lam) if not s.any() else None
     residual = np.linalg.norm((su - u * lam) / scale) if scale < np.inf else np.inf
     if not residual <= _EIGEN_REL_RESIDUAL * np.sqrt(len(lam)):
         return None
@@ -108,12 +111,12 @@ def _eigenbasis(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
     U is the eigenbasis of the Hermitian A + gamma C for S = A + iC, and lam
     the diagonal of U*SU. None unless |SU - U diag(lam)|_2 <= 1e-12 sqrt(n)
-    max(1, max |lam_i|), which allows each of the n columns a residual of
-    1e-12 |S| (|S| = max |lam_i| for normal S). The residual is scaled by
-    max(1, max |lam_i|) before its norm squares it, so a large S cannot
-    overflow there. When that test fails, U is refined once by the eigenbasis
-    Q of the same form for the nearly diagonal U*SU, with the weight
-    _REFINE_GAMMA, and U Q is tested the same way. This rejects a non-normal
+    max |lam_i|, which allows each of the n columns a residual of 1e-12 |S|
+    (|S| = max |lam_i| for normal S); when every lam_i is 0, only S = 0 passes.
+    The residual is divided by max |lam_i| before its norm squares it, so a
+    large S cannot overflow there. When that test fails, U is refined once by
+    the eigenbasis Q of the same form for the nearly diagonal U*SU, with the
+    weight _REFINE_GAMMA, and U Q is tested the same way. This rejects a non-normal
     S, a normal S with distinct eigenvalues that meet under gamma and others
     that meet under _REFINE_GAMMA, and an S too large for a finite scale.
     """
@@ -128,9 +131,9 @@ def _eigenbasis(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _cutoff(smax: float, *parts: np.ndarray) -> float:
-    """1e-8 smax, floored against rounding at 1e-12 max(1, sum of each part's largest |entry|)."""
+    """1e-8 smax, floored against rounding at 1e-12 times the sum of each part's largest |entry|."""
     scale = sum(float(np.abs(p).max(initial=0.0)) for p in parts)  # squares nothing: no overflow
-    return min(smax, max(_KERNEL_REL_CUTOFF * smax, 1e-12 * max(1.0, scale)))
+    return min(smax, max(_KERNEL_REL_CUTOFF * smax, 1e-12 * scale))
 
 
 def _kronecker_lift(s: np.ndarray, t: np.ndarray) -> SylvesterOperator:
@@ -193,7 +196,7 @@ def check_fp_pair(s: np.ndarray, t: np.ndarray) -> dict:
 
     For every kernel basis element C the residual |S*C - CT*|_2 is computed;
     the property ``holds`` when the worst residual is at most
-    1e-7 * max(1, |S| + |T|). An empty kernel passes vacuously. Each entry of
+    1e-7 * (|S| + |T|). An empty kernel passes vacuously. Each entry of
     ``reductions`` is C's |SC - CT|_2 as ``kernel_residual`` with
     ``check_reduction(S, C)``. Every kernel residual is taken first, then the
     adjoint residuals, |S| and |T|, and the reductions: the first float
@@ -204,7 +207,7 @@ def check_fp_pair(s: np.ndarray, t: np.ndarray) -> dict:
     kernel_residuals = [hs_norm(op.apply(c)) for c in kernel]
     residuals = [hs_norm(s.conj().T @ c - c @ t.conj().T) for c in kernel]
     worst = max(residuals, default=0.0)
-    tol = _FP_REL_TOL * max(1.0, op_norm(s) + op_norm(t))
+    tol = _FP_REL_TOL * (op_norm(s) + op_norm(t))
     return {
         "holds": worst <= tol,
         "kernel_dimension": len(kernel),
@@ -222,9 +225,9 @@ def check_reduction(s: np.ndarray, c: np.ndarray) -> dict:
 
     Q spans range(C) (left singular vectors with sigma > 1e-10 * sigma_max).
     Reduction holds when both off-corner compressions (I-QQ*)SQ and
-    QQ*S(I-QQ*) vanish within 1e-8 * max(1, |S|). C = 0 passes vacuously.
-    Returns ``range_reduces``, ``restriction_normal`` and the three
-    ``residuals``.
+    QQ*S(I-QQ*) vanish within 1e-8 * |S|, and S restricted to it, R = Q*SQ, is
+    normal when |RR* - R*R| <= 1e-8 |R|^2. C = 0 passes vacuously. Returns
+    ``range_reduces``, ``restriction_normal`` and the three ``residuals``.
     """
     n = s.shape[0]
     u, svals, _ = np.linalg.svd(c)
@@ -234,13 +237,13 @@ def check_reduction(s: np.ndarray, c: np.ndarray) -> dict:
     comp = np.eye(n) - proj
     r_inv = op_norm(comp @ s @ q)
     r_coinv = op_norm(proj @ s @ comp)
-    tol = 1e-8 * max(1.0, op_norm(s))
+    tol = 1e-8 * op_norm(s)
     restriction = q.conj().T @ s @ q
     r_norm = op_norm(restriction @ restriction.conj().T - restriction.conj().T @ restriction)
     r = op_norm(restriction)
     return {
         "range_reduces": r_inv <= tol and r_coinv <= tol,
-        "restriction_normal": r_norm <= 1e-8 * max(1.0, r * r),  # classify's normality test
+        "restriction_normal": r_norm <= 1e-8 * r * r,
         "residuals": {"invariance": r_inv, "co_invariance": r_coinv, "normality": r_norm},
     }
 
@@ -267,14 +270,16 @@ def orthogonality_probe_opnorm(op: SylvesterOperator, c: np.ndarray) -> dict:
     the Schatten p-norm up to scale, delta* Y = S*Y - YT*), trying the 33
     step lengths 2^k s_1 / |delta G|_2, k = -30..2, in one batched SVD, and
     moves to the best while that lowers the p-norm by at least 0.1%.
-    Returns the probe's fields of ``commlab ortho``'s report:
-    ``probe_min_found`` is the least |R| over every R evaluated,
-    ``probe_evaluations`` their number; an R with |R| <= 1e-8 |C|, 0
-    included, ends the search. ``probe_verdict`` is "consistent" when nothing
-    beats |C| - 1e-6, else "violation-candidate". C must lie in the kernel of
-    the derivation: |SC - CT|_2 <= max(op.cutoff, 1e-12).
+    Returns the probe's fields of ``commlab ortho``'s report: ``c_op_norm``
+    is the |C| it measures against, ``probe_min_found`` the least |R| over
+    every R evaluated, ``probe_evaluations`` their number; an R with
+    |R| <= 1e-8 |C|, 0 included, ends the search. ``probe_verdict`` is
+    "consistent" when nothing beats (1 - 1e-6) |C|, else
+    "violation-candidate". C must lie in the kernel of the derivation:
+    |SC - CT|_2 <= max(op.cutoff, 1e-12 (max |S_ij| + max |T_ij|)) |C|_2.
     """
-    if hs_norm(op.apply(c)) > max(op.cutoff, 1e-12):
+    floor = 1e-12 * (np.abs(op.S).max() + np.abs(op.T).max())
+    if hs_norm(op.apply(c)) > max(op.cutoff, floor) * hs_norm(c):
         raise HypothesisError("C is not in the kernel of the derivation")
     r = c
     c_norm = best = op_norm(c)
@@ -296,5 +301,41 @@ def orthogonality_probe_opnorm(op: SylvesterOperator, c: np.ndarray) -> dict:
             if not pnorms[k] < 0.999 * np.sum((sv / sv[0]) ** p) ** (1.0 / p):
                 break
             r = trial[k]
-    verdict = "consistent" if best >= c_norm - 1e-6 else "violation-candidate"
-    return {"probe_evaluations": evals, "probe_min_found": best, "probe_verdict": verdict}
+    verdict = "consistent" if best >= (1 - 1e-6) * c_norm else "violation-candidate"
+    return {"c_op_norm": c_norm, "probe_evaluations": evals, "probe_min_found": best, "probe_verdict": verdict}
+
+
+def check_orthogonality(s: np.ndarray, t: np.ndarray, c: np.ndarray | None = None) -> dict:
+    """Check range-kernel orthogonality, |SX - XT + C| >= |C| for C in the
+    kernel of X -> SX - XT: the fields of ``commlab ortho``'s report.
+
+    C is the given one (``c_source`` "instance"), or else the first element of
+    the kernel basis ("kernel-basis[0]"), and no other kernel element is
+    evaluated; an empty kernel has the ``verdict`` "vacuous". The exact HS
+    distance is ``min_distance_hs``, ``hs_consistent`` when it is at least
+    (1 - 1e-8) |C|_2, and the probe's fields follow. A C the probe finds
+    outside the kernel has the ``verdict`` "not-applicable", with the reason
+    in ``hypothesis_violations``.
+    """
+    op = lift_derivation(s, t)
+    kernel = kernel_basis(op)
+    if c is not None:
+        c_source = "instance"
+    elif len(kernel):
+        c, c_source = kernel[0], "kernel-basis[0]"
+    else:
+        return {"lift": op.lift, "verdict": "vacuous", "kernel_dimension": 0}
+    c_hs = hs_norm(c)
+    hs_min = min_distance_hs(op, c)
+    try:
+        probe = orthogonality_probe_opnorm(op, c)
+    except HypothesisError as exc:
+        return {"lift": op.lift, "verdict": "not-applicable", "hypothesis_violations": [str(exc)]}
+    return {
+        "lift": op.lift,
+        "c_source": c_source,
+        "c_hs_norm": c_hs,
+        "min_distance_hs": hs_min,
+        "hs_consistent": hs_min >= (1 - 1e-8) * c_hs,
+        **probe,
+    }

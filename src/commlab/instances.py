@@ -288,11 +288,11 @@ class FixedFactor(_Factor):
     def build(self) -> np.ndarray:
         return self.m
 
-    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> None:
-        return None  # nothing is drawn
+    def draw(self, scale: float, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        return np.empty((len(rngs), 0))  # nothing is drawn: one empty row per move
 
-    def apply(self, noise: None, rows: slice) -> "FixedFactor":
-        return self
+    def apply(self, noise: np.ndarray, rows: slice) -> "FixedFactor":
+        return FixedFactor(np.broadcast_to(self.m, (len(noise[rows]), *self.m.shape)))
 
 
 @dataclass(frozen=True)
@@ -436,24 +436,6 @@ def _checked(name: str, m, dim: int) -> np.ndarray:
     return a
 
 
-def _draw_band(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float]:
-    pair = np.sort(rng.uniform(lo, hi, size=2))
-    return float(pair[0]), float(pair[1])
-
-
-_BandSource = Callable[[np.random.Generator], tuple[float, float]]
-
-
-def _drawn(lo: float, hi: float) -> _BandSource:
-    """Each band is a sorted uniform pair drawn from [lo, hi]."""
-    return lambda rng: _draw_band(rng, lo, hi)
-
-
-def _fixed(lo: float, hi: float) -> _BandSource:
-    """Every band is [lo, hi], and nothing is drawn."""
-    return lambda rng: (lo, hi)
-
-
 def _tied_normal(dim: int, b: SpectralBounds, seed: int) -> dict:
     """S alone: T is S, built from the same factor."""
     return {"S": _normal_factor(dim, b.band("a"), b.band("c"), derive_seed(seed, 1))}
@@ -488,14 +470,14 @@ def _commuting_pair(dim: int, b: SpectralBounds, seed: int) -> dict:
 class _Family(NamedTuple):
     """How a generated family draws its bands and builds its (S, T) factors."""
 
-    ab: _BandSource  # bands a of S and b of T (real parts)
-    cd: _BandSource  # bands c of S and d of T (imaginary parts)
+    ab: tuple[float, float]  # the range bands a of S and b of T (real parts) are drawn from
+    cd: tuple[float, float]  # the range bands c of S and d of T (imaginary parts) are drawn from
     build: Callable[[int, SpectralBounds, int], dict]  # (dim, bounds, seed) -> factors
     tied: bool = False  # T is S, with S's bands: the only place that says so
+    fixed: bool = False  # every band is its whole range, and nothing is drawn
 
 
-_SIGNED, _POSITIVE = _drawn(-1.0, 1.0), _drawn(0.0, 1.0)
-_ZERO, _UNIT = _fixed(0.0, 0.0), _fixed(-1.0, 1.0)
+_SIGNED, _POSITIVE, _ZERO = (-1.0, 1.0), (0.0, 1.0), (0.0, 0.0)
 
 _FAMILIES = {
     "normal": _Family(_SIGNED, _SIGNED, _normal_pair),
@@ -504,7 +486,7 @@ _FAMILIES = {
     "hermitian": _Family(_SIGNED, _ZERO, _normal_pair),
     "hermitian-psd": _Family(_POSITIVE, _ZERO, _normal_pair),
     "cartesian-psd": _Family(_POSITIVE, _POSITIVE, _cartesian_pair),
-    "unitary": _Family(_UNIT, _UNIT, _unitary_pair),
+    "unitary": _Family(_SIGNED, _SIGNED, _unitary_pair, fixed=True),
     "commuting-normal": _Family(_SIGNED, _SIGNED, _commuting_pair),
     "inner-normal": _Family(_SIGNED, _SIGNED, _tied_normal, tied=True),
 }
@@ -580,8 +562,9 @@ def make_instance(recipe: Recipe, seed: int) -> Instance:
     if family is None:  # the fixed equality example
         return equality_example()
     rng = np.random.default_rng(derive_seed(seed, 100))
-    a, b = family.ab(rng), family.ab(rng)
-    c, d = family.cd(rng), family.cd(rng)
+    ranges = (family.ab, family.ab, family.cd, family.cd)
+    # each drawn band is a sorted uniform pair from its range; a zero range draws (0.0, 0.0)
+    a, b, c, d = ranges if family.fixed else (sorted(map(float, rng.uniform(*r, size=2))) for r in ranges)
     if family.tied:
         b, d = a, c
     bounds = SpectralBounds(a1=a[0], a2=a[1], b1=b[0], b2=b[1], c1=c[0], c2=c[1], d1=d[0], d2=d[1])
@@ -608,7 +591,7 @@ class Moves:
     """
 
     seeds: tuple[int, ...]
-    noise: dict  # factor name -> its noise: stacked arrays, one row per seed (None if fixed)
+    noise: dict  # factor name -> its noise: stacked arrays, one row per seed
 
     def apply(self, inst: Instance, start: int) -> "Block":
         """Moves ``start…`` composed with the factors of ``inst`` in one stacked
@@ -617,9 +600,7 @@ class Moves:
         rows = slice(start, None)
         moved = {name: inst.internals[name].apply(noise, rows) for name, noise in self.noise.items()}
         fields = _fields(moved)
-        for name, a in fields.items():
-            if a.ndim == (1 if name == "x" else 2):  # a fixed factor's field: repeat it on a row axis
-                fields[name] = a = np.broadcast_to(a, (len(self.seeds) - start, *a.shape))
+        for a in fields.values():
             a.flags.writeable = False
         return Block(self, inst, start, moved, fields)
 

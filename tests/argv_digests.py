@@ -18,15 +18,23 @@ recipe, ``sweep --dims 2,3 --trials 20 --seed 3`` as JSON and as CSV and ``check
 ``fp``/``ortho`` argvs at dims 24 and 32 whose normal or unitary S or T needs
 the spectral lift's refinement step (the first eigenbasis fails its residual
 check): should the refinement break, the pair falls to the Kronecker lift and
-the digest changes. The ``# sweep wall time:`` line is left out of the stderr
-digest, as it differs between runs. Not collected by pytest.
+the digest changes. Last come argvs that read an instance file: ``check
+--entry E``, ``fp`` and ``ortho`` on each pinned witness of
+``tests/golden/witnesses.json``, then ``fp`` and ``ortho`` on S = T = C = J_3
+(the nilpotent Jordan block) and again with C = 2^-30 J_3. Those files are
+written to a temporary directory, and each line names its file by a stable
+label, such as ``witness:SJ_GENERAL``, in place of the path. The ``# sweep
+wall time:`` line is left out of the stderr digest, as it differs between
+runs. Not collected by pytest.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,19 +96,49 @@ def _refinement_argvs() -> list[list[str]]:
     ]
 
 
+def _jordan_instance(c_scale: float) -> dict:
+    """S = T = J_3 and C = c_scale J_3, with every band [0, 0]."""
+    def matrix(scale: float) -> dict:
+        return {"rows": [[[scale if j == i + 1 else 0.0, 0.0] for j in range(3)] for i in range(3)]}
+
+    bounds = {k: 0.0 for k in ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2")}
+    return {"bounds": bounds, "S": matrix(1.0), "T": matrix(1.0), "C": matrix(c_scale)}
+
+
+def _instance_argvs(directory: Path) -> list[tuple[list[str], list[str]]]:
+    """(argv, argv as printed) for each argv that reads an instance file written
+    to ``directory``; the printed argv names the file by its label."""
+    witnesses = json.loads((ROOT / "tests" / "golden" / "witnesses.json").read_text())
+    files = {f"witness:{entry}": obj for entry, obj in witnesses.items()}
+    files |= {"jordan": _jordan_instance(1.0), "jordan-2^-30": _jordan_instance(2.0**-30)}
+    argvs = []
+    for k, (label, obj) in enumerate(files.items()):
+        path = directory / f"instance-{k}.json"
+        path.write_text(json.dumps(obj))
+        commands = [["fp"], ["ortho"]]
+        if label.startswith("witness:"):
+            commands.insert(0, ["check", "--entry", label.removeprefix("witness:")])
+        argvs += [([*c, "--instance", str(path)], [*c, "--instance", label]) for c in commands]
+    return argvs
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(argv: list[str]) -> str:
+def run(argv: list[str], shown: list[str] | None = None) -> str:
+    """One digest line for ``argv``, printed as ``shown`` (by default argv itself)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     err_lines = err.getvalue().splitlines(keepends=True)
     err_text = "".join(line for line in err_lines if not line.startswith("# sweep wall time:"))
-    return f"{code} {_digest(out.getvalue())} {_digest(err_text)} {' '.join(argv)}"
+    return f"{code} {_digest(out.getvalue())} {_digest(err_text)} {' '.join(shown or argv)}"
 
 
 if __name__ == "__main__":
     for argv in _workload_argvs() + _grid_argvs() + _report_argvs() + _refinement_argvs():
         print(run(argv), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, shown in _instance_argvs(Path(tmp)):
+            print(run(argv, shown), flush=True)

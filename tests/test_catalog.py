@@ -363,6 +363,63 @@ class TestScalingLaw:
             assert after.verdict == before.verdict
 
 
+# Entries whose sides are kept by S, T -> S + zI, T + zI with the bands a, b shifted by
+# Re z and c, d by Im z: each side is built from S - T, a commutator, SX - XT, a shift
+# by a band center, or band widths.
+TRANSLATION_INVARIANT = (
+    "THM_MAIN", "STEP_CENTERED", "STEP_CARTESIAN", "STEP_HALF_BAND", "THREE_TERM", "THREE_TERM_STATED",
+    "FALSE_TEST",
+)
+
+
+def _translated(inst: Instance, z: complex) -> Instance:
+    b, eye = inst.bounds, np.eye(inst.dim)
+    x, y = z.real, z.imag
+    return dataclasses.replace(
+        inst,
+        S=inst.S + z * eye,
+        T=inst.T + z * eye,
+        bounds=SpectralBounds(b.a1 + x, b.a2 + x, b.b1 + x, b.b2 + x, b.c1 + y, b.c2 + y, b.d1 + y, b.d2 + y),
+        internals=None,
+    )
+
+
+def _translation_pairs(entry_id: str, z: complex):
+    """(before, after) reports of the entry on each instance of ``TestScalingLaw``'s grid."""
+    entry = get_entry(entry_id)
+    for dim in (2, 3, 4):
+        for seed in range(5):
+            inst = make_instance(entry.recipe_for(None, dim), seed)
+            yield evaluate(entry, inst), evaluate(entry, _translated(inst, z))
+
+
+class TestTranslationLaw:
+    """S, T -> S + zI, T + zI, with the bands moved along: the translation law."""
+
+    @pytest.mark.parametrize("z", [3.0, 3.0 - 2.0j])
+    @pytest.mark.parametrize("entry_id", TRANSLATION_INVARIANT)
+    def test_listed_entries_keep_sides_and_verdict(self, entry_id, z):
+        for before, after in _translation_pairs(entry_id, z):
+            for old, new in ((before.lhs, after.lhs), (before.rhs, after.rhs)):
+                assert abs(new - old) <= 1e-12 * abs(old)
+            if entry_id == "THREE_TERM" and z.imag:  # S + zI is no longer Hermitian
+                assert after.hypothesis_violations == ("S not hermitian", "T not hermitian")
+            else:
+                assert after.verdict == before.verdict
+
+    @pytest.mark.parametrize("entry_id", [e for e in CATALOG if e not in TRANSLATION_INVARIANT])
+    def test_unlisted_entries_move(self, entry_id):
+        # the table cannot go stale by omission: every other entry moves a side
+        changes = [
+            abs(new - old) / abs(old)
+            for z in (3.0, 3.0 - 2.0j)
+            for before, after in _translation_pairs(entry_id, z)
+            for old, new in ((before.lhs, after.lhs), (before.rhs, after.rhs))
+            if old
+        ]
+        assert max(changes) > 1e-3
+
+
 PROVEN_DEFAULTS_HOLD = tuple(i for i, e in CATALOG.items() if e.status != "refuted")
 
 

@@ -394,7 +394,6 @@ class TestOrthoCommand:
             counts["svd"] += np.shape(a) == (16, 16)
             return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "lift_derivation", counting_lift)
         monkeypatch.setattr(derivations, "lift_derivation", counting_lift)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         assert run_cli("ortho", "--dims", "4", *argv) == 0
@@ -447,6 +446,72 @@ class TestOrthoCommand:
         assert capsys.readouterr().err == (
             "hypothesis violation: entries too large for float arithmetic (overflow encountered in dot)\n"
         )
+
+
+_J3 = np.diag([1.0, 1.0], 1)  # the nilpotent Jordan block J_3
+
+
+def _matrix_json(m):
+    return {"rows": np.stack([np.real(m), np.imag(m)], axis=-1).tolist()}
+
+
+def _scaled_json(obj: dict, lam: float) -> dict:
+    """Instance JSON ``obj`` with S, T and the bounds scaled by ``lam``."""
+    inst = instance_from_json(obj)
+    scaled = {name: _matrix_json(lam * getattr(inst, name)) for name in ("S", "T")}
+    return obj | scaled | {"bounds": {k: lam * v for k, v in obj["bounds"].items()}}
+
+
+class TestScaleFreeVerdicts:
+    """``fp`` and ``ortho`` judge a pair and its C by tolerances relative to their
+    size, so scaling them changes no verdict and no exit code."""
+
+    def _run(self, tmp_path, capsys, obj, *argv):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(obj))
+        code = run_cli(*argv, "--instance", str(inst_path))
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-9])
+    def test_jordan_block_is_a_violation_at_any_scale_of_c(self, lam, tmp_path, capsys):
+        # S = T = J_3 and C = lam J_3: delta(-diag(0, 1, 2)) = -J_3, so |delta X + C| reaches 0
+        obj = {"bounds": _SCHWARZ_BOUNDS, "S": _matrix_json(_J3), "T": _matrix_json(_J3)}
+        code, payload = self._run(tmp_path, capsys, obj | {"C": _matrix_json(lam * _J3)}, "ortho")
+        assert code == 1
+        assert payload["hs_consistent"] is False
+        assert payload["probe_verdict"] == "violation-candidate"
+        assert payload["probe_min_found"] <= 1e-8 * payload["c_op_norm"]
+
+    def test_scaled_kernel_element_is_in_the_kernel(self, tmp_path, capsys):
+        inst = make_instance(Recipe("inner-normal", 4), 3)
+        op = derivations.lift_derivation(inst.S, inst.T)
+        obj = instance_to_json(inst) | {"C": _matrix_json(1e8 * derivations.kernel_basis(op)[0])}
+        code, payload = self._run(tmp_path, capsys, obj, "ortho")
+        assert code == 0
+        assert "verdict" not in payload  # neither vacuous nor not-applicable
+        assert (payload["hs_consistent"], payload["probe_verdict"]) == (True, "consistent")
+
+    def test_small_normal_pair_keeps_its_trivial_kernel(self, tmp_path, capsys):
+        obj = _scaled_json(instance_to_json(make_instance(Recipe("normal", 4), 3)), 1e-12)
+        code, payload = self._run(tmp_path, capsys, obj, "fp")
+        assert (code, payload["lift"], payload["kernel_dimension"]) == (0, "spectral", 0)
+        code, payload = self._run(tmp_path, capsys, obj, "ortho")
+        assert (code, payload["verdict"]) == (0, "vacuous")
+
+    def test_small_non_normal_pair_takes_the_kronecker_lift(self, tmp_path, capsys):
+        obj = _scaled_json(instance_to_json(make_instance(Recipe("cartesian-psd", 4), 3)), 1e-12)
+        code, payload = self._run(tmp_path, capsys, obj, "fp")
+        assert (code, payload["lift"], payload["kernel_dimension"]) == (0, "kronecker", 0)
+
+    def test_jordan_pair_fails_fp_at_any_scale(self, tmp_path, capsys):
+        reports = []
+        for lam in (1.0, 1e-6, 1e-8):
+            obj = {"bounds": _SCHWARZ_BOUNDS, "S": _matrix_json(lam * _J3), "T": _matrix_json(lam * _J3)}
+            code, payload = self._run(tmp_path, capsys, obj, "fp")
+            assert (code, payload["holds"], payload["lift"]) == (1, False, "kronecker")
+            reports.append([(r["range_reduces"], r["restriction_normal"]) for r in payload["reductions"]])
+        assert reports[0] == reports[1] == reports[2]
+        assert (False, False) in reports[0]
 
 
 _SCHWARZ_BOUNDS = {k: 0.0 for k in ("a1", "b1", "c1", "d1", "c2", "d2")} | {"a2": 2.0, "b2": 4.0}

@@ -11,13 +11,14 @@ from commlab.derivations import (
     _hermitian_part,
     _kronecker_lift,
     check_fp_pair,
+    check_orthogonality,
     check_reduction,
     kernel_basis,
     lift_derivation,
     min_distance_hs,
     orthogonality_probe_opnorm,
 )
-from commlab.instances import Recipe, make_instance, random_unitary
+from commlab.instances import RECIPE_FAMILIES, Recipe, make_instance, random_unitary
 from oracles import brute_min_distance_hs, kron_lift, random_matrix, random_normal_matrix, unvec, vec
 
 seeds = st.integers(0, 2**31 - 1)
@@ -389,7 +390,9 @@ class TestProbe:
         # S = T = 2I lifts to the zero derivation, so the first descent direction is 0
         s = 2.0 * np.eye(3, dtype=complex)
         result = orthogonality_probe_opnorm(lift_derivation(s, s), np.diag([1.0, 2.0, 3.0]).astype(complex))
-        assert result == {"probe_evaluations": 1, "probe_min_found": 3.0, "probe_verdict": "consistent"}
+        assert result == {
+            "c_op_norm": 3.0, "probe_evaluations": 1, "probe_min_found": 3.0, "probe_verdict": "consistent"
+        }
 
     def test_rejects_non_kernel_c(self):
         s = np.diag([1.0, 2.0]).astype(complex)
@@ -405,6 +408,34 @@ class TestProbe:
         result = orthogonality_probe_opnorm(op, c)
         assert result["probe_verdict"] == "consistent"
         assert result["probe_min_found"] >= op_norm(c) - 1e-6
+
+
+def _fp_outcome(s, t):
+    report = check_fp_pair(s, t)
+    reductions = [(r["range_reduces"], r["restriction_normal"]) for r in report["reductions"]]
+    return report["lift"], report["kernel_dimension"], report["holds"], reductions
+
+
+def _ortho_outcome(s, t):
+    # the exit code of ``commlab ortho`` is a function of hs_consistent and probe_verdict
+    report = check_orthogonality(s, t)
+    keys = ("lift", "verdict", "c_source", "hs_consistent", "probe_verdict", "probe_evaluations")
+    return tuple(report.get(k) for k in keys)
+
+
+class TestScalingLaw:
+    """S, T -> lam S, lam T scale the lift, the kernel's residuals, |C| and every
+    tolerance alike, so no outcome of ``fp`` or ``ortho`` changes. lam is a power of
+    two, which scales each float exactly."""
+
+    @pytest.mark.parametrize("lam", [2.0**-40, 2.0**40])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    @pytest.mark.parametrize("family", [f for f in RECIPE_FAMILIES if f != "equality-example"])
+    @pytest.mark.parametrize("outcome", [_fp_outcome, _ortho_outcome], ids=["fp", "ortho"])
+    def test_outcome_is_kept(self, outcome, family, dim, seed, lam):
+        inst = make_instance(Recipe(family, dim), seed)
+        assert outcome(lam * inst.S, lam * inst.T) == outcome(inst.S, inst.T)
 
 
 def test_upper_block_norm_identity():
